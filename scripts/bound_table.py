@@ -5,8 +5,6 @@ showing its monotonicity in d, q_K, and |S|."""
 import sys
 from pathlib import Path
 
-import mpmath
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monogenic import bound_calculator  # noqa: E402
@@ -17,8 +15,8 @@ def main():
     for d in (2, 3, 4):
         for p, q_K in ((2, 2), (2, 4), (3, 3)):
             for s in (1, 2):
-                br = bound_calculator(d, p, q_K, s)
-                print(f"{d:>3} {p:>3} {q_K:>5} {s:>4}   {mpmath.nstr(br.log10_main, 12)}")
+                log10_main = bound_calculator(d, p, q_K, s).to_dict()["log10_main"]
+                print(f"{d:>3} {p:>3} {q_K:>5} {s:>4}   {log10_main}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ searches with Frobenius-pattern fitting, and scripted verification of the
 worked families.
 """
 
-from .gf import FqCtx, FqElem, fq_arith, fq_frobenius, fq_pth_root
+from .gf import FqCtx, FqElem
 from .funcfield import (
     MINUS_INF,
     Place,
@@ -20,13 +20,12 @@ from .funcfield import (
     unit_group_rank,
     valuation,
 )
-from .bivar import BivarPoly, BivarSym, pth_power_decompose_bivar
+from .bivar import BivarPoly, pth_power_decompose_bivar
 from .tower import (
     AlgElem,
     ConjugateSet,
     GaloisMap,
     Tower,
-    apply_galois,
     conjugate_difference_unit,
     conjugates,
     discriminant,

@@ -266,10 +266,6 @@ class BivarPoly:
         return "+".join(parts)
 
 
-# the symmetric-backend payload type: a sparse bivariate polynomial
-BivarSym = BivarPoly
-
-
 def pth_power_decompose_bivar(f: BivarPoly):
     """Coordinates of f over the p-basis {x^a y^b : 0 <= a, b < p} of
     F_q(x, y) over its subfield of p-th powers: f = sum c_m^p * m."""

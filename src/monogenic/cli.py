@@ -62,6 +62,9 @@ _TASKS = (
 
 _TOP_KEYS = {"task", "base", "backend", "tower", "elements", "params"}
 
+# the params that --box sets, per task
+_BOX_KEYS = {"search": ("m_max", "n_max"), "ef": ("bound",)}
+
 
 def _check_keys(d: dict, allowed, where: str):
     unknown = set(d) - set(allowed)
@@ -78,10 +81,7 @@ def _build_base(cfg: Optional[dict]) -> FqCtx:
     coeffs = None
     if modulus is not None:
         coeffs = [int(c) for c in modulus]
-    try:
-        return FqCtx(int(p), int(k), coeffs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return FqCtx(int(p), int(k), coeffs)
 
 
 def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
@@ -91,18 +91,11 @@ def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
     for lvl in cfg.get("levels", []):
         _check_keys(lvl, {"label", "poly"}, "tower level")
         label = lvl["label"]
-        env = {"x": tw.x() if tw.levels else RatFunc.gen(ctx)}
-        if ctx.k > 1:
-            env[ctx.gen_label] = ctx.gen
-        for i, existing in enumerate(tw.levels):
-            env[existing.label] = tw.gen(i)
+        env = _tower_env(tw) if tw.levels else _base_env(ctx, RatFunc.gen(ctx))
         zero = tw.from_base(0) if tw.levels else RatFunc.of(0, ctx)
         one = tw.from_base(1) if tw.levels else RatFunc.of(1, ctx)
         env[label] = SymbolPoly([zero, one], zero)
-        try:
-            poly = parse_element(lvl["poly"], env, one)
-        except ParseError as exc:
-            raise ConfigError(f"bad defining polynomial for {label!r}: {exc}")
+        poly = _parse(lvl["poly"], env, one, f"defining polynomial for {label!r}")
         if not isinstance(poly, SymbolPoly):
             raise ConfigError(f"defining polynomial for {label!r} does not involve it")
         try:
@@ -120,10 +113,30 @@ def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
     return tw
 
 
+def _base_env(ctx: FqCtx, x) -> Dict[str, object]:
+    """Parser names for the variable x and, when k > 1, the generator of F_q."""
+    env = {"x": x}
+    if ctx.k > 1:
+        env[ctx.gen_label] = ctx.gen
+    return env
+
+
+def _parse(text: str, env, one, what: str):
+    try:
+        return parse_element(text, env, one)
+    except ParseError as exc:
+        raise ConfigError(f"bad {what}: {exc}")
+
+
+def _positive(params: dict, key: str, default: int) -> int:
+    value = int(params.get(key, default))
+    if value < 1:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
+
+
 def _tower_env(tw: Tower) -> Dict[str, object]:
-    env = {"x": tw.x()}
-    if tw.base.k > 1:
-        env[tw.base.gen_label] = tw.base.gen
+    env = _base_env(tw.base, tw.x())
     for i, lvl in enumerate(tw.levels):
         env[lvl.label] = tw.gen(i)
     return env
@@ -136,30 +149,32 @@ def _sym_env(ctx: FqCtx) -> Dict[str, object]:
 
 def _parse_places(ctx: FqCtx, names) -> PlaceSet:
     places = []
-    env = {"x": Poly.x(ctx)}
-    if ctx.k > 1:
-        env[ctx.gen_label] = ctx.gen
+    env = _base_env(ctx, Poly.x(ctx))
     for name in names:
         if name == "inf":
             continue
-        try:
-            val = parse_element(name, env, Poly.one(ctx))
-        except ParseError as exc:
-            raise ConfigError(f"bad place {name!r}: {exc}")
+        val = _parse(name, env, Poly.one(ctx), f"place {name!r}")
         if isinstance(val, RatFunc):
             if not val.is_polynomial():
                 raise ConfigError(f"place {name!r} is not a polynomial")
             val = val.num
-        try:
-            places.append(Place.finite(val))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        places.append(Place.finite(val))
     return PlaceSet(places)
 
 
 def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict, int]:
-    """Execute one scenario; returns (report dict, exit code)."""
-    overrides = overrides or {}
+    """Execute one scenario; returns (report dict, exit code).  Bad input
+    raises ConfigError, including every ValueError the library raises on
+    the scenario's values."""
+    try:
+        return _run(scenario, overrides or {})
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
     _check_keys(scenario, _TOP_KEYS, "scenario")
     task = scenario.get("task")
     if task not in _TASKS:
@@ -180,10 +195,7 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
         if backend == "symmetric":
             return _sym_env(ctx), BivarPoly.constant(ctx, 1)
         if "tower" not in scenario:
-            env = {"x": RatFunc.gen(ctx)}
-            if ctx.k > 1:
-                env[ctx.gen_label] = ctx.gen
-            return env, RatFunc.of(1, ctx)
+            return _base_env(ctx, RatFunc.gen(ctx)), RatFunc.of(1, ctx)
         tw = _build_tower(ctx, scenario["tower"])
         env = _tower_env(tw)
         return env, tw.from_base(1)
@@ -192,10 +204,7 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
         texts = scenario.get("elements", {})
         if name not in texts:
             raise ConfigError(f"scenario does not define element {name!r}")
-        try:
-            return parse_element(texts[name], env, one)
-        except ParseError as exc:
-            raise ConfigError(f"bad element {name!r}: {exc}")
+        return _parse(texts[name], env, one, f"element {name!r}")
 
     if task == "disc":
         _check_keys(params, {"element", "places"}, "params")
@@ -225,8 +234,8 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
         env, one = elements_env()
         s = named(params.get("s", "s"), env, one)
         t = named(params.get("t", "t"), env, one)
-        m_max = int(params.get("m_max", 12))
-        n_max = int(params.get("n_max", 12))
+        m_max = _positive(params, "m_max", 12)
+        n_max = _positive(params, "n_max", 12)
         pair = SymPowerPair(s, t) if backend == "symmetric" else TowerPowerPair(s, t)
         result = enumerate_M(pair, m_max, n_max)
         fit_patterns(result, ctx.p)
@@ -237,15 +246,11 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
 
     elif task == "unit-solve":
         _check_keys(params, {"generators", "height_bound"}, "params")
-        env = {"x": RatFunc.gen(ctx)}
-        if ctx.k > 1:
-            env[ctx.gen_label] = ctx.gen
-        gens = []
-        for text in params.get("generators", []):
-            try:
-                gens.append(parse_element(text, env, RatFunc.of(1, ctx)))
-            except ParseError as exc:
-                raise ConfigError(f"bad generator {text!r}: {exc}")
+        env = _base_env(ctx, RatFunc.gen(ctx))
+        gens = [
+            _parse(text, env, RatFunc.of(1, ctx), f"generator {text!r}")
+            for text in params.get("generators", [])
+        ]
         if not gens:
             raise ConfigError("unit-solve needs at least one generator")
         gctx = build_group(gens, ctx)
@@ -261,7 +266,7 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
         _check_keys(params, {"element", "bound"}, "params")
         env, one = elements_env()
         s = named(params.get("element", "s"), env, one)
-        res = compute_ef(s, int(params.get("bound", 12)))
+        res = compute_ef(s, _positive(params, "bound", 12))
         report["stable_exponent"] = res.value
         report["verified_up_to_bound"] = res.verified
         report["degrees"] = [[n, d] for n, d in res.degrees]
@@ -278,10 +283,7 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
         _check_keys(params, {"m_max", "eta"}, "params")
         eta = None
         if "eta" in params:
-            try:
-                val = parse_element(params["eta"], {"x": Poly.x(ctx)}, Poly.one(ctx))
-            except ParseError as exc:
-                raise ConfigError(f"bad eta seed: {exc}")
+            val = _parse(params["eta"], {"x": Poly.x(ctx)}, Poly.one(ctx), "eta seed")
             eta = val.num if isinstance(val, RatFunc) else val
             bad = eta_conditions_hold(eta)
             if bad is not None:
@@ -310,21 +312,14 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
             )
         except KeyError as exc:
             raise ConfigError(f"bounds task needs parameter {exc}")
-        except ValueError as exc:
-            raise ConfigError(str(exc))
         report["bounds"] = br.to_dict()
 
     elif task == "addendum":
         _check_keys(params, {"s", "t"}, "params")
-        env = {"x": RatFunc.gen(ctx)}
-        if ctx.k > 1:
-            env[ctx.gen_label] = ctx.gen
+        env = _base_env(ctx, RatFunc.gen(ctx))
         s = named(params.get("s", "s"), env, one=RatFunc.of(1, ctx))
         t = named(params.get("t", "t"), env, one=RatFunc.of(1, ctx))
-        try:
-            rep = addendum_report(RatFunc.of(s, ctx), RatFunc.of(t, ctx))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        rep = addendum_report(RatFunc.of(s, ctx), RatFunc.of(t, ctx))
         report["addendum"] = rep.to_dict()
 
     return report, code
@@ -367,9 +362,13 @@ def main(argv=None) -> int:
 
     overrides = {}
     if args.box is not None:
-        overrides["m_max"] = args.box
-        overrides["n_max"] = args.box
-        overrides["bound"] = args.box
+        task = scenario.get("task") if isinstance(scenario, dict) else None
+        if task not in _BOX_KEYS:
+            print("configuration error: --box applies to the search and ef tasks",
+                  file=sys.stderr)
+            return 2
+        for key in _BOX_KEYS[task]:
+            overrides[key] = args.box
     if args.mmax is not None:
         overrides["m_max"] = args.mmax
     if args.seed_eta is not None:

@@ -16,10 +16,9 @@ say "consistent with".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-import mpmath
 
 from .bivar import BivarPoly
 from .funcfield import RatFunc, support
@@ -32,6 +31,14 @@ from .tower import AlgElem, minimal_polynomial
 # backends
 # ---------------------------------------------------------------------------
 
+def _power(cache: list, base, n: int):
+    """base^n for n >= 1, where cache[k - 1] holds base^k; missing powers
+    are appended by repeated multiplication."""
+    while len(cache) < n:
+        cache.append(cache[-1] * base if cache else base)
+    return cache[n - 1]
+
+
 class TowerPowerPair:
     """Oracle over a tower: s, t integral over the tagged ring."""
 
@@ -40,8 +47,8 @@ class TowerPowerPair:
         self.t = t
         self.ring = ring
         self.p = s.tower.base.p
-        self._s_pows: Dict[int, AlgElem] = {}
-        self._t_pows: Dict[int, AlgElem] = {}
+        self._s_pows: List[AlgElem] = []
+        self._t_pows: List[AlgElem] = []
         self._t_orders: Dict[int, Optional[MonOrder]] = {}
         for base in (s, t):
             g, _ = minimal_polynomial(base)
@@ -49,16 +56,10 @@ class TowerPowerPair:
                 raise ValueError("search inputs must be integral over the ring")
 
     def s_pow(self, m: int) -> AlgElem:
-        if m not in self._s_pows:
-            prev = self.s if m == 1 else self.s_pow(m - 1) * self.s
-            self._s_pows[m] = prev
-        return self._s_pows[m]
+        return _power(self._s_pows, self.s, m)
 
     def t_pow(self, n: int) -> AlgElem:
-        if n not in self._t_pows:
-            prev = self.t if n == 1 else self.t_pow(n - 1) * self.t
-            self._t_pows[n] = prev
-        return self._t_pows[n]
+        return _power(self._t_pows, self.t, n)
 
     def _t_order(self, n: int) -> Optional[MonOrder]:
         if n not in self._t_orders:
@@ -102,18 +103,14 @@ class SymPowerPair:
         self.s = s
         self.t = t
         self.p = s.ctx.p
-        self._s_pows: Dict[int, BivarPoly] = {}
-        self._t_pows: Dict[int, BivarPoly] = {}
+        self._s_pows: List[BivarPoly] = []
+        self._t_pows: List[BivarPoly] = []
 
     def s_pow(self, m: int) -> BivarPoly:
-        if m not in self._s_pows:
-            self._s_pows[m] = self.s if m == 1 else self.s_pow(m - 1) * self.s
-        return self._s_pows[m]
+        return _power(self._s_pows, self.s, m)
 
     def t_pow(self, n: int) -> BivarPoly:
-        if n not in self._t_pows:
-            self._t_pows[n] = self.t if n == 1 else self.t_pow(n - 1) * self.t
-        return self._t_pows[n]
+        return _power(self._t_pows, self.t, n)
 
     def equal(self, m: int, n: int) -> bool:
         sm, tn = self.s_pow(m), self.t_pow(n)
@@ -468,7 +465,8 @@ def fit_patterns(result: MSearchResult, p: int) -> List[FrobPattern]:
         chosen.append(FrobPattern("finite", None, tuple(residual)))
     # validation: every pattern regenerates only observed pairs
     for pat in chosen:
-        assert pat.generate(m_max, n_max) <= pairs
+        if not pat.generate(m_max, n_max) <= pairs:
+            raise AssertionError(f"pattern {pat.describe()} regenerates unobserved pairs")
     result.patterns = chosen
     result.residual = residual
     return chosen
@@ -630,7 +628,8 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: RingTag = POLY_RING) -> Addend
         if M <= 0 or N <= 0:
             return AddendumReport(e, f, True, True, False, False, None,
                                   "empty: opposite-sign divisors")
-        assert ring.is_unit(s ** (e * M) / t ** (f * N))
+        if not ring.is_unit(s ** (e * M) / t ** (f * N)):
+            raise AssertionError("the minimal pair's ratio s^M/t^N is not a unit")
         return AddendumReport(e, f, True, True, False, False, (M, N),
                               "progression structure with the minimal unit-ratio pair")
     side = "s" if s_in else "t"
@@ -649,20 +648,46 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: RingTag = POLY_RING) -> Addend
 
 @dataclass
 class BoundReport:
-    log10_main: mpmath.mpf
-    log10_refined: Optional[mpmath.mpf]
-    main_terms: Tuple[mpmath.mpf, mpmath.mpf] = None
-    refined_terms: Optional[Tuple[mpmath.mpf, mpmath.mpf]] = None
+    log10_main: Decimal
+    log10_refined: Optional[Decimal]
+    main_terms: Tuple[Decimal, Decimal] = None
+    refined_terms: Optional[Tuple[Decimal, Decimal]] = None
 
     def to_dict(self) -> dict:
         out = {
-            "log10_main": mpmath.nstr(self.log10_main, 25),
-            "log10_main_terms": [mpmath.nstr(t, 25) for t in self.main_terms],
+            "log10_main": _digits25(self.log10_main),
+            "log10_main_terms": [_digits25(t) for t in self.main_terms],
         }
         if self.log10_refined is not None:
-            out["log10_refined"] = mpmath.nstr(self.log10_refined, 25)
-            out["log10_refined_terms"] = [mpmath.nstr(t, 25) for t in self.refined_terms]
+            out["log10_refined"] = _digits25(self.log10_refined)
+            out["log10_refined_terms"] = [_digits25(t) for t in self.refined_terms]
         return out
+
+
+_DIGITS25 = Context(prec=25, rounding=ROUND_HALF_UP)
+
+
+def _digits25(x: Decimal) -> str:
+    """x as the reports print it: 25 significant digits rounded half up,
+    trailing zeros stripped, fixed notation when the leading digit's
+    exponent lies in [-7, 24] and d.ddd...e+NN otherwise."""
+    if not x:
+        return "0.0"
+    x = _DIGITS25.plus(x)
+    sign, digit_tuple, _ = x.as_tuple()
+    digits = "".join(map(str, digit_tuple))
+    exp = x.adjusted()
+    if -8 < exp < 25:
+        digits = "0" * -exp + digits if exp < 0 else digits.ljust(exp + 1, "0")
+        split, exp = max(exp, 0) + 1, 0
+    else:
+        split = 1
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if exp:
+        text += f"e{exp:+d}"
+    return "-" + text if sign else text
 
 
 def bound_calculator(
@@ -677,38 +702,42 @@ def bound_calculator(
     """log10 of the generator-count bound
     q_K^{d^6} + (exp(18^10) p^{3 d^4 |S|} log_p q_K)^{d^3}, plus the refined
     variant (min{q_L, q_K^{d^3}})^{d^3} + (exp(18^10) p^{2r} d^8 lam)^{d^3}
-    when (q_L, r, lam) are supplied.  Exact extended-precision logarithms,
-    no overflow."""
+    when (q_L, r, lam) are supplied.  Extended-precision (60-digit)
+    logarithms, no overflow."""
     if d < 2:
         raise ValueError("the bound needs degree d >= 2")
-    with mpmath.workdps(60):
-        ln10 = mpmath.log(10)
-        log10_qK = mpmath.log(q_K) / ln10
-        log10_p = mpmath.log(p) / ln10
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln10 = Decimal(10).ln()
+        ln_qK, ln_p = Decimal(q_K).ln(), Decimal(p).ln()
+        log10_qK = ln_qK / ln10
+        log10_p = ln_p / ln10
         term1 = (d ** 6) * log10_qK
         inner = (
-            mpmath.mpf(18 ** 10) / ln10
+            Decimal(18 ** 10) / ln10
             + (3 * d ** 4 * S_size) * log10_p
-            + mpmath.log(mpmath.log(q_K) / mpmath.log(p)) / ln10
+            + (ln_qK / ln_p).ln() / ln10
         )
         term2 = (d ** 3) * inner
         main = _log10_sum(term1, term2)
         refined = None
         refined_terms = None
         if q_L is not None and r is not None and lam is not None:
-            first = (d ** 3) * min(mpmath.log(q_L) / ln10, (d ** 3) * log10_qK)
+            first = (d ** 3) * min(Decimal(q_L).ln() / ln10, (d ** 3) * log10_qK)
             second = (d ** 3) * (
-                mpmath.mpf(18 ** 10) / ln10
+                Decimal(18 ** 10) / ln10
                 + (2 * r) * log10_p
-                + 8 * mpmath.log(d) / ln10
-                + mpmath.log(lam) / ln10
+                + 8 * Decimal(d).ln() / ln10
+                + Decimal(lam).ln() / ln10
             )
             refined = _log10_sum(first, second)
             refined_terms = (first, second)
         return BoundReport(main, refined, (term1, term2), refined_terms)
 
 
-def _log10_sum(a: mpmath.mpf, b: mpmath.mpf) -> mpmath.mpf:
-    """log10(10^a + 10^b) without overflow."""
+def _log10_sum(a: Decimal, b: Decimal) -> Decimal:
+    """log10(10^a + 10^b) without overflow, at 60 digits."""
     hi, lo = (a, b) if a >= b else (b, a)
-    return hi + mpmath.log(1 + mpmath.mpf(10) ** (lo - hi)) / mpmath.log(10)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return hi + (1 + Decimal(10) ** (lo - hi)).ln() / Decimal(10).ln()

@@ -386,23 +386,3 @@ class FqElem:
     def __repr__(self):
         return self.ctx._raw_str(self.raw)
 
-
-def fq_arith(a: FqElem, b: FqElem, op: str) -> FqElem:
-    """Dispatch form of the four field operations (same-context operands)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def fq_frobenius(a: FqElem, e: int) -> FqElem:
-    return a.frobenius(e)
-
-
-def fq_pth_root(a: FqElem) -> FqElem:
-    return a.pth_root()

@@ -37,22 +37,6 @@ def kp_trim(coeffs: List[RatFunc]) -> List[RatFunc]:
     return c
 
 
-def kp_degree(f: Sequence[RatFunc]) -> int:
-    return len(f) - 1
-
-
-def kp_mul(f, g, ctx) -> List[RatFunc]:
-    if not f or not g:
-        return []
-    zero = RatFunc.of(0, ctx)
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a.is_zero():
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return kp_trim(out)
-
-
 def kp_divmod(f, g, ctx):
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -71,16 +55,6 @@ def kp_divmod(f, g, ctx):
         for j, m in enumerate(g):
             f[i + j] = f[i + j] - c * m
     return kp_trim(quo), kp_trim(f[:dg])
-
-
-def kp_gcd(f, g, ctx):
-    f, g = kp_trim(f), kp_trim(g)
-    while g:
-        f, g = g, kp_divmod(f, g, ctx)[1]
-    if f:
-        inv = RatFunc.of(1, ctx) / f[-1]
-        f = [c * inv for c in f]
-    return f
 
 
 def kp_derivative(f, ctx):
@@ -178,7 +152,7 @@ class Tower:
         d = len(cs) - 1
         if d < 1:
             raise ValueError("defining polynomial must have degree >= 1")
-        if not self._val_eq(lvl, cs[-1], self._one(lvl)):
+        if cs[-1] != self._embed_to(0, lvl, RatFunc.of(1, self.base)):
             raise ValueError("defining polynomial must be monic")
         status = self._certify(lvl, cs, assume_irreducible)
         self._check_separable(lvl, cs)
@@ -214,21 +188,11 @@ class Tower:
         return "assumed"
 
     def _check_separable(self, lvl: int, cs):
-        if lvl == 0:
-            f = list(cs)
-            g = kp_gcd(f, kp_derivative(f, self.base), self.base)
-            if kp_degree(g) != 0:
-                raise ValueError("defining polynomial is not separable")
-            return
-        # upper levels: generic polynomial gcd over the current top field
-        f = [self._embed_to(lvl, lvl, c) for c in cs]
-        der = []
-        for i in range(1, len(f)):
-            const = self._from_base_at(lvl, RatFunc.of(i, self.base))
-            der.append(self._mul(lvl, f[i], const))
-        der = self._trim_poly(lvl, der)
-        g = self._poly_gcd(lvl, list(f), der)
-        if len(g) != 1:
+        der = [
+            self._mul(lvl, cs[i], self._embed_to(0, lvl, RatFunc.of(i, self.base)))
+            for i in range(1, len(cs))
+        ]
+        if len(self._poly_gcd(lvl, cs, der)) != 1:
             raise ValueError("defining polynomial is not separable")
 
     def _coerce_val(self, lvl: int, v):
@@ -241,7 +205,7 @@ class Tower:
         if isinstance(v, (int, FqElem, Poly)):
             v = RatFunc.of(v, self.base)
         if isinstance(v, RatFunc):
-            return self._from_base_at(lvl, v)
+            return self._embed_to(0, lvl, v)
         return v  # trust nested tuples (internal use)
 
     # ---- structural helpers on nested values
@@ -258,39 +222,23 @@ class Tower:
             d *= lv.degree
         return d
 
-    def _zero(self, lvl: int):
-        if lvl == 0:
-            return RatFunc.of(0, self.base)
-        d = self.levels[lvl - 1].degree
-        return tuple(self._zero(lvl - 1) for _ in range(d))
-
-    def _one(self, lvl: int):
-        if lvl == 0:
-            return RatFunc.of(1, self.base)
-        lower = [self._one(lvl - 1)] + [self._zero(lvl - 1)] * (self.levels[lvl - 1].degree - 1)
-        return tuple(lower)
-
-    def _from_base_at(self, lvl: int, r: RatFunc):
-        if lvl == 0:
-            return r
-        d = self.levels[lvl - 1].degree
-        return (self._from_base_at(lvl - 1, r),) + tuple(
-            self._zero(lvl - 1) for _ in range(d - 1)
-        )
-
     def _embed_to(self, from_lvl: int, to_lvl: int, v):
-        for l in range(from_lvl, to_lvl):
+        """The level-`from_lvl` value v as a level-`to_lvl` value; from
+        level 0 this gives the zero, the one and every element of K."""
+        if from_lvl == to_lvl:
+            return v
+        zero = RatFunc.of(0, self.base)
+        for l in range(to_lvl):
             d = self.levels[l].degree
-            v = (v,) + tuple(self._zero(l) for _ in range(d - 1))
+            if l >= from_lvl:
+                v = (v,) + (zero,) * (d - 1)
+            zero = (zero,) * d
         return v
 
     def _is_zero(self, lvl: int, a) -> bool:
         if lvl == 0:
             return a.is_zero()
         return all(self._is_zero(lvl - 1, c) for c in a)
-
-    def _val_eq(self, lvl: int, a, b) -> bool:
-        return a == b
 
     def _add(self, lvl: int, a, b):
         if lvl == 0:
@@ -312,7 +260,7 @@ class Tower:
             return a * b
         low = lvl - 1
         d = self.levels[low].degree
-        zero = self._zero(low)
+        zero = self._embed_to(0, low, RatFunc.of(0, self.base))
         prod = [zero] * (2 * d - 1)
         for i, x in enumerate(a):
             if not self._is_zero(low, x):
@@ -331,7 +279,7 @@ class Tower:
         return tuple(prod[:d])
 
     def _pow(self, lvl: int, a, n: int):
-        out = self._one(lvl)
+        out = self._embed_to(0, lvl, RatFunc.of(1, self.base))
         base = a
         while n:
             if n & 1:
@@ -414,7 +362,7 @@ class Tower:
         return len(self.levels)
 
     def from_base(self, r) -> "AlgElem":
-        return AlgElem(self, self._from_base_at(self.top, RatFunc.of(r, self.base)))
+        return AlgElem(self, self._embed_to(0, self.top, RatFunc.of(r, self.base)))
 
     def gen(self, i: int = -1) -> "AlgElem":
         """The i-th tower generator as a top-level element."""
@@ -423,7 +371,8 @@ class Tower:
         if not (0 <= i < len(self.levels)):
             raise IndexError("no such tower level")
         d = self.levels[i].degree
-        val = (self._zero(i), self._one(i)) + tuple(self._zero(i) for _ in range(d - 2))
+        zero = self._embed_to(0, i, RatFunc.of(0, self.base))
+        val = (zero, self._embed_to(0, i, RatFunc.of(1, self.base))) + (zero,) * (d - 2)
         return AlgElem(self, self._embed_to(i + 1, self.top, val))
 
     def x(self) -> "AlgElem":
@@ -608,7 +557,7 @@ def discriminant(t: AlgElem) -> RatFunc:
     if d < 2:
         raise ValueError("discriminant needs degree >= 2 over K")
     gp = kp_derivative(g, ctx)
-    if kp_degree(kp_gcd(g, gp, ctx)) != 0:
+    if len(tower._poly_gcd(0, g, gp)) != 1:
         raise ValueError("inseparable element: gcd(g, g') is nontrivial")
     res = kp_resultant(g, gp, ctx)
     if ctx.p != 2 and (d * (d - 1) // 2) % 2 == 1:
@@ -701,10 +650,6 @@ class ConjugateSet:
         if r is None:
             raise ValueError("conjugate product did not land in K")
         return r
-
-
-def apply_galois(sigma: GaloisMap, t: AlgElem) -> AlgElem:
-    return sigma.apply(t)
 
 
 def conjugates(t: AlgElem, maps: Sequence[GaloisMap]) -> ConjugateSet:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import mpmath
 
 from .funcfield import Poly, RatFunc
 from .gf import FqCtx, FqElem
@@ -431,7 +430,8 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
                 continue
             x = x1 ** p * gctx.value(ctx.one, vi)
             y = y1 ** p * gctx.value(ctx.one, vj)
-            assert x + y == one_rf
+            if x + y != one_rf:
+                raise AssertionError("coset solution does not satisfy x + y = 1")
             fx = gctx.factor_over_basis(x)
             fy = gctx.factor_over_basis(y)
             if fx is None or fy is None:
@@ -607,8 +607,9 @@ def four_term_delta_set(p: int, a: int, b: int, exponent_box: int) -> List[int]:
     return sorted(deltas)
 
 
-def ess_bound_log10(n: int, r: int) -> mpmath.mpf:
+def ess_bound_log10(n: int, r: int) -> Decimal:
     """log10 of the characteriztic-zero bound exp((6n)^{3n}(nr+1)) on
-    non-degenerate solution counts, evaluated exactly in high precision."""
-    with mpmath.workdps(50):
-        return mpmath.mpf((6 * n) ** (3 * n) * (n * r + 1)) / mpmath.log(10)
+    non-degenerate solution counts, evaluated to 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal((6 * n) ** (3 * n) * (n * r + 1)) / Decimal(10).ln()

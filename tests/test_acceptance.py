@@ -46,6 +46,7 @@ F2 = FqCtx(2)
 F3 = FqCtx(3)
 F7 = FqCtx(7)
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _report(n, detail, t0, limit=None):
@@ -208,6 +209,9 @@ def test_criterion_8_exponent_bound_and_delta_suites():
 
 
 def test_criterion_9_deterministic_reports():
+    # tests/golden holds the reports as `scripts/run_all_scenarios.py
+    # --json-dir tests/golden` writes them; only a deliberate change to a
+    # report may regenerate them
     t0 = time.perf_counter()
     assert SCENARIOS, "bundled scenarios missing"
     for path in SCENARIOS:
@@ -219,5 +223,7 @@ def test_criterion_9_deterministic_reports():
         b2 = json.dumps(rep2, sort_keys=True, indent=2).encode()
         assert code1 == code2 == 0, f"{path.name} failed"
         assert b1 == b2, f"{path.name} report not byte-identical"
+        golden = (GOLDEN / (path.stem + ".report.json")).read_bytes()
+        assert b1 == golden, f"{path.name} report differs from its golden file"
     _report(9, f"byte-identical JSON across two runs of all"
-               f" {len(SCENARIOS)} bundled scenarios", t0)
+               f" {len(SCENARIOS)} bundled scenarios, equal to tests/golden", t0)

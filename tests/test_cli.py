@@ -113,3 +113,48 @@ def test_cli_subprocess_json():
     payload = json.loads(out.stdout)
     assert payload["addendum"]["minimal_MN"] == [2, 1]
     assert "elapsed" in out.stderr  # timing stays out of the report
+
+
+def _write(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return str(path)
+
+
+def test_box_sets_the_task_keys(capsys):
+    assert main([str(SCENARIOS / "search_diagonal.json"), "--json", "--box", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["search"]["box"] == [4, 4]
+    assert main([str(SCENARIOS / "ef_shifted.json"), "--json", "--box", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["degrees"]) == 4
+    assert main([str(SCENARIOS / "disc_shifted.json"), "--box", "4"]) == 2
+
+
+_QUARTIC = {"levels": [{"label": "s", "poly": "s^4+x^4*s^2+x^3*s+x+1"}]}
+
+
+@pytest.mark.parametrize("scenario", [
+    {"task": "search", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
+     "params": {"m_max": -5, "n_max": 3}},
+    {"task": "search", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
+     "params": {"m_max": 3, "n_max": 0}},
+    {"task": "ef", "tower": _QUARTIC, "elements": {"s": "s"}, "params": {"bound": 0}},
+], ids=["m_max", "n_max", "bound"])
+def test_non_positive_box_rejected(tmp_path, capsys, scenario):
+    assert main([_write(tmp_path, scenario)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "search", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
+      "params": {"m_max": 101, "n_max": 100}}, "grid larger"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "x+1"}}, "degree >= 2"),
+    ({"task": "search", "tower": _QUARTIC, "elements": {"s": "s/x", "t": "s"},
+      "params": {"m_max": 3, "n_max": 3}}, "integral"),
+    ({"task": "unit-solve", "base": {"p": 3}, "params": {"generators": ["x", "0"]}},
+     "zero generator"),
+], ids=["grid", "disc-degree-1", "non-integral", "zero-generator"])
+def test_library_value_error_exits_2(tmp_path, capsys, scenario, message):
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1

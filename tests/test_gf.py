@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenic import FqCtx, fq_arith, fq_frobenius, fq_pth_root
+from monogenic import FqCtx
 
 F2 = FqCtx(2)
 F4 = FqCtx(2, 2)
@@ -27,26 +27,26 @@ def test_f7_division():
     assert F7.elem(3) / F7.elem(2) == F7.elem(5)
 
 
-def test_fq_arith_dispatch():
-    assert fq_arith(F7.elem(3), F7.elem(2), "div") == F7.elem(5)
-    assert fq_arith(F4.gen, F4.gen, "mul") == F4.gen + 1
+def test_fq_operators():
+    assert F7.elem(3) / F7.elem(2) == F7.elem(5)
+    assert F4.gen * F4.gen == F4.gen + 1
     with pytest.raises(ZeroDivisionError):
-        fq_arith(F7.one, F7.zero, "div")
+        F7.one / F7.zero
     with pytest.raises(ValueError):
-        fq_arith(F7.one, F2.one, "add")
+        F7.one + F2.one
 
 
 def test_frobenius_examples():
     z = F4.gen
-    assert fq_frobenius(z, 1) == z + 1
-    assert fq_frobenius(F7.elem(3), 1) == F7.elem(3)
-    assert fq_frobenius(z, 2) == z  # Frobenius has order k
+    assert z.frobenius(1) == z + 1
+    assert F7.elem(3).frobenius(1) == F7.elem(3)
+    assert z.frobenius(2) == z  # Frobenius has order k
 
 
 def test_pth_root_examples():
-    assert fq_pth_root(F2.one) == F2.one
-    assert fq_pth_root(F4.gen + 1) == F4.gen
-    b = fq_pth_root(F7.elem(6))
+    assert F2.one.pth_root() == F2.one
+    assert (F4.gen + 1).pth_root() == F4.gen
+    b = F7.elem(6).pth_root()
     assert b ** 7 == F7.elem(6)
     assert b == F7.elem(6)
 
@@ -54,7 +54,7 @@ def test_pth_root_examples():
 def test_pth_root_inverts_frobenius():
     for ctx in (F4, F9, F16, F49):
         for a in ctx.elements():
-            assert fq_pth_root(fq_frobenius(a, 1)) == a
+            assert a.frobenius(1).pth_root() == a
 
 
 def test_freshman_dream_randomized():

@@ -287,4 +287,4 @@ def test_ess_bound_value():
     v = ess_bound_log10(2, 3)
     with mpmath.workdps(30):
         expected = mpmath.mpf(12 ** 6 * 7) / mpmath.log(10)
-    assert abs(v - expected) < 1e-6
+    assert abs(mpmath.mpf(str(v)) - expected) < 1e-6
