@@ -66,8 +66,25 @@ _TOP_KEYS = {"task", "base", "backend", "tower", "elements", "params"}
 _BOX_KEYS = {"search": ("m_max", "n_max"), "ef": ("bound",)}
 
 
+def _json_type(value) -> str:
+    names = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+    return names.get(type(value), "number")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {_json_type(value)}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON array, got {_json_type(value)}")
+    return value
+
+
 def _check_keys(d: dict, allowed, where: str):
-    unknown = set(d) - set(allowed)
+    unknown = set(_object(d, where)) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -80,15 +97,17 @@ def _build_base(cfg: Optional[dict]) -> FqCtx:
     modulus = cfg.get("modulus")
     coeffs = None
     if modulus is not None:
-        coeffs = [int(c) for c in modulus]
-    return FqCtx(int(p), int(k), coeffs)
+        if not isinstance(modulus, (str, list)):
+            raise ConfigError(f"modulus must be a digit string or an array, got {modulus!r}")
+        coeffs = [_int(c, "modulus coefficient") for c in modulus]
+    return FqCtx(_int(p, "p"), _int(k, "k"), coeffs)
 
 
 def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
     _check_keys(cfg, {"levels", "assume_irreducible"}, "tower")
     assume = bool(cfg.get("assume_irreducible", False))
     tw = Tower(ctx)
-    for lvl in cfg.get("levels", []):
+    for lvl in _list(cfg.get("levels", []), "tower levels"):
         _check_keys(lvl, {"label", "poly"}, "tower level")
         label = lvl["label"]
         env = _tower_env(tw) if tw.levels else _base_env(ctx, RatFunc.gen(ctx))
@@ -122,16 +141,32 @@ def _base_env(ctx: FqCtx, x) -> Dict[str, object]:
 
 
 def _parse(text: str, env, one, what: str):
+    if not isinstance(text, str):
+        raise ConfigError(f"bad {what}: expected a string, got {text!r}")
     try:
         return parse_element(text, env, one)
     except ParseError as exc:
         raise ConfigError(f"bad {what}: {exc}")
 
 
-def _positive(params: dict, key: str, default: int) -> int:
-    value = int(params.get(key, default))
-    if value < 1:
-        raise ConfigError(f"{key} must be positive, got {value}")
+def _int(value, what: str) -> int:
+    # int() would truncate 1.9 and read true as 1
+    fraction = isinstance(value, float) and not value.is_integer()
+    if fraction or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _int_param(params: dict, key: str, default: int, minimum: Optional[int] = None) -> int:
+    """params[key] (or the default) as an int of at least `minimum`; sizes
+    below it would leave the task with nothing to compute or check."""
+    value = _int(params.get(key, default), key)
+    if minimum is not None and value < minimum:
+        need = {0: "non-negative", 1: "positive"}[minimum]
+        raise ConfigError(f"{key} must be {need}, got {value}")
     return value
 
 
@@ -150,7 +185,7 @@ def _sym_env(ctx: FqCtx) -> Dict[str, object]:
 def _parse_places(ctx: FqCtx, names) -> PlaceSet:
     places = []
     env = _base_env(ctx, Poly.x(ctx))
-    for name in names:
+    for name in _list(names, "places"):
         if name == "inf":
             continue
         val = _parse(name, env, Poly.one(ctx), f"place {name!r}")
@@ -179,7 +214,7 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
     task = scenario.get("task")
     if task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
-    params = dict(scenario.get("params", {}))
+    params = dict(_object(scenario.get("params", {}), "params"))
     for key, val in overrides.items():
         if val is not None:
             params[key] = val
@@ -201,7 +236,7 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         return env, tw.from_base(1)
 
     def named(name: str, env, one):
-        texts = scenario.get("elements", {})
+        texts = _object(scenario.get("elements", {}), "elements")
         if name not in texts:
             raise ConfigError(f"scenario does not define element {name!r}")
         return _parse(texts[name], env, one, f"element {name!r}")
@@ -234,8 +269,8 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         env, one = elements_env()
         s = named(params.get("s", "s"), env, one)
         t = named(params.get("t", "t"), env, one)
-        m_max = _positive(params, "m_max", 12)
-        n_max = _positive(params, "n_max", 12)
+        m_max = _int_param(params, "m_max", 12, minimum=1)
+        n_max = _int_param(params, "n_max", 12, minimum=1)
         pair = SymPowerPair(s, t) if backend == "symmetric" else TowerPowerPair(s, t)
         result = enumerate_M(pair, m_max, n_max)
         fit_patterns(result, ctx.p)
@@ -249,12 +284,12 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         env = _base_env(ctx, RatFunc.gen(ctx))
         gens = [
             _parse(text, env, RatFunc.of(1, ctx), f"generator {text!r}")
-            for text in params.get("generators", [])
+            for text in _list(params.get("generators", []), "generators")
         ]
         if not gens:
             raise ConfigError("unit-solve needs at least one generator")
         gctx = build_group(gens, ctx)
-        fams = solve_xy1(gctx, int(params.get("height_bound", 64)))
+        fams = solve_xy1(gctx, _int_param(params, "height_bound", 64, minimum=0))
         report["group"] = {
             "basis": [repr(b) for b in gctx.basis],
             "rank": gctx.rank,
@@ -266,7 +301,7 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         _check_keys(params, {"element", "bound"}, "params")
         env, one = elements_env()
         s = named(params.get("element", "s"), env, one)
-        res = compute_ef(s, _positive(params, "bound", 12))
+        res = compute_ef(s, _int_param(params, "bound", 12, minimum=1))
         report["stable_exponent"] = res.value
         report["verified_up_to_bound"] = res.verified
         report["degrees"] = [[n, d] for n, d in res.degrees]
@@ -274,7 +309,8 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
     elif task == "verify-a1":
         _check_keys(params, {"m_max", "relation_box"}, "params")
         rep = verify_quartic_twist_family(
-            int(params.get("m_max", 3)), int(params.get("relation_box", 8))
+            _int_param(params, "m_max", 3, minimum=1),
+            _int_param(params, "relation_box", 8, minimum=0),
         )
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else 1
@@ -288,14 +324,15 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
             bad = eta_conditions_hold(eta)
             if bad is not None:
                 raise ConfigError(f"eta seed rejected: {bad}")
-        rep = verify_shifted_generator_family(eta, int(params.get("m_max", 4)))
+        rep = verify_shifted_generator_family(eta, _int_param(params, "m_max", 4, minimum=1))
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else 1
 
     elif task == "verify-b":
         _check_keys(params, {"i_max", "j_max"}, "params")
         rep = verify_symmetric_quadratic_powers(
-            int(params.get("i_max", 2)), int(params.get("j_max", 2))
+            _int_param(params, "i_max", 2, minimum=1),
+            _int_param(params, "j_max", 2, minimum=1),
         )
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else 1
@@ -303,15 +340,11 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
     elif task == "bounds":
         _check_keys(params, {"d", "p", "q_K", "S_size", "q_L", "r", "lambda"}, "params")
         try:
-            br = bound_calculator(
-                int(params["d"]), int(params["p"]), int(params["q_K"]),
-                int(params["S_size"]),
-                q_L=int(params["q_L"]) if "q_L" in params else None,
-                r=int(params["r"]) if "r" in params else None,
-                lam=int(params["lambda"]) if "lambda" in params else None,
-            )
+            required = [_int(params[k], k) for k in ("d", "p", "q_K", "S_size")]
         except KeyError as exc:
             raise ConfigError(f"bounds task needs parameter {exc}")
+        opt = {k: _int(params[k], k) for k in ("q_L", "r", "lambda") if k in params}
+        br = bound_calculator(*required, q_L=opt.get("q_L"), r=opt.get("r"), lam=opt.get("lambda"))
         report["bounds"] = br.to_dict()
 
     elif task == "addendum":

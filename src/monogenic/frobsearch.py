@@ -1,7 +1,16 @@
 """Bounded enumeration and structure of {(m, n) : O[s^m] = O[t^n]}.
 
 The grid search is exact order equality on every cell, run through either
-the tower backend or the quadratic symmetric backend.  Per-pair flags mark
+the tower backend or the quadratic symmetric backend.  The tower backend
+keeps one order record per power s^m and t^n (minimal polynomial, degree,
+power-basis columns, discriminant) and rejects a cell before any linear
+solve when the degrees differ or when disc(s^m)/disc(t^n) is not a unit of
+the tagged ring (a nonzero constant of F_q[x], a T-unit of O_{K,T}).  The
+prune is sound: O[s^m] = O[t^n] makes the change of basis between the two
+power bases invertible over the ring, so the index [O[s^m]:O[t^n]], its
+determinant, is a unit, and disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m).  It
+only returns False where the mutual-membership check would; a zero or
+missing (degree 1) discriminant skips it.  Per-pair flags mark
 the degenerate families (quotient, twisted quotient in the quadratic case,
 and product being a unit), which always sit inside the searched set; a
 nondegeneracy witness is recorded for the rest when an automorphism is
@@ -22,9 +31,15 @@ from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
 from .funcfield import RatFunc, support
-from .monorder import MonOrder, POLY_RING, RingTag, orders_equal, sym_orders_equal
-from .linalg import solve_in_span
-from .tower import AlgElem, minimal_polynomial
+from .monorder import (
+    MonOrder,
+    POLY_RING,
+    RingTag,
+    express_in_power_basis,
+    orders_equal,
+    sym_orders_equal,
+)
+from .tower import AlgElem
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +55,9 @@ def _power(cache: list, base, n: int):
 
 
 class TowerPowerPair:
-    """Oracle over a tower: s, t integral over the tagged ring."""
+    """Oracle over a tower: s, t integral over the tagged ring.  One order
+    record per power of s (by m) and of t (by n) is built on first use and
+    serves every cell of its row or column."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
         self.s = s
@@ -49,11 +66,9 @@ class TowerPowerPair:
         self.p = s.tower.base.p
         self._s_pows: List[AlgElem] = []
         self._t_pows: List[AlgElem] = []
-        self._t_orders: Dict[int, Optional[MonOrder]] = {}
-        for base in (s, t):
-            g, _ = minimal_polynomial(base)
-            if not all(ring.contains(c) for c in g):
-                raise ValueError("search inputs must be integral over the ring")
+        # the m = n = 1 records double as the integrality check of the inputs
+        self._s_orders: Dict[int, MonOrder] = {1: MonOrder(s, ring)}
+        self._t_orders: Dict[int, MonOrder] = {1: MonOrder(t, ring)}
 
     def s_pow(self, m: int) -> AlgElem:
         return _power(self._s_pows, self.s, m)
@@ -61,19 +76,25 @@ class TowerPowerPair:
     def t_pow(self, n: int) -> AlgElem:
         return _power(self._t_pows, self.t, n)
 
-    def _t_order(self, n: int) -> Optional[MonOrder]:
-        if n not in self._t_orders:
-            try:
-                self._t_orders[n] = MonOrder(self.t_pow(n), self.ring)
-            except ValueError:
-                self._t_orders[n] = None
-        return self._t_orders[n]
+    def _order(self, orders: Dict[int, MonOrder], power, n: int) -> MonOrder:
+        if n not in orders:
+            orders[n] = MonOrder(power(n), self.ring)
+        return orders[n]
+
+    def s_order(self, m: int) -> MonOrder:
+        return self._order(self._s_orders, self.s_pow, m)
+
+    def t_order(self, n: int) -> MonOrder:
+        return self._order(self._t_orders, self.t_pow, n)
 
     def equal(self, m: int, n: int) -> bool:
-        order = self._t_order(n)
-        if order is None:
+        order_s, order_t = self.s_order(m), self.t_order(n)
+        if order_s.d != order_t.d:
             return False
-        return bool(orders_equal(self.s_pow(m), order))
+        ds, dt = order_s.disc, order_t.disc
+        if ds and dt and not self.ring.is_unit(ds / dt):
+            return False  # the index [O[s^m]:O[t^n]] is not a unit
+        return bool(orders_equal(order_s, order_t))
 
     def _unit_in_K(self, v: AlgElem) -> bool:
         r = v.in_base()
@@ -84,10 +105,10 @@ class TowerPowerPair:
         in_a = self._unit_in_K(sm / tn)
         in_c = self._unit_in_K(sm * tn)
         in_b = False
-        g, d = minimal_polynomial(tn)
-        if d == 2:
+        order_t = self.t_order(n)
+        if order_t.d == 2:
             # the quadratic conjugate is trace - t^n, no declared map needed
-            conj = tn.tower.from_base(-g[1]) - tn
+            conj = tn.tower.from_base(-order_t.minpoly[1]) - tn
             if not (conj - tn).is_zero():
                 in_b = self._unit_in_K(sm / conj)
         return in_a, in_b, in_c
@@ -505,38 +526,19 @@ def compute_ef(s: AlgElem, search_bound: int = 24) -> StableExponent:
     """Smallest e with K(s^e) inside K(s^n) for all n <= search_bound,
     with membership decided by power-basis linear algebra.  The result is
     box-verified only; gcd(e, p) = 1 is asserted on success."""
-    tower = s.tower
-    ctx = tower.base
-    p = ctx.p
+    p = s.tower.base.p
     if s.in_base() is not None:
         return StableExponent(1, True, [(1, 1)])
-    pows = {0: tower.from_base(1)}
-    for n in range(1, search_bound + 1):
+    pows = {1: s}
+    for n in range(2, search_bound + 1):
         pows[n] = pows[n - 1] * s
-    field_degree = {}
-    degrees = []
-    for n in range(1, search_bound + 1):
-        _, d = minimal_polynomial(pows[n])
-        field_degree[n] = d
-        degrees.append((n, d))
-
-    columns = {}
-
-    def power_columns(n: int):
-        if n not in columns:
-            cols = []
-            acc = tower.from_base(1)
-            for _ in range(field_degree[n]):
-                cols.append(acc.coords())
-                acc = acc * pows[n]
-            columns[n] = cols
-        return columns[n]
-
-    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+    # s need not be integral: the records only carry degrees and columns
+    records = {n: MonOrder(pows[n], require_integral=False) for n in pows}
+    degrees = [(n, rec.d) for n, rec in records.items()]
 
     def contained(a: int, b: int) -> bool:
         # K(s^a) subset of K(s^b) iff s^a in K(s^b)
-        return solve_in_span(power_columns(b), pows[a].coords(), zero, one) is not None
+        return express_in_power_basis(pows[a], records[b]) is not None
 
     for e in range(1, search_bound + 1):
         if e % p == 0:

@@ -19,7 +19,8 @@ and A = u - B*w rewrite in the elementary symmetric generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit
@@ -55,24 +56,34 @@ POLY_RING = RingTag()
 
 
 class MonOrder:
-    """O[s] for an integral separable generator s."""
+    """O[s] for an integral separable generator s, and the record of s:
+    its minimal polynomial, degree d, integrality over the tagged ring,
+    power-basis columns and (on first use) its discriminant, each computed
+    once.  `require_integral=False` keeps the record of a non-integral s
+    instead of raising."""
 
-    def __init__(self, generator: AlgElem, ring: RingTag = POLY_RING):
+    def __init__(
+        self, generator: AlgElem, ring: RingTag = POLY_RING, require_integral: bool = True
+    ):
         self.generator = generator
         self.ring = ring
-        self.minpoly, self.d = minimal_polynomial(generator)
-        for c in self.minpoly:
-            if not ring.contains(c):
-                raise ValueError(
-                    "generator is not integral over the tagged ring "
-                    f"(minimal polynomial coefficient {c!r})"
-                )
-        tower = generator.tower
-        self._columns = []
-        power = tower.from_base(1)
-        for _ in range(self.d):
-            self._columns.append(power.coords())
-            power = power * generator
+        # the power loop behind the minimal polynomial yields the columns
+        self.columns: List[List[RatFunc]] = []
+        self.minpoly, self.d = minimal_polynomial(generator, self.columns)
+        bad = [c for c in self.minpoly if not ring.contains(c)]
+        self.integral = not bad
+        if bad and require_integral:
+            raise ValueError(
+                "generator is not integral over the tagged ring "
+                f"(minimal polynomial coefficient {bad[0]!r})"
+            )
+
+    @cached_property
+    def disc(self) -> Optional[RatFunc]:
+        """discr_K of the generator, or None when d < 2."""
+        if self.d < 2:
+            return None
+        return discriminant(self.generator, (self.minpoly, self.d))
 
     def __repr__(self):
         return f"O[{self.generator!r}]"
@@ -86,7 +97,7 @@ def express_in_power_basis(t: AlgElem, order: MonOrder) -> Optional[Tuple[RatFun
         raise ValueError("element and order live in different towers")
     ctx = tower.base
     sol = solve_in_span(
-        order._columns, t.coords(), RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+        order.columns, t.coords(), RatFunc.of(0, ctx), RatFunc.of(1, ctx)
     )
     if sol is None:
         return None
@@ -109,31 +120,28 @@ class OrdersEqual:
         return self.equal
 
 
-def orders_equal(t: AlgElem, order: MonOrder) -> OrdersEqual:
-    """Decide O[t] = O[s] for the order O[s]."""
-    ring = order.ring
-    g, d = minimal_polynomial(t)
-    if d != order.d:
-        return OrdersEqual(False, f"degree mismatch: [K(t):K]={d} != {order.d}")
-    if not all(ring.contains(c) for c in g):
+def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
+    """Decide O[t] = O[s] for the order O[s].  A caller holding the record
+    of t (a MonOrder over the same ring, integral or not) passes it for t."""
+    if not isinstance(t, MonOrder):
+        t = MonOrder(t, order.ring, require_integral=False)
+    if t.d != order.d:
+        return OrdersEqual(False, f"degree mismatch: [K(t):K]={t.d} != {order.d}")
+    if not t.integral:
         return OrdersEqual(False, "t is not integral over the tagged ring")
-    if not in_order(t, order):
+    if not in_order(t.generator, order):
         return OrdersEqual(False, "t is outside O[s]")
-    order_t = MonOrder(t, ring)
-    if not in_order(order.generator, order_t):
+    if not in_order(order.generator, t):
         return OrdersEqual(False, "s is outside O[t]")
     return OrdersEqual(True, "mutual membership")
 
 
 def disc_form_predicate(t: AlgElem, T: PlaceSet) -> bool:
     """t integral over O_{K,T} with discr_K(t) a T-unit."""
-    ring = RingTag(T)
-    g, d = minimal_polynomial(t)
-    if d < 2:
+    rec = MonOrder(t, RingTag(T), require_integral=False)
+    if rec.d < 2:
         raise ValueError("predicate needs degree >= 2")
-    if not all(ring.contains(c) for c in g):
-        return False
-    return is_T_unit(discriminant(t), T)
+    return rec.integral and is_T_unit(rec.disc, T)
 
 
 @dataclass(frozen=True)
@@ -162,8 +170,8 @@ def fit_generator_relation(
     zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
     one_vec = tower.from_base(1).coords()
     t_vec = t.coords()
-    _, d = minimal_polynomial(t_i)
-    disc_i = discriminant(t_i) if d >= 2 else None
+    rec = MonOrder(t_i, ring, require_integral=False)
+    d, disc_i = rec.d, rec.disc
     w = t_i
     for e in range(max_e + 1):
         if e > 0:

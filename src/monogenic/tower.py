@@ -529,9 +529,13 @@ class AlgElem:
 # minimal polynomials, discriminants, Galois maps
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(t: AlgElem) -> Tuple[List[RatFunc], int]:
+def minimal_polynomial(
+    t: AlgElem, columns: Optional[List[List[RatFunc]]] = None
+) -> Tuple[List[RatFunc], int]:
     """Monic minimal polynomial of t over K (little-endian RatFunc list)
-    and its degree d = [K(t):K], by exact linear algebra on powers of t."""
+    and its degree d = [K(t):K], by exact linear algebra on powers of t.
+    When a list `columns` is given, the coordinate vectors of the power
+    basis 1, t, ..., t^{d-1} found on the way are appended to it."""
     tower = t.tower
     if tower.degree_total() > 64:
         raise ValueError("tower degree exceeds the supported desk scale")
@@ -540,20 +544,24 @@ def minimal_polynomial(t: AlgElem) -> Tuple[List[RatFunc], int]:
     tracker = SpanTracker(zero, one)
     power = tower.from_base(one)
     while True:
-        combo = tracker.add(power.coords())
+        vec = power.coords()
+        combo = tracker.add(vec)
         if combo is not None:
-            d = len(combo) - 0
             coeffs = [-c for c in combo] + [one]
             return kp_trim(coeffs), len(coeffs) - 1
+        if columns is not None:
+            columns.append(vec)
         power = power * t
 
 
-def discriminant(t: AlgElem) -> RatFunc:
+def discriminant(t: AlgElem, minpoly: Optional[Tuple[List[RatFunc], int]] = None) -> RatFunc:
     """discr_K(t) = (-1)^{d(d-1)/2} Res(g, g') for the monic minimal
-    polynomial g of t; nonzero exactly when t is separable of degree d >= 2."""
+    polynomial g of t; nonzero exactly when t is separable of degree d >= 2.
+    A caller that already holds `minimal_polynomial(t)` passes it as
+    `minpoly`."""
     tower = t.tower
     ctx = tower.base
-    g, d = minimal_polynomial(t)
+    g, d = minpoly if minpoly is not None else minimal_polynomial(t)
     if d < 2:
         raise ValueError("discriminant needs degree >= 2 over K")
     gp = kp_derivative(g, ctx)

@@ -158,3 +158,48 @@ def test_library_value_error_exits_2(tmp_path, capsys, scenario, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "verify-a1", "params": {"m_max": 0}}, "m_max must be positive"),
+    ({"task": "verify-a1", "params": {"relation_box": -1}}, "relation_box must be non-negative"),
+    ({"task": "verify-33", "params": {"m_max": 0}}, "m_max must be positive"),
+    ({"task": "verify-b", "params": {"i_max": 0}}, "i_max must be positive"),
+    ({"task": "verify-b", "params": {"j_max": -1}}, "j_max must be positive"),
+    ({"task": "unit-solve", "base": {"p": 3}, "params": {"generators": ["x"], "height_bound": -1}},
+     "height_bound must be non-negative"),
+], ids=["a1-m_max", "a1-relation_box", "33-m_max", "b-i_max", "b-j_max", "height_bound"])
+def test_sizes_below_minimum_rejected(tmp_path, capsys, scenario, message):
+    # each value leaves a check with nothing to compare (verify-a1 at m_max 0
+    # has no pair s_i != s_j for check (v)), or drops every family that
+    # needs a p-power descent (a negative height_bound)
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_smallest_verify_sizes_accepted(tmp_path):
+    scenario = {"task": "verify-a1", "params": {"m_max": 1, "relation_box": 0}}
+    assert main([_write(tmp_path, scenario)]) == 0
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ([], "scenario must be a JSON object, got array"),
+    ({"task": "verify-a1", "params": {"m_max": [3]}}, "m_max must be an integer, got [3]"),
+    ({"task": "bounds", "params": {"d": "two", "p": 2, "q_K": 2, "S_size": 1}},
+     "d must be an integer"),
+    ({"task": "disc", "params": [1]}, "params must be a JSON object, got array"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": 5}}, "expected a string"),
+    ({"task": "disc", "base": {"p": [2]}}, "p must be an integer"),
+    ({"task": "unit-solve", "params": {"generators": "x"}}, "generators must be a JSON array"),
+    ({"task": "verify-b", "params": {"i_max": 1.9}}, "i_max must be an integer, got 1.9"),
+    ({"task": "verify-b", "params": {"j_max": True}}, "j_max must be an integer, got True"),
+    ({"task": "verify-b", "params": {"j_max": float("inf")}}, "j_max must be an integer"),
+], ids=["array-scenario", "list-param", "string-param", "array-params", "number-element",
+        "list-base", "string-generators", "fraction-param", "boolean-param", "infinite-param"])
+def test_wrong_json_types_exit_2(tmp_path, capsys, scenario, message):
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogenic import (
     BivarPoly,
@@ -20,7 +22,14 @@ from monogenic import (
     sym_orders_equal,
 )
 from monogenic.tower import Tower
-from monogenic.verify import EtaSequence, quartic_twist_tower, shifted_tower, symmetric_pair
+from monogenic.monorder import POLY_RING
+from monogenic.verify import (
+    EtaSequence,
+    eta_conditions_hold,
+    quartic_twist_tower,
+    shifted_tower,
+    symmetric_pair,
+)
 
 F2 = FqCtx(2)
 F3 = FqCtx(3)
@@ -195,6 +204,30 @@ def test_orders_equal_implies_unit_disc_ratio():
     assert orders_equal(z2, MonOrder(s))
     ratio = discriminant(z2) / discriminant(s)
     assert ratio.is_constant() and not ratio.is_zero()
+
+
+_ETA_COEFFS = ([1, 1], [1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0, 1])
+_ETAS = [Poly(F2, c) for c in _ETA_COEFFS if eta_conditions_hold(Poly(F2, c)) is None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eta=st.sampled_from(_ETAS),
+    form=st.sampled_from(["lin", "sq", "xs2"]),
+    b=st.lists(st.integers(0, 1), max_size=4),
+)
+def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
+    # the search prunes a cell when disc(s^m)/disc(t^n) is not a unit;
+    # that is sound only if equal orders always give a unit ratio
+    tw = shifted_tower(eta)
+    s = tw.gen(0)
+    x = RatFunc.gen(F2)
+    t = {"lin": s, "sq": s * s, "xs2": x * s * s + s}[form] + RatFunc(Poly(F2, b))
+    order_s = MonOrder(s)
+    equal = orders_equal(t, order_s)
+    assert equal or form == "sq"  # s + b and x*s^2 + s + b generate O[s]
+    if equal:
+        assert POLY_RING.is_unit(discriminant(t) / order_s.disc)
 
 
 # ---- symmetric backend ----------------------------------------------------

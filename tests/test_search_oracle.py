@@ -1,0 +1,120 @@
+"""The power-pair search against the per-cell decision it replaced.
+
+The oracle below is the earlier code, kept as it was: every cell
+recomputed the minimal polynomials of s^m and t^n, rebuilt the power basis
+of each side by repeated multiplication and ran both membership solves,
+with no discriminant prune.  `TowerPowerPair.equal` (cached order records
+and the discriminant-ratio prune) must agree with it on every cell, and
+`orders_equal` must give the same reason strings.
+"""
+
+from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair
+from monogenic.linalg import solve_in_span
+from monogenic.monorder import MonOrder, RingTag, POLY_RING, orders_equal
+from monogenic.tower import Tower, discriminant, minimal_polynomial
+from monogenic.verify import shifted_tower
+
+F2 = FqCtx(2)
+F3 = FqCtx(3)
+BOX = 6
+
+
+def oracle_columns(gen):
+    """Coordinates of 1, gen, ..., gen^{d-1}, multiplied out one by one."""
+    _, d = minimal_polynomial(gen)
+    cols = []
+    power = gen.tower.from_base(1)
+    for _ in range(d):
+        cols.append(power.coords())
+        power = power * gen
+    return cols
+
+
+def oracle_in_order(t, gen, ring):
+    ctx = t.tower.base
+    sol = solve_in_span(oracle_columns(gen), t.coords(), RatFunc.of(0, ctx), RatFunc.of(1, ctx))
+    return sol is not None and all(ring.contains(c) for c in sol)
+
+
+def oracle_orders_equal(t, s, ring):
+    """(equal, reason) of O[t] = O[s]; None where O[s] is not an order."""
+    g_s, d_s = minimal_polynomial(s)
+    if not all(ring.contains(c) for c in g_s):
+        return None
+    g, d = minimal_polynomial(t)
+    if d != d_s:
+        return False, f"degree mismatch: [K(t):K]={d} != {d_s}"
+    if not all(ring.contains(c) for c in g):
+        return False, "t is not integral over the tagged ring"
+    if not oracle_in_order(t, s, ring):
+        return False, "t is outside O[s]"
+    if not oracle_in_order(s, t, ring):
+        return False, "s is outside O[t]"
+    return True, "mutual membership"
+
+
+def check_grid(s, t, ring=POLY_RING):
+    pair = TowerPowerPair(s, t, ring)
+    equal_cells = 0
+    for m in range(1, BOX + 1):
+        for n in range(1, BOX + 1):
+            sm, tn = s ** m, t ** n
+            expected = oracle_orders_equal(sm, tn, ring)
+            assert pair.equal(m, n) == bool(expected and expected[0]), (m, n)
+            if expected is not None:
+                res = orders_equal(sm, MonOrder(tn, ring))
+                assert (res.equal, res.reason) == expected, (m, n)
+                equal_cells += res.equal
+    # every record the search built: columns and discriminant as before
+    for orders in (pair._s_orders, pair._t_orders):
+        for rec in orders.values():
+            assert rec.columns == oracle_columns(rec.generator)
+            if rec.d >= 2:
+                assert rec.disc == discriminant(rec.generator)
+            else:
+                assert rec.disc is None
+    return equal_cells
+
+
+def f3_level(*coeffs):
+    tw = Tower(F3).extend("s", coeffs)
+    assert tw.levels[0].status.startswith("certified")
+    return tw.gen(0)
+
+
+def test_shifted_quartic_translate():
+    tw = shifted_tower(Poly(F2, [1, 1]))
+    s = tw.gen(0)
+    x = RatFunc.gen(F2)
+    assert check_grid(s, s + x * x + 1) > 0
+
+
+def test_shifted_quartic_z1():
+    tw = shifted_tower(Poly(F2, [1, 1]))
+    s = tw.gen(0)
+    x = RatFunc.gen(F2)
+    assert check_grid(s, x * s * s + s) > 0
+
+
+def test_f3_quadratic_level():
+    x = RatFunc.gen(F3)
+    s = f3_level(x ** 3 + 2 * x + 1, x * x + 1, 1)
+    assert check_grid(s, 2 * s + x * x + 1) > 0
+
+
+def test_f3_cubic_level():
+    # t = s^2 + x: the cells are rejected by degree or by the discriminant
+    x = RatFunc.gen(F3)
+    s = f3_level(x * x + 1, x, 0, 1)
+    check_grid(s, s * s + x)
+
+
+def test_t_unit_branch():
+    # y^2 = x over F_3 with T = {inf, x}: y^m has discriminant c*x^m for
+    # odd m, so every ratio goes through is_T_unit and passes; even powers
+    # lie in K and have no discriminant
+    x = RatFunc.gen(F3)
+    tw = Tower(F3).extend("y", [-x, RatFunc.of(0, F3), RatFunc.of(1, F3)])
+    y = tw.gen(0)
+    ring = RingTag(PlaceSet.of(Poly.x(F3)))
+    assert check_grid(y, 1 / y, ring) > 0
