@@ -1,8 +1,13 @@
 """The base ring O = F_q[x] and its fraction field K = F_q(x).
 
-Polynomials are coefficient vectors over F_q (raw encoding from `gf`),
-little-endian with trailing zeros stripped.  The zero polynomial has the
-distinguished degree `MINUS_INF`.  Rational functions are kept in the
+A polynomial has one representation, chosen by its field.  Over F_2 it is
+an `F2Poly`: one int whose bit i is the coefficient of x^i, on which
+multiplication, division, gcd, shifts and the rational-function
+normalization act directly; its coefficient tuple is built only when
+`coeffs` is read (text form, sort keys, p-th power decomposition).  Over
+every other field it is a `Poly` holding a tuple of raw coefficients from
+`gf`, little-endian with trailing zeros stripped.  The zero polynomial has
+the distinguished degree `MINUS_INF`.  Rational functions are kept in the
 canonical form num/den with den monic and gcd(num, den) = 1.
 
 Places of K are the monic irreducible polynomials (degree n_v = deg pi)
@@ -14,8 +19,7 @@ must contain it.
 
 Factorization is squarefree decomposition (with p-th-power descent for the
 derivative-zero parts, which are common in characteristic p), followed by
-distinct-degree and Cantor-Zassenhaus equal-degree splitting.  Over F_2 the
-inner loops run on bit-packed integers.
+distinct-degree and Cantor-Zassenhaus equal-degree splitting.
 """
 
 from __future__ import annotations
@@ -29,19 +33,21 @@ MINUS_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
-# bit-packed F_2[x] kernels
+# bit-packed F_2[x] kernels: bit i of an int is the coefficient of x^i
 # ---------------------------------------------------------------------------
 
-def _b2_pack(coeffs) -> int:
-    if not coeffs:
-        return 0
-    return int("".join("1" if c else "0" for c in reversed(coeffs)), 2)
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _b2_unpack(n: int):
-    if not n:
-        return []
-    return [1 if ch == "1" else 0 for ch in reversed(bin(n)[2:])]
+def _b2_pack(raw) -> int:
+    """The int of a little-endian sequence of 0/1 coefficients."""
+    return int(bytes(reversed(raw)).translate(_TO_DIGITS), 2) if raw else 0
+
+
+def _b2_unpack(n: int) -> tuple:
+    """The little-endian 0/1 coefficient tuple of a packed polynomial."""
+    return tuple(bin(n)[:1:-1].encode().translate(_FROM_DIGITS)) if n else ()
 
 
 def _b2_mul(a: int, b: int) -> int:
@@ -62,6 +68,8 @@ def _b2_mul(a: int, b: int) -> int:
 def _b2_divmod(a: int, b: int):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if not b & (b - 1):  # b = x^k
+        return a >> (b.bit_length() - 1), a & (b - 1)
     q = 0
     db = b.bit_length()
     while a.bit_length() >= db:
@@ -72,73 +80,99 @@ def _b2_divmod(a: int, b: int):
 
 
 def _b2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _b2_divmod(a, b)[1]
-    return a
+    # a constant b ends the loop: a mod 1 would clear a one bit at a time
+    while b > 1:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
+    return b or a
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Univariate polynomial over F_q, little-endian raw coefficients."""
+def _is_f2(ctx: FqCtx) -> bool:
+    return ctx.p == 2 and ctx.k == 1
 
-    __slots__ = ("ctx", "coeffs", "_pk")
+
+def _read_raw(ctx: FqCtx, coeffs: Iterable) -> list:
+    raw = []
+    for c in coeffs:
+        if isinstance(c, FqElem):
+            if c.ctx != ctx:
+                raise ValueError("coefficient from a different field")
+            raw.append(c.raw)
+        elif isinstance(c, int):
+            raw.append(ctx.rfrom_int(c))
+        elif isinstance(c, tuple) and ctx.k > 1:
+            raw.append(ctx.elem(c).raw)
+        else:
+            raise TypeError(f"bad coefficient {c!r}")
+    return raw
+
+
+class Poly:
+    """Univariate polynomial over F_q.
+
+    `Poly(ctx, coeffs)` over F_2 returns an `F2Poly`, held as one packed
+    int.  Over any other field `coeffs` is the tuple of little-endian raw
+    coefficients with trailing zeros stripped.
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __new__(cls, ctx: Optional[FqCtx] = None, coeffs: Iterable = ()):
+        # ctx is None when copy or pickle rebuilds a tuple-held polynomial
+        return object.__new__(F2Poly if ctx is not None and _is_f2(ctx) else cls)
 
     def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
-        raw = []
-        for c in coeffs:
-            if isinstance(c, FqElem):
-                if c.ctx != ctx:
-                    raise ValueError("coefficient from a different field")
-                raw.append(c.raw)
-            elif isinstance(c, int):
-                raw.append(ctx.rfrom_int(c))
-            elif isinstance(c, tuple) and ctx.k > 1:
-                raw.append(ctx.elem(c).raw)
-            else:
-                raise TypeError(f"bad coefficient {c!r}")
+        raw = _read_raw(ctx, coeffs)
         while raw and ctx.ris_zero(raw[-1]):
             raw.pop()
         self.ctx = ctx
         self.coeffs = tuple(raw)
-        self._pk = None
 
-    @classmethod
-    def _make(cls, ctx: FqCtx, raw_list) -> "Poly":
-        p = object.__new__(cls)
+    @staticmethod
+    def _make(ctx: FqCtx, raw_list) -> "Poly":
+        """The polynomial of a list of raw coefficients, over any field."""
+        if _is_f2(ctx):
+            return _f2(ctx, _b2_pack(raw_list))
+        return Poly._tuple(ctx, raw_list)
+
+    @staticmethod
+    def _tuple(ctx: FqCtx, raw_list) -> "Poly":
+        """A tuple-held polynomial.  The library builds these over fields
+        other than F_2 only; over F_2 they run the coefficient loops, which
+        the tests keep as the oracle of the packed kernels."""
+        p = object.__new__(Poly)
         raw = list(raw_list)
         while raw and ctx.ris_zero(raw[-1]):
             raw.pop()
         p.ctx = ctx
         p.coeffs = tuple(raw)
-        p._pk = None
         return p
 
-    @classmethod
-    def _from_packed(cls, ctx: FqCtx, n: int) -> "Poly":
-        p = object.__new__(cls)
-        p.ctx = ctx
-        p.coeffs = tuple(_b2_unpack(n))
-        p._pk = n
-        return p
+    def _like(self, raw_list) -> "Poly":
+        """A polynomial over the same field, in the same representation."""
+        return Poly._tuple(self.ctx, raw_list)
 
     @classmethod
     def zero(cls, ctx) -> "Poly":
-        return cls._make(ctx, [])
+        return _f2(ctx, 0) if _is_f2(ctx) else Poly._tuple(ctx, [])
 
     @classmethod
     def one(cls, ctx) -> "Poly":
-        return cls._make(ctx, [ctx.rone])
+        return _f2(ctx, 1) if _is_f2(ctx) else Poly._tuple(ctx, [ctx.rone])
 
     @classmethod
     def x(cls, ctx) -> "Poly":
-        return cls._make(ctx, [ctx.rzero, ctx.rone])
+        return _f2(ctx, 2) if _is_f2(ctx) else Poly._tuple(ctx, [ctx.rzero, ctx.rone])
 
     @classmethod
     def constant(cls, c: FqElem) -> "Poly":
-        return cls._make(c.ctx, [c.raw])
+        return Poly._make(c.ctx, [c.raw])
 
     @classmethod
     def random(cls, ctx, degree: int, rng) -> "Poly":
@@ -147,7 +181,7 @@ class Poly:
         while lead.is_zero():
             lead = ctx.random_elem(rng)
         raw.append(lead.raw)
-        return cls._make(ctx, raw)
+        return Poly._make(ctx, raw)
 
     # ---- basic queries
 
@@ -163,6 +197,9 @@ class Poly:
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == self.ctx.rone
 
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.rone
+
     def coeff(self, i: int) -> FqElem:
         if 0 <= i < len(self.coeffs):
             return FqElem(self.ctx, self.coeffs[i])
@@ -174,7 +211,7 @@ class Poly:
         return FqElem(self.ctx, self.coeffs[-1])
 
     def constant_value(self) -> FqElem:
-        if len(self.coeffs) > 1:
+        if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.coeff(0)
 
@@ -183,8 +220,8 @@ class Poly:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Poly)
-            and self.ctx == other.ctx
+            type(other) is Poly
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.coeffs == other.coeffs
         )
 
@@ -192,32 +229,23 @@ class Poly:
         return hash((self.ctx, self.coeffs))
 
     def sort_key(self):
-        return (len(self.coeffs), self.coeffs)
+        coeffs = self.coeffs
+        return (len(coeffs), coeffs)
 
     # ---- ring operations
-
-    def _is_b2(self) -> bool:
-        return self.ctx.p == 2 and self.ctx.k == 1
-
-    def _packed(self) -> int:
-        if self._pk is None:
-            self._pk = _b2_pack(self.coeffs)
-        return self._pk
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        if self._is_b2():
-            return Poly._from_packed(ctx, self._packed() ^ other._packed())
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         raw = list(a)
         for i, c in enumerate(b):
             raw[i] = ctx.radd(raw[i], c)
-        return Poly._make(ctx, raw)
+        return Poly._tuple(ctx, raw)
 
     __radd__ = __add__
 
@@ -226,8 +254,6 @@ class Poly:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        if self._is_b2():
-            return Poly._from_packed(ctx, self._packed() ^ other._packed())
         n = max(len(self.coeffs), len(other.coeffs))
         raw = []
         za = ctx.rzero
@@ -235,7 +261,7 @@ class Poly:
             x = self.coeffs[i] if i < len(self.coeffs) else za
             y = other.coeffs[i] if i < len(other.coeffs) else za
             raw.append(ctx.rsub(x, y))
-        return Poly._make(ctx, raw)
+        return Poly._tuple(ctx, raw)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -247,18 +273,18 @@ class Poly:
         ctx = self.ctx
         if ctx.p == 2:
             return self
-        return Poly._make(ctx, [ctx.rneg(c) for c in self.coeffs])
+        return Poly._tuple(ctx, [ctx.rneg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(ctx)
-        if self._is_b2():
-            return Poly._from_packed(ctx, _b2_mul(self._packed(), other._packed()))
+        if type(self) is F2Poly:
+            return _f2(ctx, _b2_mul(self.bits, other.bits))
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._tuple(ctx, ())
         if ctx.k == 1:
             p = ctx.p
             out = [0] * (len(a) + len(b) - 1)
@@ -266,20 +292,20 @@ class Poly:
                 if x:
                     for j, y in enumerate(b):
                         out[i + j] = (out[i + j] + x * y) % p
-            return Poly._make(ctx, out)
+            return Poly._tuple(ctx, out)
         out = [ctx.rzero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not ctx.ris_zero(x):
                 for j, y in enumerate(b):
                     out[i + j] = ctx.radd(out[i + j], ctx.rmul(x, y))
-        return Poly._make(ctx, out)
+        return Poly._tuple(ctx, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.ctx)
+        out = self._like([self.ctx.rone])
         base = self
         while n:
             if n & 1:
@@ -295,12 +321,12 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        if self._is_b2():
-            q, r = _b2_divmod(self._packed(), other._packed())
-            return Poly._from_packed(ctx, q), Poly._from_packed(ctx, r)
+        if type(self) is F2Poly:
+            q, r = _b2_divmod(self.bits, other.bits)
+            return _f2(ctx, q), _f2(ctx, r)
         da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
         if da < db:
-            return Poly.zero(ctx), self
+            return Poly._tuple(ctx, ()), self
         inv_lc = ctx.rinv(other.coeffs[-1])
         rem = list(self.coeffs)
         quo = [ctx.rzero] * (da - db + 1)
@@ -311,7 +337,7 @@ class Poly:
             quo[i] = c
             for j, m in enumerate(other.coeffs):
                 rem[i + j] = ctx.rsub(rem[i + j], ctx.rmul(c, m))
-        return Poly._make(ctx, quo), Poly._make(ctx, rem[:db])
+        return Poly._tuple(ctx, quo), Poly._tuple(ctx, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -321,13 +347,13 @@ class Poly:
 
     def _coerce(self, other) -> Optional["Poly"]:
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("polynomials over different fields")
             return other
         if isinstance(other, int):
-            return Poly._make(self.ctx, [self.ctx.rfrom_int(other)])
+            return self._like([self.ctx.rfrom_int(other)])
         if isinstance(other, FqElem):
-            return Poly.constant(self.ctx.elem(other))
+            return self._like([self.ctx.elem(other).raw])
         return None
 
     def monic(self) -> "Poly":
@@ -338,22 +364,20 @@ class Poly:
         if lead == ctx.rone:
             return self
         inv = ctx.rinv(lead)
-        return Poly._make(ctx, [ctx.rmul(c, inv) for c in self.coeffs])
+        return Poly._tuple(ctx, [ctx.rmul(c, inv) for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
         raw = []
         for i in range(1, len(self.coeffs)):
             raw.append(ctx.rmul(self.coeffs[i], ctx.rfrom_int(i)))
-        return Poly._make(ctx, raw)
+        return Poly._tuple(ctx, raw)
 
     def shift(self, n: int) -> "Poly":
         """Multiply by x^n."""
         if self.is_zero():
             return self
-        if self._is_b2():
-            return Poly._from_packed(self.ctx, self._packed() << n)
-        return Poly._make(self.ctx, [self.ctx.rzero] * n + list(self.coeffs))
+        return Poly._tuple(self.ctx, [self.ctx.rzero] * n + list(self.coeffs))
 
     def evaluate(self, a: FqElem) -> FqElem:
         ctx = a.ctx
@@ -386,22 +410,22 @@ class Poly:
                 raw.append(ctx.rpth_root(c))
             elif not ctx.ris_zero(c):
                 raise ValueError("polynomial is not a p-th power")
-        return Poly._make(ctx, raw)
+        return Poly._tuple(ctx, raw)
 
     # ---- gcd and factorization
 
     def gcd(self, other: "Poly") -> "Poly":
-        if self.ctx != other.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("polynomials over different fields")
-        if self._is_b2():
-            return Poly._from_packed(self.ctx, _b2_gcd(self._packed(), other._packed()))
+        if type(self) is F2Poly:
+            return _f2(self.ctx, _b2_gcd(self.bits, other.bits))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
 
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
-        out = Poly.one(self.ctx)
+        out = self._like([self.ctx.rone])
         base = self % mod
         while n:
             if n & 1:
@@ -443,13 +467,12 @@ class Poly:
     def _equal_degree_split(self, d: int, rng) -> list:
         """Split a monic squarefree product of degree-d irreducibles."""
         ctx = self.ctx
-        n = len(self.coeffs) - 1
+        n = self.degree()
         if n == d:
             return [self]
         q = ctx.q
         while True:
-            raw = [ctx.random_elem(rng).raw for _ in range(n)]
-            h = Poly._make(ctx, raw)
+            h = self._like([ctx.random_elem(rng).raw for _ in range(n)])
             if h.is_constant():
                 continue
             if ctx.p == 2:
@@ -461,9 +484,9 @@ class Poly:
                     acc = acc + term
                 w = acc
             else:
-                w = h.pow_mod((q ** d - 1) // 2, self) - Poly.one(ctx)
+                w = h.pow_mod((q ** d - 1) // 2, self) - self._like([ctx.rone])
             u = self.gcd(w)
-            if 0 < len(u.coeffs) - 1 < n:
+            if 0 < u.degree() < n:
                 rest = self // u
                 return u._equal_degree_split(d, rng) + rest._equal_degree_split(d, rng)
 
@@ -475,20 +498,21 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("cannot factor the zero polynomial")
         lc = self.lc()
+        ctx = self.ctx
         rng = random.Random(0x5EED)  # deterministic splitting choices
         factors = []
         for g, mult in self.squarefree_decomposition():
             # distinct-degree stage
-            x = Poly.x(self.ctx)
+            x = self._like([ctx.rzero, ctx.rone])
             h = x
             v = g
             d = 0
-            while len(v.coeffs) - 1 > 0:
+            while v.degree() > 0:
                 d += 1
-                if 2 * d > len(v.coeffs) - 1:
+                if 2 * d > v.degree():
                     factors.append((v, mult))
                     break
-                h = h.pow_mod(self.ctx.q, v)
+                h = h.pow_mod(ctx.q, v)
                 u = v.gcd(h - x)
                 if not u.is_one():
                     for irr in u._equal_degree_split(d, rng):
@@ -499,7 +523,7 @@ class Poly:
         return lc, factors
 
     def is_irreducible(self) -> bool:
-        if len(self.coeffs) - 1 < 1:
+        if self.degree() < 1:
             return False
         _, factors = self.factor()
         return len(factors) == 1 and factors[0][1] == 1
@@ -520,12 +544,13 @@ class Poly:
     # ---- text form
 
     def __repr__(self):
-        if self.is_zero():
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         ctx = self.ctx
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if ctx.ris_zero(c):
                 continue
             cs = ctx._raw_str(c)
@@ -541,6 +566,100 @@ class Poly:
             else:
                 terms.append(f"{cs}*{var}")
         return "+".join(terms)
+
+
+class F2Poly(Poly):
+    """A polynomial over F_2, held as one int `bits` whose bit i is the
+    coefficient of x^i.  Every operation acts on the int; `coeffs`, the
+    coefficient tuple, is built only when it is read.
+
+    Multiplication, division, gcd and factorization are not overridden:
+    the `Poly` methods branch on the type, so each of these operations has
+    one entry point for every field (the one `perfbench/tracer.py` wraps).
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
+        self.ctx = ctx
+        self.bits = _b2_pack(_read_raw(ctx, coeffs))
+
+    @property
+    def coeffs(self):
+        return _b2_unpack(self.bits)
+
+    def __reduce__(self):
+        return _f2, (self.ctx, self.bits)
+
+    def _like(self, raw_list) -> "F2Poly":
+        return _f2(self.ctx, _b2_pack(raw_list))
+
+    def degree(self):
+        return self.bits.bit_length() - 1 if self.bits else MINUS_INF
+
+    def is_zero(self) -> bool:
+        return not self.bits
+
+    def is_constant(self) -> bool:
+        return self.bits < 2
+
+    def is_one(self) -> bool:
+        return self.bits == 1
+
+    def is_monic(self) -> bool:
+        return self.bits != 0
+
+    def coeff(self, i: int) -> FqElem:
+        return FqElem(self.ctx, (self.bits >> i) & 1) if i >= 0 else self.ctx.zero
+
+    def lc(self) -> FqElem:
+        return FqElem(self.ctx, 1 if self.bits else 0)
+
+    def __bool__(self):
+        return self.bits != 0
+
+    def __eq__(self, other):
+        return (
+            type(other) is F2Poly
+            and self.bits == other.bits
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+        )
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return _f2(self.ctx, self.bits ^ other.bits)
+
+    __radd__ = __sub__ = __add__
+
+    def monic(self) -> "F2Poly":
+        return self
+
+    def derivative(self) -> "F2Poly":
+        odd = bin(self.bits)[:1:-1][1::2]  # coefficients of x, x^3, x^5, ...
+        return _f2(self.ctx, int(odd[::-1], 4) if odd else 0)
+
+    def shift(self, n: int) -> "F2Poly":
+        """Multiply by x^n."""
+        return _f2(self.ctx, self.bits << n)
+
+    def pth_root_poly(self) -> "F2Poly":
+        """For f with f = g(x^2) return the unique g with g^2 = f."""
+        digits = bin(self.bits)[:1:-1]
+        if "1" in digits[1::2]:
+            raise ValueError("polynomial is not a p-th power")
+        return _f2(self.ctx, int(digits[::2][::-1], 2))
+
+
+def _f2(ctx: FqCtx, bits: int) -> F2Poly:
+    p = object.__new__(F2Poly)
+    p.ctx = ctx
+    p.bits = bits
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +683,9 @@ class RatFunc:
                 den = den // g
         else:
             den = Poly.one(num.ctx)
-        lead = den.lc()
-        if not (lead == num.ctx.one):
-            inv = num.ctx.rinv(lead.raw)
-            inv_e = FqElem(num.ctx, inv)
+        if not den.is_monic():
+            ctx = num.ctx
+            inv_e = FqElem(ctx, ctx.rinv(den.lc().raw))
             num = num * inv_e
             den = den * inv_e
         self.num = num
@@ -615,7 +733,7 @@ class RatFunc:
 
     def _coerce(self, other) -> Optional["RatFunc"]:
         if isinstance(other, RatFunc):
-            if other.ctx != self.ctx:
+            if other.num.ctx is not self.num.ctx and other.ctx != self.ctx:
                 raise ValueError("rational functions over different fields")
             return other
         if isinstance(other, (Poly, FqElem, int)):
@@ -723,7 +841,7 @@ class Place:
 
     @property
     def degree(self) -> int:
-        return 1 if self.pi is None else len(self.pi.coeffs) - 1
+        return 1 if self.pi is None else self.pi.degree()
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.pi == other.pi
@@ -782,7 +900,7 @@ def valuation(a: RatFunc, v: Place) -> int:
     if a.is_zero():
         raise ValueError("valuation of zero is +infinity")
     if v.is_infinite:
-        return len(a.den.coeffs) - len(a.num.coeffs)
+        return a.den.degree() - a.num.degree()
     return a.num.multiplicity_of(v.pi) - a.den.multiplicity_of(v.pi)
 
 
@@ -799,7 +917,7 @@ def support(a: RatFunc):
     for pi, m in df:
         key = Place(pi, _checked=True)
         out[key] = out.get(key, 0) - m
-    vinf = len(a.den.coeffs) - len(a.num.coeffs)
+    vinf = a.den.degree() - a.num.degree()
     if vinf:
         out[INFINITY] = vinf
     return {v: m for v, m in out.items() if m}

@@ -8,12 +8,20 @@ labels), `+ - * / ^` with the usual precedence, unary minus, parentheses.
 Evaluation happens in an environment mapping identifiers to values; any
 mix of FqElem / Poly / RatFunc / AlgElem / BivarPoly works as long as the
 operations stay inside one backend (the operator overloads coerce scalars).
+
+Input size is capped before any arithmetic runs.  Each subexpression gets a
+degree bound from the text alone (an identifier 1, an integer 0, sums the
+larger bound, products and quotients the sum, `a^n` n times the bound of a);
+an exponent or a bound above `MAX_DEGREE` is a ParseError.  So a short
+string cannot ask for unbounded work, such as `x^99999999`.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Dict, List
+
+MAX_DEGREE = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|/|\(|\))")
 
@@ -55,29 +63,32 @@ class _Parser:
             raise ParseError(f"expected {t!r}, got {got!r}")
 
     def parse_expr(self):
-        node = self.parse_term()
+        node, deg = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.parse_term()
+            rhs, d = self.parse_term()
             node = node + rhs if op == "+" else node - rhs
-        return node
+            deg = max(deg, d)
+        return node, deg
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, deg = self.parse_unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.parse_unary()
+            rhs, d = self.parse_unary()
+            deg = _capped(deg + d)
             node = node * rhs if op == "*" else node / rhs
-        return node
+        return node, deg
 
     def parse_unary(self):
         if self.peek() == "-":
             self.take()
-            return -self.parse_unary()
+            node, deg = self.parse_unary()
+            return -node, deg
         return self.parse_power()
 
     def parse_power(self):
-        base = self.parse_atom()
+        base, deg = self.parse_atom()
         if self.peek() == "^":
             self.take()
             neg = False
@@ -88,8 +99,11 @@ class _Parser:
             if exp is None or not exp.isdigit():
                 raise ParseError("exponent must be an integer")
             n = int(exp)
-            return base ** (-n) if neg else base ** n
-        return base
+            if n > MAX_DEGREE:
+                raise ParseError(f"exponent {n} is above the limit {MAX_DEGREE}")
+            deg = _capped(deg * n)
+            return (base ** (-n) if neg else base ** n), deg
+        return base, deg
 
     def parse_atom(self):
         t = self.take()
@@ -100,17 +114,23 @@ class _Parser:
             self.expect(")")
             return node
         if t.isdigit():
-            return self.one * int(t)
+            return self.one * int(t), 0
         if t in self.env:
-            return self.env[t]
+            return self.env[t], 1
         raise ParseError(f"unknown identifier {t!r}")
+
+
+def _capped(deg: int) -> int:
+    if deg > MAX_DEGREE:
+        raise ParseError(f"the degree of the expression is above the limit {MAX_DEGREE}")
+    return deg
 
 
 def parse_element(text: str, env: Dict[str, object], one):
     """Parse `text` in the environment; `one` is the multiplicative unit of
     the target structure (used to coerce integer literals)."""
     p = _Parser(tokenize(text), env, one)
-    node = p.parse_expr()
+    node, _ = p.parse_expr()
     if p.peek() is not None:
         raise ParseError(f"trailing input at {p.toks[p.i:]!r}")
     return node

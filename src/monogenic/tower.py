@@ -183,7 +183,7 @@ class Tower:
                 if cleared[-1].evaluate_ext(c).is_zero():
                     continue  # degree would drop
                 img = Poly(ext, [cf.evaluate_ext(c) for cf in cleared])
-                if len(img.coeffs) - 1 == d and img.is_irreducible():
+                if img.degree() == d and img.is_irreducible():
                     return f"certified(x={c!r} in F_{ext.q})"
         return "assumed"
 

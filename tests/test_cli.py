@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,28 @@ def test_smallest_verify_sizes_accepted(tmp_path):
         "list-base", "string-generators", "fraction-param", "boolean-param", "infinite-param"])
 def test_wrong_json_types_exit_2(tmp_path, capsys, scenario, message):
     assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "s+x^99999999"}},
+     "exponent 99999999 is above the limit"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "s+x^-99999999"}},
+     "exponent 99999999 is above the limit"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "s+((x^999)^999)^999"}},
+     "the degree of the expression is above the limit"),
+    ({"task": "disc", "tower": {"levels": [{"label": "s", "poly": "s^4+x^99999999"}]},
+      "elements": {"s": "s"}}, "exponent 99999999 is above the limit"),
+    ({"task": "unit-solve", "base": {"p": 3}, "params": {"generators": ["x^99999999+1"]}},
+     "exponent 99999999 is above the limit"),
+], ids=["element", "negative", "nested", "level", "generator"])
+def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 0.5
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.strip().splitlines()) == 1

@@ -21,6 +21,7 @@ from monogenic import (
 F2 = FqCtx(2)
 F3 = FqCtx(3)
 F7 = FqCtx(7)
+F4 = FqCtx(2, 2)
 
 
 def x(ctx):
@@ -172,11 +173,11 @@ def test_ratfunc_canonical_form():
     assert b == RatFunc(x(F3) + 1)
 
 
-@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 2))
-@settings(max_examples=40)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4))
+@settings(max_examples=60)
 def test_poly_ring_laws(da, db, which):
     rng = random.Random(da * 100 + db * 10 + which)
-    ctx = (F3, F7)[which - 1]
+    ctx = (F3, F7, F2, F4)[which - 1]
     a = Poly.random(ctx, da, rng)
     b = Poly.random(ctx, db, rng)
     q, r = divmod(a * b + a, b) if not b.is_zero() else (None, None)
@@ -191,6 +192,5 @@ def test_text_roundtrip_forms():
     assert repr(f) == "x^3+x+1"
     a = RatFunc(x(F2) + 1, x(F2))
     assert repr(a) == "(x+1)/(x)"
-    F4 = FqCtx(2, 2)
     g = Poly(F4, [F4.gen, F4.one]) * Poly(F4, [0, 1])
     assert repr(g) == "x^2+z*x"
