@@ -44,7 +44,6 @@ from .parse import ParseError, SymbolPoly, parse_element
 from .tower import Tower, discriminant
 from .unitgrp import build_group, solve_xy1
 from .verify import (
-    eta_conditions_hold,
     verify_quartic_twist_family,
     verify_shifted_generator_family,
     verify_symmetric_quadratic_powers,
@@ -147,6 +146,17 @@ def _parse(text: str, env, one, what: str):
         return parse_element(text, env, one)
     except ParseError as exc:
         raise ConfigError(f"bad {what}: {exc}")
+    except ZeroDivisionError:
+        raise ConfigError(f"bad {what}: division by zero") from None
+
+
+def _parse_poly(ctx: FqCtx, text, what: str) -> Poly:
+    """A polynomial of F_q[x] given as text; a quotient must reduce to one."""
+    val = _parse(text, _base_env(ctx, RatFunc.gen(ctx)), RatFunc.of(1, ctx), what)
+    val = RatFunc.of(val, ctx)
+    if not val.is_polynomial():
+        raise ConfigError(f"{what} is not a polynomial")
+    return val.num
 
 
 def _int(value, what: str) -> int:
@@ -183,17 +193,11 @@ def _sym_env(ctx: FqCtx) -> Dict[str, object]:
 
 
 def _parse_places(ctx: FqCtx, names) -> PlaceSet:
-    places = []
-    env = _base_env(ctx, Poly.x(ctx))
-    for name in _list(names, "places"):
-        if name == "inf":
-            continue
-        val = _parse(name, env, Poly.one(ctx), f"place {name!r}")
-        if isinstance(val, RatFunc):
-            if not val.is_polynomial():
-                raise ConfigError(f"place {name!r} is not a polynomial")
-            val = val.num
-        places.append(Place.finite(val))
+    places = [
+        Place.finite(_parse_poly(ctx, name, f"place {name!r}"))
+        for name in _list(names, "places")
+        if name != "inf"
+    ]
     return PlaceSet(places)
 
 
@@ -228,12 +232,13 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
 
     def elements_env():
         if backend == "symmetric":
+            if task in ("disc", "ef"):
+                raise ConfigError(f"task {task!r} needs the tower backend")
             return _sym_env(ctx), BivarPoly.constant(ctx, 1)
         if "tower" not in scenario:
-            return _base_env(ctx, RatFunc.gen(ctx)), RatFunc.of(1, ctx)
+            raise ConfigError("the tower backend needs a tower")
         tw = _build_tower(ctx, scenario["tower"])
-        env = _tower_env(tw)
-        return env, tw.from_base(1)
+        return _tower_env(tw), tw.from_base(1)
 
     def named(name: str, env, one):
         texts = _object(scenario.get("elements", {}), "elements")
@@ -319,11 +324,8 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         _check_keys(params, {"m_max", "eta"}, "params")
         eta = None
         if "eta" in params:
-            val = _parse(params["eta"], {"x": Poly.x(ctx)}, Poly.one(ctx), "eta seed")
-            eta = val.num if isinstance(val, RatFunc) else val
-            bad = eta_conditions_hold(eta)
-            if bad is not None:
-                raise ConfigError(f"eta seed rejected: {bad}")
+            eta = _parse_poly(ctx, params["eta"], f"eta seed {params['eta']!r}")
+        # a seed that fails its conditions raises ValueError (exit 2)
         rep = verify_shifted_generator_family(eta, _int_param(params, "m_max", 4, minimum=1))
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else 1

@@ -19,11 +19,13 @@ available.
 Pattern fitting is heuristic and box-relative: emitted patterns are
 descriptions of the observed data, validated to regenerate exactly their
 in-box pairs, and never claims about the infinite set.  Reports therefore
-say "consistent with".
+say "consistent with".  The Frobenius kinds F1, F2 and F share one integer
+generator of the points (c1 q^i + c2 q^j, c3 q^i + c4 q^j).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
@@ -100,9 +102,23 @@ class TowerPowerPair:
         r = v.in_base()
         return r is not None and not r.is_zero() and self.ring.is_unit(r)
 
+    def _unit_quotient(self, u: AlgElem, w: AlgElem) -> bool:
+        # u/w is the unit r of the ring iff u = r*w coordinate-wise over K,
+        # with r read off the first nonzero coordinate of w
+        u_coords, w_coords = u.coords(), w.coords()
+        k = next((i for i, c in enumerate(w_coords) if not c.is_zero()), None)
+        if k is None:
+            return False
+        r = u_coords[k] / w_coords[k]
+        return (
+            not r.is_zero()
+            and all(a == r * b for a, b in zip(u_coords, w_coords))
+            and self.ring.is_unit(r)
+        )
+
     def flags(self, m: int, n: int):
         sm, tn = self.s_pow(m), self.t_pow(n)
-        in_a = self._unit_in_K(sm / tn)
+        in_a = self._unit_quotient(sm, tn)
         in_c = self._unit_in_K(sm * tn)
         in_b = False
         order_t = self.t_order(n)
@@ -110,7 +126,7 @@ class TowerPowerPair:
             # the quadratic conjugate is trace - t^n, no declared map needed
             conj = tn.tower.from_base(-order_t.minpoly[1]) - tn
             if not (conj - tn).is_zero():
-                in_b = self._unit_in_K(sm / conj)
+                in_b = self._unit_quotient(sm, conj)
         return in_a, in_b, in_c
 
     def nondegenerate_witness(self, m: int, n: int) -> Optional[str]:
@@ -269,56 +285,23 @@ class FrobPattern:
     params: tuple
 
     def generate(self, m_max: int, n_max: int) -> frozenset:
-        out = set()
         if self.kind == "F1":
             m0, n0 = self.params
-            m, n = m0, n0
-            while m <= m_max and n <= n_max:
-                out.add((m, n))
-                m, n = m * self.q, n * self.q
-        elif self.kind == "F2":
+            return _frobenius_points(self.q, (m0, 0, n0, 0), m_max, n_max)
+        if self.kind == "F2":
             a, b = self.params
-            i_vals = []
-            v = a
-            while v <= m_max:
-                i_vals.append(v)
-                v *= self.q
-            j_vals = []
-            v = b
-            while v <= n_max:
-                j_vals.append(v)
-                v *= self.q
-            out = {(mi, nj) for mi in i_vals for nj in j_vals}
-        elif self.kind == "F":
-            c1, c2, c3, c4 = (Fraction(c) for c in self.params)
-            scale = max(abs(c.numerator) for c in (c1, c2, c3, c4)) or 1
-            den = max(c.denominator for c in (c1, c2, c3, c4))
-            lim = 1
-            while self.q ** lim <= (m_max + n_max + 4) * scale * den:
-                lim += 1
-            lim = 2 * lim + 3  # covers near-cancelling exponent pairs
-            qp = [self.q ** i for i in range(lim + 1)]
-            for qi in qp:
-                for qj in qp:
-                    mm = c1 * qi + c2 * qj
-                    nn = c3 * qi + c4 * qj
-                    if (
-                        mm.denominator == 1
-                        and nn.denominator == 1
-                        and 1 <= mm <= m_max
-                        and 1 <= nn <= n_max
-                    ):
-                        out.add((int(mm), int(nn)))
-        elif self.kind == "A":
-            (m0, n0), (dm, dn) = self.params
-            m, n = m0, n0
-            while m <= m_max and n <= n_max:
-                out.add((m, n))
-                m, n = m + dm, n + dn
-        elif self.kind == "finite":
-            out = set(self.params)
-        else:
+            return _frobenius_points(self.q, (a, 0, 0, b), m_max, n_max)
+        if self.kind == "F":
+            return _frobenius_points(self.q, self.params, m_max, n_max)
+        if self.kind == "finite":
+            return frozenset(self.params)
+        if self.kind != "A":
             raise ValueError(f"unknown pattern kind {self.kind!r}")
+        (m, n), (dm, dn) = self.params
+        out = set()
+        while m <= m_max and n <= n_max:
+            out.add((m, n))
+            m, n = m + dm, n + dn
         return frozenset(out)
 
     def describe(self) -> str:
@@ -343,6 +326,43 @@ class FrobPattern:
         else:
             params = list(self.params)
         return {"kind": self.kind, "q": self.q, "params": params}
+
+
+def _frobenius_points(q: int, coeffs, m_max: int, n_max: int) -> frozenset:
+    """The integer points (c1 q^i + c2 q^j, c3 q^i + c4 q^j) of the box
+    [1..m_max] x [1..n_max] for 0 <= i, j <= L, the one generator of the
+    Frobenius kinds: F1 is (m0, 0, n0, 0) and F2 is (a, 0, 0, b).  The
+    coefficients are scaled by their common denominator d, so a point costs
+    two integer multiply-adds, a range test and a divisibility test by d.
+    L = 2 l + 3 for the least l with q^l > (m_max + n_max + 4) * scale * den
+    (the largest |numerator| and the largest denominator of the reduced
+    coefficients), which covers near-cancelling exponent pairs and, as
+    q^L > m_max, every point of an F1 or F2 orbit in the box."""
+    cs = [Fraction(c) for c in coeffs]
+    scale = max(abs(c.numerator) for c in cs) or 1
+    den = max(c.denominator for c in cs)
+    lim = 1
+    while q ** lim <= (m_max + n_max + 4) * scale * den:
+        lim += 1
+    d = math.lcm(*(c.denominator for c in cs))
+    c1, c2, c3, c4 = (c.numerator * (d // c.denominator) for c in cs)
+    hi_m, hi_n = d * m_max, d * n_max
+    powers = [q ** e for e in range(2 * lim + 4)]
+    # without a j term every j gives the point of j = 0; with c2, c4 >= 0 a
+    # point only grows with j, so the j loop ends once the point leaves the box
+    j_powers = powers if c2 or c4 else powers[:1]
+    grows = c2 >= 0 and c4 >= 0
+    out = set()
+    for qi in powers:
+        m_i, n_i = c1 * qi, c3 * qi
+        for qj in j_powers:
+            mm, nn = m_i + c2 * qj, n_i + c4 * qj
+            if d <= mm <= hi_m and d <= nn <= hi_n:
+                if not (mm % d or nn % d):
+                    out.add((mm // d, nn // d))
+            elif grows and (mm > hi_m or nn > hi_n):
+                break
+    return frozenset(out)
 
 
 def _f1_candidates(pairs: set, p: int, m_max: int, n_max: int):
@@ -375,7 +395,6 @@ def _f2_candidates(pairs: set, p: int, m_max: int, n_max: int):
 def _f_candidates(pairs: set, p: int, m_max: int, n_max: int):
     if len(pairs) > 80:
         return  # quadratic candidate generation is not worth it at this size
-    seen = set()
     plist = sorted(pairs)
     qs = []
     q = p
@@ -383,31 +402,19 @@ def _f_candidates(pairs: set, p: int, m_max: int, n_max: int):
         qs.append(q)
         q *= p
     for q in qs:
-        for p00 in plist:
-            for p10 in plist:
-                # p00 plays (i,j) = (0,0) and p10 plays (1,0)
-                if p10[0] < p00[0] or p10[1] < p00[1] or p10 == p00:
+        for m00, n00 in plist:
+            for m10, n10 in plist:
+                # (m00, n00) plays (i,j) = (0,0) and (m10, n10) plays (1,0)
+                dm, dn = m10 - m00, n10 - n00
+                if dm < 0 or dn < 0 or not (dm or dn):
                     continue
-                c1 = Fraction(p10[0] - p00[0], q - 1)
-                c3 = Fraction(p10[1] - p00[1], q - 1)
-                c2 = Fraction(p00[0]) - c1
-                c4 = Fraction(p00[1]) - c3
-                key = (q, c1, c2, c3, c4)
-                if key in seen:
+                # cheap necessary check on the (0,1) point before generating:
+                # c1 + c2 q = q m00 - dm is always an integer
+                m01, n01 = q * m00 - dm, q * n00 - dn
+                if 1 <= m01 <= m_max and 1 <= n01 <= n_max and (m01, n01) not in pairs:
                     continue
-                seen.add(key)
-                # cheap necessary check on the (0,1) point before generating
-                m01 = c1 + c2 * q
-                n01 = c3 + c4 * q
-                if (
-                    m01.denominator == 1
-                    and n01.denominator == 1
-                    and 1 <= m01 <= m_max
-                    and 1 <= n01 <= n_max
-                    and (int(m01), int(n01)) not in pairs
-                ):
-                    continue
-                pat = FrobPattern("F", q, (c1, c2, c3, c4))
+                c1, c3 = Fraction(dm, q - 1), Fraction(dn, q - 1)
+                pat = FrobPattern("F", q, (c1, m00 - c1, c3, n00 - c3))
                 gen = pat.generate(m_max, n_max)
                 if len(gen) >= 3 and gen <= pairs:
                     yield pat, gen
@@ -506,8 +513,6 @@ class PeriodPair:
     p: int
 
     def __post_init__(self):
-        import math
-
         if math.gcd(self.e, self.p) != 1 or math.gcd(self.f, self.p) != 1:
             raise ValueError("stable exponents must be coprime to p")
 
@@ -708,6 +713,12 @@ def bound_calculator(
     logarithms, no overflow."""
     if d < 2:
         raise ValueError("the bound needs degree d >= 2")
+    for name, value, least in (
+        ("p", p, 2), ("q_K", q_K, 2), ("S_size", S_size, 0),
+        ("q_L", q_L, 1), ("r", r, 0), ("lambda", lam, 1),
+    ):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     with localcontext() as ctx:
         ctx.prec = 60
         ln10 = Decimal(10).ln()

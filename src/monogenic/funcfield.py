@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .gf import FqCtx, FqElem
+from .gf import FqCtx, FqElem, _fp_poly_mul
 
 MINUS_INF = float("-inf")
 
@@ -286,13 +286,7 @@ class Poly:
         if not a or not b:
             return Poly._tuple(ctx, ())
         if ctx.k == 1:
-            p = ctx.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-            return Poly._tuple(ctx, out)
+            return Poly._tuple(ctx, _fp_poly_mul(a, b, ctx.p))
         out = [ctx.rzero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not ctx.ris_zero(x):

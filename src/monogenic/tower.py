@@ -150,8 +150,8 @@ class Tower:
             raise ValueError(f"generator label {label!r} is already taken")
         cs = [self._coerce_val(lvl, c) for c in coeffs]
         d = len(cs) - 1
-        if d < 1:
-            raise ValueError("defining polynomial must have degree >= 1")
+        if d < 2:
+            raise ValueError("defining polynomial must have degree >= 2")
         if cs[-1] != self._embed_to(0, lvl, RatFunc.of(1, self.base)):
             raise ValueError("defining polynomial must be monic")
         status = self._certify(lvl, cs, assume_irreducible)
@@ -558,16 +558,15 @@ def discriminant(t: AlgElem, minpoly: Optional[Tuple[List[RatFunc], int]] = None
     """discr_K(t) = (-1)^{d(d-1)/2} Res(g, g') for the monic minimal
     polynomial g of t; nonzero exactly when t is separable of degree d >= 2.
     A caller that already holds `minimal_polynomial(t)` passes it as
-    `minpoly`."""
-    tower = t.tower
-    ctx = tower.base
+    `minpoly`.  Res(g, g') = 0 exactly when gcd(g, g') != 1, so the one
+    Euclidean pass of the resultant also decides separability."""
+    ctx = t.tower.base
     g, d = minpoly if minpoly is not None else minimal_polynomial(t)
     if d < 2:
         raise ValueError("discriminant needs degree >= 2 over K")
-    gp = kp_derivative(g, ctx)
-    if len(tower._poly_gcd(0, g, gp)) != 1:
+    res = kp_resultant(g, kp_derivative(g, ctx), ctx)
+    if res.is_zero():
         raise ValueError("inseparable element: gcd(g, g') is nontrivial")
-    res = kp_resultant(g, gp, ctx)
     if ctx.p != 2 and (d * (d - 1) // 2) % 2 == 1:
         res = -res
     return res

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
@@ -107,18 +106,20 @@ def _int_kernel(mat: List[List[int]], ncols: int) -> List[List[int]]:
     return [cols[j][m:] for j in active]
 
 
-def _saturate(rows: List[List[int]], ncols: int) -> List[List[int]]:
-    """Basis of the saturation (Q-span intersected with Z^n) of the row span:
-    the double integer kernel, since the Q-row-space is the orthogonal
-    complement of the right kernel."""
+def _saturate(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """(kernel, saturation): an integer basis of the right kernel of the
+    rows, and a basis of the saturation (Q-span intersected with Z^n) of the
+    row span.  The saturation is the double integer kernel, since the
+    Q-row-space is the orthogonal complement of the right kernel; so v lies
+    in the Q-span exactly when k.v = 0 for every kernel vector k."""
+    identity = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     rows = [r for r in rows if any(r)]
     if not rows:
-        return []
+        return identity, []
     ker = _int_kernel(rows, ncols)
     if not ker:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    sat = _int_kernel(ker, ncols)
-    return _hnf_rows(sat)
+        return [], identity
+    return ker, _hnf_rows(_int_kernel(ker, ncols))
 
 
 def _in_lattice(hnf: List[List[int]], v: Sequence[int]) -> bool:
@@ -130,35 +131,6 @@ def _in_lattice(hnf: List[List[int]], v: Sequence[int]) -> bool:
         k = v[pc] // row[pc]
         v = [a - k * b for a, b in zip(v, row)]
     return not any(v)
-
-
-def _in_q_span(rows: List[List[int]], v: Sequence[int]) -> bool:
-    if not any(v):
-        return True
-    work = [[Fraction(x) for x in r] for r in rows]
-    target = [Fraction(x) for x in v]
-    ncols = len(target)
-    pividx = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(pividx, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[pividx], work[sel] = work[sel], work[pividx]
-        f = work[pividx][col]
-        work[pividx] = [a / f for a in work[pividx]]
-        for i in range(len(work)):
-            if i != pividx and work[i][col]:
-                g = work[i][col]
-                work[i] = [a - g * b for a, b in zip(work[i], work[pividx])]
-        if target[col]:
-            g = target[col]
-            target = [a - g * b for a, b in zip(target, work[pividx])]
-        pividx += 1
-    return not any(target)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +149,7 @@ class GroupCtx:
         self.gen_vectors = tuple(tuple(v) for v in gen_vectors)
         self.gen_torsion = tuple(gen_torsion)
         self.lattice = _hnf_rows([list(v) for v in gen_vectors])
-        self.sat_basis = _saturate([list(v) for v in gen_vectors], self.rank)
+        self._kernel, self.sat_basis = _saturate([list(v) for v in gen_vectors], self.rank)
         # an irreducible witness factor of each basis element, for valuations
         self._witness = []
         for b in basis:
@@ -188,7 +160,7 @@ class GroupCtx:
         return _in_lattice(self.lattice, v)
 
     def in_saturation(self, v: Sequence[int]) -> bool:
-        return _in_q_span([list(r) for r in self.gen_vectors], v)
+        return all(sum(a * b for a, b in zip(k, v)) == 0 for k in self._kernel)
 
     def value(self, torsion: FqElem, exponents: Sequence[int]) -> RatFunc:
         out = RatFunc.of(torsion, self.ctx)

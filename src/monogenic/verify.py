@@ -205,22 +205,27 @@ def eta_conditions_hold(eta: Poly) -> Optional[str]:
     """The two seed conditions: x does not divide eta, and the quartic is
     irreducible (certified by specialization).  Returns None when they hold,
     else a description of the failure."""
-    ctx = eta.ctx
-    if ctx.p != 2 or ctx.k != 1:
-        return "seed must live over F_2"
-    if eta.is_constant():
-        return "seed must be non-constant"
-    if eta.coeff(0).is_zero():
-        return "x divides the seed"
-    tw = Tower(ctx)
-    x = RatFunc.gen(ctx)
     try:
-        tw.extend("s", [RatFunc(eta), x ** 3, x ** 4, RatFunc.of(0, ctx), RatFunc.of(1, ctx)])
+        _seed_tower(eta)
     except ValueError as exc:
         return str(exc)
-    if tw.levels[0].status == "assumed":
-        return "irreducibility certification failed within the scan"
     return None
+
+
+def _seed_tower(eta: Poly) -> Tower:
+    """The certified tower of the quartic for a seed that meets the seed
+    conditions; a ValueError names the condition that fails."""
+    ctx = eta.ctx
+    if ctx.p != 2 or ctx.k != 1:
+        raise ValueError("seed must live over F_2")
+    if eta.is_constant():
+        raise ValueError("seed must be non-constant")
+    if eta.coeff(0).is_zero():
+        raise ValueError("x divides the seed")
+    tw = shifted_tower(eta)
+    if tw.levels[0].status == "assumed":
+        raise ValueError("irreducibility certification failed within the scan")
+    return tw
 
 
 def shifted_tower(eta: Poly) -> Tower:
@@ -235,14 +240,14 @@ def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) 
     ctx = FqCtx(2)
     if eta is None:
         eta = Poly(ctx, [1, 1])  # x + 1
-    bad = eta_conditions_hold(eta)
-    if bad is not None:
-        raise ValueError(f"seed conditions fail: {bad}")
+    try:
+        tw = _seed_tower(eta)
+    except ValueError as exc:
+        raise ValueError(f"eta seed rejected: {exc}") from None
     rep = VerificationReport(
         "shifted-generator family over F_2",
         {"eta": repr(eta), "m_max": m_max},
     )
-    tw = shifted_tower(eta)
     rep.info("tower", tw.describe())
     s = tw.gen(0)
     xr = RatFunc.gen(ctx)

@@ -226,3 +226,51 @@ def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+_BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "disc", "elements": {"s": "x"}}, "the tower backend needs a tower"),
+    ({"task": "order-eq", "elements": {"s": "x", "t": "x"}}, "the tower backend needs a tower"),
+    ({"task": "search", "elements": {"s": "x", "t": "x"}, "params": {"m_max": 2, "n_max": 2}},
+     "the tower backend needs a tower"),
+    ({"task": "ef", "elements": {"s": "x"}}, "the tower backend needs a tower"),
+    ({"task": "disc", "backend": "symmetric", "base": {"p": 7}, "elements": {"s": "x"}},
+     "task 'disc' needs the tower backend"),
+    ({"task": "ef", "backend": "symmetric", "base": {"p": 7}, "elements": {"s": "x"}},
+     "task 'ef' needs the tower backend"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "s/0"}}, "division by zero"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "1/(s+s)"}}, "division by zero"),
+    ({"task": "unit-solve", "base": {"p": 3}, "params": {"generators": ["x/(x-x)"]}},
+     "division by zero"),
+    ({"task": "disc", "tower": _QUARTIC, "elements": {"s": "s"}, "params": {"places": ["1/x"]}},
+     "place '1/x' is not a polynomial"),
+    ({"task": "verify-33", "params": {"eta": "1/x"}}, "eta seed '1/x' is not a polynomial"),
+    ({"task": "disc", "tower": {"levels": [{"label": "s", "poly": "s+x"}]}, "elements": {"s": "s"}},
+     "degree >= 2"),
+    ({"task": "bounds", "params": dict(_BOUNDS, p=1)}, "p must be at least 2"),
+    ({"task": "bounds", "params": dict(_BOUNDS, q_K=1)}, "q_K must be at least 2"),
+    ({"task": "bounds", "params": dict(_BOUNDS, q_L=0)}, "q_L must be at least 1"),
+    ({"task": "bounds", "params": dict(_BOUNDS, **{"lambda": 0})}, "lambda must be at least 1"),
+    ({"task": "bounds", "params": dict(_BOUNDS, S_size=-1)}, "S_size must be at least 0"),
+    ({"task": "bounds", "params": dict(_BOUNDS, r=-1)}, "r must be at least 0"),
+], ids=["disc-no-tower", "order-eq-no-tower", "search-no-tower", "ef-no-tower",
+        "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
+        "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
+        "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r"])
+def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
+    # each of these ended in a traceback (exit 1) or in a silent answer
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_polynomial_places_and_eta_accepted(tmp_path):
+    scenario = {"task": "disc", "tower": _QUARTIC, "elements": {"s": "s"},
+                "params": {"places": ["inf", "x^2/x", "x+1"]}}
+    assert main([_write(tmp_path, scenario)]) == 0
+    scenario = {"task": "verify-33", "params": {"eta": "(x^2+x)/x", "m_max": 1}}
+    assert main([_write(tmp_path, scenario)]) == 0

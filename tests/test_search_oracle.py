@@ -5,7 +5,10 @@ recomputed the minimal polynomials of s^m and t^n, rebuilt the power basis
 of each side by repeated multiplication and ran both membership solves,
 with no discriminant prune.  `TowerPowerPair.equal` (cached order records
 and the discriminant-ratio prune) must agree with it on every cell, and
-`orders_equal` must give the same reason strings.
+`orders_equal` must give the same reason strings.  The degenerate flags
+were decided by dividing in the tower (`s^m / t^n`, `s^m / conj`);
+`TowerPowerPair.flags` reads the quotient off the coordinates instead and
+must give the same flags on every cell.
 """
 
 from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair
@@ -53,12 +56,32 @@ def oracle_orders_equal(t, s, ring):
     return True, "mutual membership"
 
 
+def oracle_flags(sm, tn, ring):
+    """(in_A, in_B, in_C) by tower division."""
+
+    def unit_in_K(v):
+        r = v.in_base()
+        return r is not None and not r.is_zero() and ring.is_unit(r)
+
+    in_b = False
+    g, d = minimal_polynomial(tn)
+    if d == 2:
+        conj = tn.tower.from_base(-g[1]) - tn
+        if not (conj - tn).is_zero():
+            in_b = unit_in_K(sm / conj)
+    return unit_in_K(sm / tn), in_b, unit_in_K(sm * tn)
+
+
 def check_grid(s, t, ring=POLY_RING):
     pair = TowerPowerPair(s, t, ring)
     equal_cells = 0
+    flagged = 0
     for m in range(1, BOX + 1):
         for n in range(1, BOX + 1):
             sm, tn = s ** m, t ** n
+            flags = pair.flags(m, n)
+            assert flags == oracle_flags(sm, tn, ring), (m, n)
+            flagged += any(flags)
             expected = oracle_orders_equal(sm, tn, ring)
             assert pair.equal(m, n) == bool(expected and expected[0]), (m, n)
             if expected is not None:
@@ -73,7 +96,7 @@ def check_grid(s, t, ring=POLY_RING):
                 assert rec.disc == discriminant(rec.generator)
             else:
                 assert rec.disc is None
-    return equal_cells
+    return equal_cells, flagged
 
 
 def f3_level(*coeffs):
@@ -86,20 +109,20 @@ def test_shifted_quartic_translate():
     tw = shifted_tower(Poly(F2, [1, 1]))
     s = tw.gen(0)
     x = RatFunc.gen(F2)
-    assert check_grid(s, s + x * x + 1) > 0
+    assert check_grid(s, s + x * x + 1)[0] > 0
 
 
 def test_shifted_quartic_z1():
     tw = shifted_tower(Poly(F2, [1, 1]))
     s = tw.gen(0)
     x = RatFunc.gen(F2)
-    assert check_grid(s, x * s * s + s) > 0
+    assert check_grid(s, x * s * s + s)[0] > 0
 
 
 def test_f3_quadratic_level():
     x = RatFunc.gen(F3)
     s = f3_level(x ** 3 + 2 * x + 1, x * x + 1, 1)
-    assert check_grid(s, 2 * s + x * x + 1) > 0
+    assert check_grid(s, 2 * s + x * x + 1)[0] > 0
 
 
 def test_f3_cubic_level():
@@ -117,4 +140,5 @@ def test_t_unit_branch():
     tw = Tower(F3).extend("y", [-x, RatFunc.of(0, F3), RatFunc.of(1, F3)])
     y = tw.gen(0)
     ring = RingTag(PlaceSet.of(Poly.x(F3)))
-    assert check_grid(y, 1 / y, ring) > 0
+    equal_cells, flagged = check_grid(y, 1 / y, ring)
+    assert equal_cells > 0 and flagged > 0

@@ -76,6 +76,16 @@ def test_discriminant_degree_one_rejected():
         discriminant(tw.x())
 
 
+def test_discriminant_inseparable_minpoly_rejected():
+    # Y^2 + x over F_2 has g' = 0, so Res(g, g') = 0; a tower cannot hold a
+    # root of it, so the minimal polynomial is passed in directly
+    x = RatFunc.gen(F2)
+    u = Tower(F2).extend("u", [x, 1, 1]).gen(0)  # u^2 + u + x, separable
+    g = [x, RatFunc.of(0, F2), RatFunc.of(1, F2)]
+    with pytest.raises(ValueError, match="inseparable"):
+        discriminant(u, (g, 2))
+
+
 def test_galois_apply_and_conjugates():
     tw = sqrt_x_tower()
     y = tw.gen(0)

@@ -76,8 +76,39 @@ def test_sublattice_membership():
     assert g.in_saturation((1,))
 
 
+def _in_q_span(rows, v):
+    """Fraction Gauss-Jordan: the earlier `in_saturation` route, kept as the
+    oracle of the kernel test."""
+    if not any(v):
+        return True
+    work = [[Fraction(x) for x in r] for r in rows]
+    target = [Fraction(x) for x in v]
+    ncols = len(target)
+    pividx = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(pividx, len(work)):
+            if work[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[pividx], work[sel] = work[sel], work[pividx]
+        f = work[pividx][col]
+        work[pividx] = [a / f for a in work[pividx]]
+        for i in range(len(work)):
+            if i != pividx and work[i][col]:
+                g = work[i][col]
+                work[i] = [a - g * b for a, b in zip(work[i], work[pividx])]
+        if target[col]:
+            g = target[col]
+            target = [a - g * b for a, b in zip(target, work[pividx])]
+        pividx += 1
+    return not any(target)
+
+
 def test_lattice_helpers_against_oracles():
-    from monogenic.unitgrp import _hnf_rows, _in_lattice, _in_q_span, _int_kernel, _saturate
+    from monogenic.unitgrp import GroupCtx, _hnf_rows, _in_lattice, _int_kernel, _saturate
 
     rng = random.Random(5150)
 
@@ -112,7 +143,7 @@ def test_lattice_helpers_against_oracles():
         coeffs = [rng.randrange(-3, 4) for _ in mat]
         combo = [sum(c * row[j] for c, row in zip(coeffs, mat)) for j in range(n)]
         assert _in_lattice(hnf, combo)
-        sat = _saturate([list(r) for r in mat], n)
+        _, sat = _saturate([list(r) for r in mat], n)
         for row in mat:
             assert _in_lattice(sat, row)
         for v in sat:
@@ -123,6 +154,13 @@ def test_lattice_helpers_against_oracles():
                 [list(r) for r in mat], probe
             ):
                 assert _in_lattice(sat, probe)
+        # in_saturation (orthogonal to the kernel) against Gauss-Jordan, on
+        # random probes and on rational combinations of the rows
+        basis = [Poly(F7, [c, 1]) for c in range(n)]  # x, x+1, ...: coprime
+        gctx = GroupCtx(F7, basis, mat, [F7.one] * m)
+        halves = [sum(c * row[j] for c, row in zip(coeffs, mat)) // 2 for j in range(n)]
+        for v in (probe, combo, halves, [0] * n, [2 * x for x in combo]):
+            assert gctx.in_saturation(v) == _in_q_span([list(r) for r in mat], v), (mat, v)
 
 
 # ---- pth_power_decompose ----------------------------------------------------
