@@ -108,6 +108,8 @@ def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
     tw = Tower(ctx)
     for lvl in _list(cfg.get("levels", []), "tower levels"):
         _check_keys(lvl, {"label", "poly"}, "tower level")
+        if not isinstance(lvl.get("label"), str) or "poly" not in lvl:
+            raise ConfigError("a tower level needs a string label and a poly")
         label = lvl["label"]
         env = _tower_env(tw) if tw.levels else _base_env(ctx, RatFunc.gen(ctx))
         zero = tw.from_base(0) if tw.levels else RatFunc.of(0, ctx)
@@ -204,12 +206,12 @@ def _parse_places(ctx: FqCtx, names) -> PlaceSet:
 def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict, int]:
     """Execute one scenario; returns (report dict, exit code).  Bad input
     raises ConfigError, including every ValueError the library raises on
-    the scenario's values."""
+    the scenario's values and the ZeroDivisionError of a zero element."""
     try:
         return _run(scenario, overrides or {})
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -242,7 +244,7 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
 
     def named(name: str, env, one):
         texts = _object(scenario.get("elements", {}), "elements")
-        if name not in texts:
+        if not isinstance(name, str) or name not in texts:
             raise ConfigError(f"scenario does not define element {name!r}")
         return _parse(texts[name], env, one, f"element {name!r}")
 

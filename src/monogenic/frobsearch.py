@@ -59,18 +59,20 @@ def _power(cache: list, base, n: int):
 class TowerPowerPair:
     """Oracle over a tower: s, t integral over the tagged ring.  One order
     record per power of s (by m) and of t (by n) is built on first use and
-    serves every cell of its row or column."""
+    serves every cell of its row or column; when t is s, both sides share
+    one cache of powers and records."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
         self.s = s
         self.t = t
         self.ring = ring
         self.p = s.tower.base.p
-        self._s_pows: List[AlgElem] = []
-        self._t_pows: List[AlgElem] = []
         # the m = n = 1 records double as the integrality check of the inputs
+        self._s_pows: List[AlgElem] = []
         self._s_orders: Dict[int, MonOrder] = {1: MonOrder(s, ring)}
-        self._t_orders: Dict[int, MonOrder] = {1: MonOrder(t, ring)}
+        shared = t.tower is s.tower and t == s
+        self._t_pows = self._s_pows if shared else []
+        self._t_orders = self._s_orders if shared else {1: MonOrder(t, ring)}
 
     def s_pow(self, m: int) -> AlgElem:
         return _power(self._s_pows, self.s, m)
@@ -134,7 +136,17 @@ class TowerPowerPair:
 
 
 class SymPowerPair:
-    """Oracle over the symmetric quadratic backend (sigma swaps x and y)."""
+    """Oracle over the symmetric quadratic backend (sigma swaps x and y).
+
+    One number per power decides most cells: the total degree of
+    s^m - sigma(s^m) (and of t^n - sigma(t^n)), -1 when the power is
+    symmetric.  Different degrees reject the cell, and both -1 accept it
+    (both orders are O itself).  That is sound because these are exactly
+    the early answers of `sym_orders_equal`: mutual membership makes both
+    difference quotients (u - sigma u)/(w - sigma w) and its inverse
+    polynomials, which forces equal degrees, and O[u] = O for symmetric u
+    while O[w] = O needs w symmetric.  Only cells of equal nonnegative
+    degree run the membership test."""
 
     def __init__(self, s: BivarPoly, t: BivarPoly):
         self.s = s
@@ -142,6 +154,8 @@ class SymPowerPair:
         self.p = s.ctx.p
         self._s_pows: List[BivarPoly] = []
         self._t_pows: List[BivarPoly] = []
+        self._s_degs: Dict[int, int] = {}
+        self._t_degs: Dict[int, int] = {}
 
     def s_pow(self, m: int) -> BivarPoly:
         return _power(self._s_pows, self.s, m)
@@ -149,11 +163,22 @@ class SymPowerPair:
     def t_pow(self, n: int) -> BivarPoly:
         return _power(self._t_pows, self.t, n)
 
+    @staticmethod
+    def _swap_degree(degs: Dict[int, int], power, n: int) -> int:
+        """Total degree of power(n) - sigma(power(n)), cached per n."""
+        if n not in degs:
+            u = power(n)
+            degs[n] = (u - u.swap()).total_degree()
+        return degs[n]
+
     def equal(self, m: int, n: int) -> bool:
-        sm, tn = self.s_pow(m), self.t_pow(n)
-        if sm.is_symmetric() and tn.is_symmetric():
+        ds = self._swap_degree(self._s_degs, self.s_pow, m)
+        dt = self._swap_degree(self._t_degs, self.t_pow, n)
+        if ds != dt:
+            return False
+        if ds < 0:
             return True  # both orders are O itself
-        return bool(sym_orders_equal(sm, tn))
+        return bool(sym_orders_equal(self.s_pow(m), self.t_pow(n)))
 
     @staticmethod
     def _is_unit(v: BivarPoly) -> bool:

@@ -25,7 +25,7 @@ distinct-degree and Cantor-Zassenhaus equal-degree splitting.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from .gf import FqCtx, FqElem, _fp_poly_mul
 
@@ -522,17 +522,17 @@ class Poly:
         _, factors = self.factor()
         return len(factors) == 1 and factors[0][1] == 1
 
-    def multiplicity_of(self, pi: "Poly") -> int:
-        """Multiplicity of the monic factor pi in self."""
+    def split_off(self, b: "Poly") -> Tuple[int, "Poly"]:
+        """(k, self / b^k) for the largest k with b^k dividing self."""
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial")
-        m = 0
+        k = 0
         f = self
         while True:
-            q, r = divmod(f, pi)
-            if not r.is_zero():
-                return m
-            m += 1
+            q, r = divmod(f, b)
+            if r:
+                return k, f
+            k += 1
             f = q
 
     # ---- text form
@@ -685,6 +685,14 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @staticmethod
+    def _coprime(num: Poly, den: Poly) -> "RatFunc":
+        """num/den as given: den monic and coprime to num (1 when num = 0)."""
+        r = object.__new__(RatFunc)
+        r.num = num
+        r.den = den
+        return r
+
     @classmethod
     def of(cls, v, ctx: FqCtx) -> "RatFunc":
         if isinstance(v, RatFunc):
@@ -782,7 +790,8 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return (RatFunc(Poly.one(self.ctx)) / self) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # powers of coprime polynomials stay coprime, and of monic ones monic
+        return RatFunc._coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Poly, FqElem)):
@@ -895,7 +904,7 @@ def valuation(a: RatFunc, v: Place) -> int:
         raise ValueError("valuation of zero is +infinity")
     if v.is_infinite:
         return a.den.degree() - a.num.degree()
-    return a.num.multiplicity_of(v.pi) - a.den.multiplicity_of(v.pi)
+    return a.num.split_off(v.pi)[0] - a.den.split_off(v.pi)[0]
 
 
 def support(a: RatFunc):

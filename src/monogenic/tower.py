@@ -381,13 +381,6 @@ class Tower:
     def gen_labels(self) -> List[str]:
         return [lv.label for lv in self.levels]
 
-    def from_coords(self, coords: Sequence[RatFunc]) -> "AlgElem":
-        n = self.degree_total()
-        flat = [RatFunc.of(c, self.base) for c in coords]
-        if len(flat) != n:
-            raise ValueError("coordinate vector has wrong length")
-        return AlgElem(self, self._unflatten(self.top, flat))
-
     def describe(self) -> str:
         parts = [f"F{self.base.q}(x)"]
         for lv in self.levels:
@@ -488,12 +481,6 @@ class AlgElem:
         if any(not c.is_zero() for c in flat[1:]):
             return None
         return flat[0]
-
-    def common_denominator(self) -> Poly:
-        den = Poly.one(self.tower.base)
-        for c in self.coords():
-            den = (den * c.den) // den.gcd(c.den)
-        return den
 
     def __repr__(self):
         labels = self.tower.gen_labels()

@@ -10,11 +10,18 @@ the coset enumeration of the solver finite.
 
 The solver turns the constructive finiteness proof into an algorithm:
 enumerate coset representatives eps of H/H^p; for each ordered pair
-(eps_i, eps_j) with both nontrivial, decide eps_j in L^p + L^p eps_i via
-the p-basis decomposition; the directness of L^p + L^p eps_i then pins the
-unique candidate solution, which is kept when it lands in H and descends
-into G after finitely many Frobenius twists.  Torsion solutions (inside
-F_q*) are enumerated directly and grouped into Frobenius orbits.
+(eps_i, eps_j) with both nontrivial and eps_j in L^p + L^p eps_i, the
+directness of that sum pins the unique candidate solution, which is kept
+when it lands in H and descends into G after finitely many Frobenius
+twists.  Write eps = sum d_m^p x^m over the p-basis.  Then eps_j = a + b
+eps_i with a, b in L^p exactly when the tails (d_1..d_{p-1}) of the two
+cosets are proportional, and the factor b is never 0 because a nontrivial
+coset is not a p-th power.  So the cosets are bucketed by the projective
+class of their tail, (m0, d_m/d_m0) at the first nonzero d_m0, and only
+pairs within a bucket are solved.  Values are built in exponent space (the
+basis is coprime and monic), and only x1, y1 with x = x1^p eps_i are
+factored.  Torsion solutions (inside F_q*) are enumerated directly and
+grouped into Frobenius orbits.
 
 The four-term p-power identity A p^{X1} - A p^{X2} + B p^{X3} - B p^{X4} = 0
 is explored by bounded enumeration only; the full difference set is not
@@ -24,7 +31,7 @@ enumerable and nothing here claims completeness beyond the box.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from typing import List, Optional, Sequence, Tuple
 
@@ -139,10 +146,12 @@ def _in_lattice(hnf: List[List[int]], v: Sequence[int]) -> bool:
 
 class GroupCtx:
     """Multiplicative subgroup of F_q(x)*: torsion F_q* times the lattice of
-    exponent vectors over a coprime squarefree basis."""
+    exponent vectors over a coprime squarefree monic basis."""
 
     def __init__(self, ctx: FqCtx, basis: List[Poly], gen_vectors: List[List[int]],
                  gen_torsion: List[FqElem]):
+        if not all(b.is_monic() for b in basis):
+            raise ValueError("a group basis must be monic")
         self.ctx = ctx
         self.basis = tuple(basis)
         self.rank = len(basis)
@@ -150,11 +159,6 @@ class GroupCtx:
         self.gen_torsion = tuple(gen_torsion)
         self.lattice = _hnf_rows([list(v) for v in gen_vectors])
         self._kernel, self.sat_basis = _saturate([list(v) for v in gen_vectors], self.rank)
-        # an irreducible witness factor of each basis element, for valuations
-        self._witness = []
-        for b in basis:
-            _, fs = b.factor()
-            self._witness.append(fs[0][0])
 
     def in_lattice(self, v: Sequence[int]) -> bool:
         return _in_lattice(self.lattice, v)
@@ -163,31 +167,39 @@ class GroupCtx:
         return all(sum(a * b for a, b in zip(k, v)) == 0 for k in self._kernel)
 
     def value(self, torsion: FqElem, exponents: Sequence[int]) -> RatFunc:
-        out = RatFunc.of(torsion, self.ctx)
+        """tau * prod basis_i^{e_i}, already in lowest terms: the basis is
+        monic and coprime, so num and den are the positive and negative powers."""
+        num, den = Poly.constant(torsion), Poly.one(self.ctx)
         for b, e in zip(self.basis, exponents):
-            if e:
-                out = out * RatFunc(b) ** e
-        return out
+            if e > 0:
+                num = num * b ** e
+            elif e < 0:
+                den = den * b ** -e
+        return RatFunc._coprime(num, den) if num else RatFunc(num)
 
     def factor_over_basis(self, a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
         """Write a = tau * prod basis_i^{e_i}; None when a does not factor
         over (torsion x basis)."""
-        if a.is_zero():
-            return None
-        vec = []
-        rest = a
-        for b, pi in zip(self.basis, self._witness):
-            e = rest.num.multiplicity_of(pi) - rest.den.multiplicity_of(pi)
-            vec.append(e)
-            if e:
-                rest = rest / RatFunc(b) ** e
-        if not rest.is_constant():
-            return None
-        return rest.constant_value(), tuple(vec)
+        return None if a.is_zero() else _factor_over(self.basis, a)
 
     def __repr__(self):
         bs = ", ".join(repr(b) for b in self.basis)
         return f"<group over F{self.ctx.q}(x): basis [{bs}], rank {self.rank}>"
+
+
+def _factor_over(basis: Sequence[Poly], a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
+    """(tau, e) with a = tau * prod basis_i^{e_i} (a != 0, a coprime monic
+    basis), or None.  Each basis element divides at most one of num and den,
+    as often as its exponent says; a factors when a constant is left."""
+    num, den = a.num, a.den
+    vec = []
+    for b in basis:
+        e, num = num.split_off(b)
+        if not e:
+            e, den = den.split_off(b)
+            e = -e
+        vec.append(e)
+    return (num.coeff(0), tuple(vec)) if num.is_constant() and den.is_constant() else None
 
 
 @dataclass(frozen=True)
@@ -195,8 +207,11 @@ class GroupElem:
     gctx: GroupCtx
     torsion: FqElem
     exponents: Tuple[int, ...]
+    known_value: Optional[RatFunc] = field(default=None, compare=False)
 
     def value(self) -> RatFunc:
+        if self.known_value is not None:
+            return self.known_value
         return self.gctx.value(self.torsion, self.exponents)
 
     def key(self):
@@ -254,26 +269,10 @@ def build_group(generators: Sequence, ctx: FqCtx) -> GroupCtx:
         insert(f)
     base.sort(key=Poly.sort_key)
 
-    witnesses = []
-    for b in base:
-        _, fs = b.factor()
-        witnesses.append(fs[0][0])
-
-    vectors = []
-    torsions = []
-    for g in gens:
-        vec = []
-        rest = g
-        for b, pi in zip(base, witnesses):
-            e = rest.num.multiplicity_of(pi) - rest.den.multiplicity_of(pi)
-            vec.append(e)
-            if e:
-                rest = rest / RatFunc(b) ** e
-        if not rest.is_constant():
-            raise AssertionError("generator did not factor over the refined basis")
-        vectors.append(vec)
-        torsions.append(rest.constant_value())
-    return GroupCtx(ctx, base, vectors, torsions)
+    factored = [_factor_over(base, g) for g in gens]
+    if None in factored:
+        raise AssertionError("generator did not factor over the refined basis")
+    return GroupCtx(ctx, base, [list(f[1]) for f in factored], [f[0] for f in factored])
 
 
 # ---------------------------------------------------------------------------
@@ -339,91 +338,75 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     families: List[SolutionFamily] = []
 
     # torsion families: solutions inside F_q* x F_q*, one per Frobenius orbit
+    # (Frobenius has order k on F_q, q = p^k)
     seen = set()
+    zvec = (0,) * gctx.rank
     for xe in ctx.elements():
-        if xe.is_zero() or xe == ctx.one:
-            continue
         ye = ctx.one - xe
-        if ye.is_zero():
+        if xe.is_zero() or ye.is_zero() or (xe.raw, ye.raw) in seen:
             continue
-        if (xe.raw, ye.raw) in seen:
-            continue
-        orbit = []
-        cur = (xe, ye)
-        while cur not in orbit:
-            orbit.append(cur)
-            cur = (cur[0].frobenius(), cur[1].frobenius())
+        orbit = [(xe, ye)]
+        for _ in range(1, ctx.k):
+            orbit.append((orbit[-1][0].frobenius(), orbit[-1][1].frobenius()))
+        seen.update((a.raw, b.raw) for a, b in orbit)
         rep = min(orbit, key=lambda t: (t[0].raw, t[1].raw))
-        for o in orbit:
-            seen.add((o[0].raw, o[1].raw))
-        zvec = (0,) * gctx.rank
-        families.append(
-            SolutionFamily(
-                GroupElem(gctx, rep[0], zvec), GroupElem(gctx, rep[1], zvec), True
-            )
-        )
+        families.append(SolutionFamily(
+            GroupElem(gctx, rep[0], zvec), GroupElem(gctx, rep[1], zvec), True))
 
-    # nontorsion families via H/H^p cosets
+    # nontorsion families via H/H^p cosets, bucketed by the projective class
+    # of the p-basis tail (d_1..d_{p-1}) of each coset's value
     sat = gctx.sat_basis
     rho = len(sat)
-    cosets = []
+    buckets = {}
     for tup in itertools.product(range(p), repeat=rho):
+        if not any(tup):
+            continue
         vec = tuple(
             sum(tup[i] * sat[i][c] for i in range(rho)) for c in range(gctx.rank)
         )
-        cosets.append((tup, vec))
-    nonzero = [cv for cv in cosets if any(cv[0])]
-
-    decomp_cache = {}
-
-    def decomp(vec):
-        if vec not in decomp_cache:
-            decomp_cache[vec] = pth_power_decompose(gctx.value(ctx.one, vec))
-        return decomp_cache[vec]
+        val = gctx.value(ctx.one, vec)
+        d = pth_power_decompose(val)
+        m0 = next((m for m in range(1, p) if not d[m].is_zero()), None)
+        if m0 is None:
+            raise AssertionError("nontrivial coset representative is a p-th power")
+        key = (m0, tuple(d[m] / d[m0] for m in range(1, p)))
+        buckets.setdefault(key, []).append((vec, val, d))
 
     one_rf = RatFunc.of(1, ctx)
-    for (ti, vi) in nonzero:
-        d = decomp(vi)
-        support = [m for m in range(1, p) if not d[m].is_zero()]
-        if not support:
-            raise AssertionError("nontrivial coset representative is a p-th power")
-        for (tj, vj) in nonzero:
-            c = decomp(vj)
-            m0 = support[0]
-            b_val = c[m0] / d[m0]
-            if any(c[m] != b_val * d[m] for m in range(1, p)):
-                continue  # the sum L^p + L^p eps_i + L^p eps_j is direct
-            a_val = c[0] - b_val * d[0]
-            if a_val.is_zero():
-                continue
-            y1 = one_rf / a_val
-            x1 = -b_val / a_val
-            if x1.is_zero():
-                continue
-            x = x1 ** p * gctx.value(ctx.one, vi)
-            y = y1 ** p * gctx.value(ctx.one, vj)
-            if x + y != one_rf:
-                raise AssertionError("coset solution does not satisfy x + y = 1")
-            fx = gctx.factor_over_basis(x)
-            fy = gctx.factor_over_basis(y)
-            if fx is None or fy is None:
-                continue
-            if not (gctx.in_saturation(fx[1]) and gctx.in_saturation(fy[1])):
-                continue
-            # descend: least p-power twist landing inside G
-            n = None
-            for k in range(height_bound + 1):
-                scale = p ** k
-                if gctx.in_lattice([e * scale for e in fx[1]]) and gctx.in_lattice(
-                    [e * scale for e in fy[1]]
-                ):
-                    n = k
-                    break
-            if n is None:
-                continue
-            ex = GroupElem(gctx, fx[0], fx[1]).pth_power(n) if n else GroupElem(gctx, fx[0], fx[1])
-            ey = GroupElem(gctx, fy[0], fy[1]).pth_power(n) if n else GroupElem(gctx, fy[0], fy[1])
-            families.append(SolutionFamily(ex, ey, False))
+    for (m0, _), members in buckets.items():
+        for vi, val_i, d in members:
+            for vj, val_j, c in members:
+                # c = a + b d over L^p with b = c_m0 / d_m0 != 0
+                b_val = c[m0] / d[m0]
+                a_val = c[0] - b_val * d[0]
+                if a_val.is_zero():
+                    continue
+                y1 = one_rf / a_val
+                x1 = -b_val / a_val
+                x = x1 ** p * val_i
+                y = y1 ** p * val_j
+                if x + y != one_rf:
+                    raise AssertionError("coset solution does not satisfy x + y = 1")
+                # x = x1^p * prod basis^{v_i}: factor x1 only
+                f1x = gctx.factor_over_basis(x1)
+                f1y = gctx.factor_over_basis(y1)
+                if f1x is None or f1y is None:
+                    continue
+                ex = tuple(p * e + v for e, v in zip(f1x[1], vi))
+                ey = tuple(p * e + v for e, v in zip(f1y[1], vj))
+                if not (gctx.in_saturation(ex) and gctx.in_saturation(ey)):
+                    continue
+                # descend: least p-power twist landing inside G
+                n = next((k for k in range(height_bound + 1)
+                          if gctx.in_lattice([e * p ** k for e in ex])
+                          and gctx.in_lattice([e * p ** k for e in ey])), None)
+                if n is None:
+                    continue
+                q = p ** n
+                families.append(SolutionFamily(
+                    GroupElem(gctx, f1x[0].frobenius(n + 1), tuple(e * q for e in ex), x ** q),
+                    GroupElem(gctx, f1y[0].frobenius(n + 1), tuple(e * q for e in ey), y ** q),
+                    False))
 
     families.sort(key=lambda f: (not f.torsion, f.x0.key(), f.y0.key()))
     return families
@@ -442,11 +425,10 @@ def brute_force_xy1(gctx: GroupCtx, exponent_box: int) -> List[Tuple[GroupElem, 
     for vec in itertools.product(range(-exponent_box, exponent_box + 1), repeat=r):
         if not gctx.in_lattice(vec):
             continue
-        base_val = gctx.value(ctx.one, vec)
         for tau in ctx.elements():
             if tau.is_zero():
                 continue
-            x = RatFunc.of(tau, ctx) * base_val
+            x = gctx.value(tau, vec)
             y = one - x
             if y.is_zero():
                 continue

@@ -74,13 +74,6 @@ class VerificationReport:
             ],
         }
 
-    def to_text(self) -> str:
-        lines = [self.title]
-        for c in self.checks:
-            lines.append(f"  [{c.status:4}] {c.name}: {c.detail}")
-        lines.append(f"  => {'ALL CHECKS PASSED' if self.passed else 'FAILURES PRESENT'}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # twisted quartic family over F_2: y^4 + x^2 y^2 + y + 1 = 0, s = x*y,
@@ -237,6 +230,8 @@ def shifted_tower(eta: Poly) -> Tower:
 
 
 def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) -> VerificationReport:
+    if m_max > 6:
+        raise ValueError("s^(4^m) grows as 4^m; keep m_max <= 6")
     ctx = FqCtx(2)
     if eta is None:
         eta = Poly(ctx, [1, 1])  # x + 1

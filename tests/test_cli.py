@@ -256,10 +256,21 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
     ({"task": "bounds", "params": dict(_BOUNDS, **{"lambda": 0})}, "lambda must be at least 1"),
     ({"task": "bounds", "params": dict(_BOUNDS, S_size=-1)}, "S_size must be at least 0"),
     ({"task": "bounds", "params": dict(_BOUNDS, r=-1)}, "r must be at least 0"),
+    ({"task": "order-eq", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
+      "params": {"s": ["s"]}}, "scenario does not define element ['s']"),
+    ({"task": "verify-33", "params": {"m_max": 7}}, "keep m_max <= 6"),
+    ({"task": "search", "backend": "symmetric", "base": {"p": 3},
+      "elements": {"s": "x+y", "t": "0"}}, "division by zero"),
+    ({"task": "disc", "tower": {"levels": [{"poly": "s^2+x"}]}, "elements": {"s": "s"}},
+     "a tower level needs a string label and a poly"),
+    ({"task": "disc", "tower": {"levels": [{"label": ["s"], "poly": "s^2+x"}]},
+      "elements": {"s": "s"}}, "a tower level needs a string label and a poly"),
 ], ids=["disc-no-tower", "order-eq-no-tower", "search-no-tower", "ef-no-tower",
         "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
-        "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r"])
+        "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "list-element-name",
+        "verify-33-m_max", "zero-element", "level-without-label",
+        "list-label"])
 def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
     # each of these ended in a traceback (exit 1) or in a silent answer
     assert main([_write(tmp_path, scenario)]) == 2

@@ -194,3 +194,20 @@ def test_text_roundtrip_forms():
     assert repr(a) == "(x+1)/(x)"
     g = Poly(F4, [F4.gen, F4.one]) * Poly(F4, [0, 1])
     assert repr(g) == "x^2+z*x"
+
+
+@given(st.sampled_from([F2, F3, F7, F4]), st.integers(-1, 6), st.integers(0, 5),
+       st.integers(-4, 7), st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_coprime_and_pow_match_normalizing_constructor(ctx, dn, dd, n, seed):
+    rng = random.Random(seed)
+    num = Poly.random(ctx, dn, rng) if dn >= 0 else Poly.zero(ctx)
+    a = RatFunc(num, Poly.random(ctx, dd, rng))
+    # a canonical pair passes through _coprime unchanged
+    b = RatFunc._coprime(a.num, a.den)
+    assert (b.num, b.den) == (a.num, a.den) and b == a and hash(b) == hash(a)
+    if a.is_zero() and n < 0:
+        return
+    want = RatFunc(a.num ** n, a.den ** n) if n >= 0 else RatFunc(a.den ** -n, a.num ** -n)
+    got = a ** n
+    assert (got.num, got.den) == (want.num, want.den)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenic import FqCtx, Poly, RatFunc
+from monogenic import FqCtx, Poly, RatFunc, Tower
 from monogenic.parse import MAX_DEGREE, ParseError, parse_element
+from monogenic.tower import AlgElem
+from monogenic.verify import shifted_tower
 
 FIELDS = [FqCtx(2), FqCtx(3), FqCtx(7), FqCtx(2, 2)]
 
@@ -54,3 +56,50 @@ def test_degree_limit():
                  f"2^{MAX_DEGREE + 1}", "x^-99999999"):
         with pytest.raises(ParseError):
             parse_element(text, env, one)
+
+
+def _shifted_quartic():
+    return shifted_tower(Poly(FqCtx(2), [1, 1]))
+
+
+def _two_level_degree_8():
+    tw = _shifted_quartic()
+    s = tw.gen(0)
+    return tw.extend("u", [s, 1, 1])  # u^2 + u + s over K(s)
+
+
+def _f3_cubic():
+    ctx = FqCtx(3)
+    x = RatFunc.gen(ctx)
+    return Tower(ctx).extend("y", [-x, -1, 0, 1])  # y^3 - y - x
+
+
+def _random_ratfunc(ctx, rng):
+    num = Poly.random(ctx, rng.randint(0, 3), rng) if rng.random() < 0.8 else Poly.zero(ctx)
+    den = Poly.random(ctx, rng.randint(0, 2), rng)
+    return RatFunc(num, den)
+
+
+def _random_elem(tw, rng):
+    """A random K-combination of the power-basis monomials of the tower."""
+    out = tw.from_base(0)
+    monomials = [tw.from_base(1)]
+    for i in range(len(tw.levels)):
+        g = tw.gen(i)
+        monomials = [m * g ** e for m in monomials for e in range(tw.levels[i].degree)]
+    for m in monomials:
+        if rng.random() < 0.6:
+            out = out + m * _random_ratfunc(tw.base, rng)
+    return out
+
+
+@pytest.mark.parametrize("make", [_shifted_quartic, _two_level_degree_8, _f3_cubic])
+def test_algelem_repr_parses_back(make):
+    tw = make()
+    env = {"x": tw.x(), **{lv.label: tw.gen(i) for i, lv in enumerate(tw.levels)}}
+    one = tw.from_base(1)
+    rng = random.Random(len(tw.levels) * 10 + tw.base.p)
+    elems = [tw.from_base(0), one, tw.x(), -tw.gen(0)] + [_random_elem(tw, rng) for _ in range(40)]
+    for a in elems:
+        back = parse_element(repr(a), env, one)
+        assert isinstance(back, AlgElem) and back == a, repr(a)
