@@ -9,6 +9,8 @@
 # 4. a 5 s default-seed run of the search, verify and sym_unit workloads:
 #    run.py compares their report digests with perfbench/digests.json and
 #    prints "correct": false on any difference or failed task.
+# It ends by printing the line total of src/, the size figure each change
+# reports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -31,3 +33,4 @@ sys.exit(0 if result["correct"] and not result["failed"] else 1)
 '
 done
 echo "== all gates passed"
+echo "== src/ lines: $(find src -name "*.py" -exec cat {} + | wc -l)"

@@ -13,7 +13,9 @@ A scenario is a JSON file with a `task` plus the data it needs:
       "params": { ... }                                # task parameters
     }
 
-Unknown keys anywhere are rejected (exit 2).  Exit codes: 0 success,
+Unknown keys anywhere are rejected (exit 2), and so is a base the task
+does not read: verify-a1 and verify-33 run over F_2 only, verify-b over
+F_7 only, and bounds takes no base.  Exit codes: 0 success,
 1 a verify-style task had failing checks, 2 configuration error.
 `--json` selects machine output; reports are deterministic and re-runs are
 byte-identical (timing goes to stderr, never into the report).
@@ -63,6 +65,9 @@ _TOP_KEYS = {"task", "base", "backend", "tower", "elements", "params"}
 
 # the params that --box sets, per task
 _BOX_KEYS = {"search": ("m_max", "n_max"), "ef": ("bound",)}
+
+# tasks whose field is fixed, as (p, k), or that read no field (None)
+_FIXED_BASE = {"verify-a1": (2, 1), "verify-33": (2, 1), "verify-b": (7, 1), "bounds": None}
 
 
 def _json_type(value) -> str:
@@ -225,6 +230,12 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         if val is not None:
             params[key] = val
     ctx = _build_base(scenario.get("base"))
+    if task in _FIXED_BASE and "base" in scenario:
+        fixed = _FIXED_BASE[task]
+        if fixed is None:
+            raise ConfigError(f"base: task {task!r} takes no base")
+        if (ctx.p, ctx.k) != fixed:
+            raise ConfigError(f"base: task {task!r} runs over F_{fixed[0]} only")
     backend = scenario.get("backend", "tower")
     if backend not in ("tower", "symmetric"):
         raise ConfigError(f"unknown backend {backend!r}")

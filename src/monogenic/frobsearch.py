@@ -3,7 +3,7 @@
 The grid search is exact order equality on every cell, run through either
 the tower backend or the quadratic symmetric backend.  The tower backend
 keeps one order record per power s^m and t^n (minimal polynomial, degree,
-power-basis columns, discriminant) and rejects a cell before any linear
+power-basis span, discriminant) and rejects a cell before any linear
 solve when the degrees differ or when disc(s^m)/disc(t^n) is not a unit of
 the tagged ring (a nonzero constant of F_q[x], a T-unit of O_{K,T}).  The
 prune is sound: O[s^m] = O[t^n] makes the change of basis between the two
@@ -135,6 +135,20 @@ class TowerPowerPair:
         return None  # needs a declared automorphism; quadratic case is in SymPowerPair
 
 
+def sym_flags(sm: BivarPoly, tn: BivarPoly) -> Tuple[bool, bool, bool]:
+    """(in_A, in_B, in_C) of a cell of the symmetric backend: whether
+    s^m/t^n, s^m/sigma(t^n) (only when [K(t^n):K] = 2) and s^m*t^n are
+    units of F_q[x, y], the nonzero constants.  A quotient u/w is such a
+    unit iff u = c*w exactly."""
+
+    def unit(v: Optional[BivarPoly]) -> bool:
+        return v is not None and v.is_constant() and not v.is_zero()
+
+    stn = tn.swap()
+    in_b = not (tn - stn).is_zero() and unit(sm.divide_exact(stn))
+    return unit(sm.divide_exact(tn)), in_b, unit(sm * tn)
+
+
 class SymPowerPair:
     """Oracle over the symmetric quadratic backend (sigma swaps x and y).
 
@@ -180,24 +194,8 @@ class SymPowerPair:
             return True  # both orders are O itself
         return bool(sym_orders_equal(self.s_pow(m), self.t_pow(n)))
 
-    @staticmethod
-    def _is_unit(v: BivarPoly) -> bool:
-        return v.is_constant() and not v.is_zero()
-
-    def _unit_quotient(self, u: BivarPoly, w: BivarPoly) -> bool:
-        # u/w a nonzero constant iff u = c*w exactly
-        q = u.divide_exact(w)
-        return q is not None and self._is_unit(q)
-
     def flags(self, m: int, n: int):
-        sm, tn = self.s_pow(m), self.t_pow(n)
-        in_a = self._unit_quotient(sm, tn)
-        in_c = self._is_unit(sm * tn)
-        stn = tn.swap()
-        in_b = False
-        if not (tn - stn).is_zero():  # [K(t^n):K] = 2
-            in_b = self._unit_quotient(sm, stn)
-        return in_a, in_b, in_c
+        return sym_flags(self.s_pow(m), self.t_pow(n))
 
     def nondegenerate_witness(self, m: int, n: int) -> Optional[str]:
         """For (m, n) in the searched set, check the three-term solution
@@ -562,7 +560,7 @@ def compute_ef(s: AlgElem, search_bound: int = 24) -> StableExponent:
     pows = {1: s}
     for n in range(2, search_bound + 1):
         pows[n] = pows[n - 1] * s
-    # s need not be integral: the records only carry degrees and columns
+    # s need not be integral: a record only needs its degree and its span
     records = {n: MonOrder(pows[n], require_integral=False) for n in pows}
     degrees = [(n, rec.d) for n, rec in records.items()]
 

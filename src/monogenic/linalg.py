@@ -15,37 +15,13 @@ def solve_in_span(columns: Sequence[Sequence], target: Sequence, zero, one) -> O
     When the columns are dependent an arbitrary consistent solution comes
     back; callers that need uniqueness pass independent columns.
     """
-    m = len(columns)
     n = len(target)
     if any(len(col) != n for col in columns):
         raise ValueError("ragged column lengths")
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        sel = None
-        for r in range(row, n):
-            if bool(rows[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        inv = one / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(n):
-            if r != row and bool(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if bool(rows[r][m]):
-            return None
-    sol = [zero] * m
-    for r, c in pivots:
-        sol[c] = rows[r][m]
-    return sol
+    span = SpanTracker(zero, one)
+    for col in columns:
+        span.add(col)
+    return span.express(target)
 
 
 class SpanTracker:
@@ -54,6 +30,8 @@ class SpanTracker:
     Feed vectors one at a time.  `add` returns None while the fed vectors
     stay independent; at the first dependence it returns coefficients
     c_0..c_{j-1} with v_j = sum c_i v_i over the previously fed vectors.
+    A dependent vector is counted but not stored, so it gets coefficient 0
+    in every later combination.
     """
 
     def __init__(self, zero, one):
@@ -62,30 +40,31 @@ class SpanTracker:
         self.rows = []  # (pivot, reduced vector, expression over fed vectors)
         self.count = 0
 
-    def _pad(self, expr: List) -> List:
-        return expr + [self.zero] * (self.count - len(expr))
-
-    def add(self, vec: Sequence) -> Optional[List]:
+    def _reduce(self, vec: Sequence):
+        """(cur, used) with cur = vec - sum used_i v_i zero at every pivot."""
         cur = list(vec)
-        used = [self.zero] * self.count  # cur = vec - sum used_i * v_i
+        used = [self.zero] * self.count
         for pivot, rvec, rexpr in self.rows:
             c = cur[pivot]
-            if bool(c):
+            if c:
                 cur = [a - c * b for a, b in zip(cur, rvec)]
-                rex = self._pad(rexpr)
-                used = [a + c * b for a, b in zip(used, rex)]
-        pivot = None
-        for i, c in enumerate(cur):
-            if bool(c):
-                pivot = i
-                break
+                for i, b in enumerate(rexpr):
+                    used[i] = used[i] + c * b
+        return cur, used
+
+    def express(self, vec: Sequence) -> Optional[List]:
+        """Coefficients c_i with vec = sum c_i v_i over the fed vectors, or
+        None when vec lies outside their span; vec is not stored."""
+        cur, used = self._reduce(vec)
+        return None if any(cur) else used
+
+    def add(self, vec: Sequence) -> Optional[List]:
+        cur, used = self._reduce(vec)
+        self.count += 1
+        pivot = next((i for i, c in enumerate(cur) if c), None)
         if pivot is None:
-            self.count += 1
             return used
         inv = self.one / cur[pivot]
-        rvec = [inv * c for c in cur]
-        # rvec = inv * (vec - sum used_i v_i): expression over fed vectors
-        rexpr = [-(inv * c) for c in used] + [inv]
-        self.rows.append((pivot, rvec, rexpr))
-        self.count += 1
+        # inv * cur = inv * (vec - sum used_i v_i): expression over fed vectors
+        self.rows.append((pivot, [inv * c for c in cur], [-(inv * c) for c in used] + [inv]))
         return None

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit
-from .linalg import solve_in_span
+from .linalg import SpanTracker, solve_in_span
 from .tower import AlgElem, discriminant, frobenius_power, minimal_polynomial
 
 
@@ -58,18 +58,19 @@ POLY_RING = RingTag()
 class MonOrder:
     """O[s] for an integral separable generator s, and the record of s:
     its minimal polynomial, degree d, integrality over the tagged ring,
-    power-basis columns and (on first use) its discriminant, each computed
-    once.  `require_integral=False` keeps the record of a non-integral s
-    instead of raising."""
+    the span of its power basis 1, s, ..., s^{d-1} (the SpanTracker that
+    found the minimal polynomial) and (on first use) its discriminant, each
+    computed once.  `require_integral=False` keeps the record of a
+    non-integral s instead of raising."""
 
     def __init__(
         self, generator: AlgElem, ring: RingTag = POLY_RING, require_integral: bool = True
     ):
         self.generator = generator
         self.ring = ring
-        # the power loop behind the minimal polynomial yields the columns
-        self.columns: List[List[RatFunc]] = []
-        self.minpoly, self.d = minimal_polynomial(generator, self.columns)
+        ctx = generator.tower.base
+        self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
+        self.minpoly, self.d = minimal_polynomial(generator, self.span)
         bad = [c for c in self.minpoly if not ring.contains(c)]
         self.integral = not bad
         if bad and require_integral:
@@ -92,16 +93,12 @@ class MonOrder:
 def express_in_power_basis(t: AlgElem, order: MonOrder) -> Optional[Tuple[RatFunc, ...]]:
     """Coordinates c_0..c_{d-1} over K with t = sum c_i s^i, or None when
     t lies outside K(s)."""
-    tower = order.generator.tower
-    if t.tower is not tower:
+    if t.tower is not order.generator.tower:
         raise ValueError("element and order live in different towers")
-    ctx = tower.base
-    sol = solve_in_span(
-        order.columns, t.coords(), RatFunc.of(0, ctx), RatFunc.of(1, ctx)
-    )
+    sol = order.span.express(t.coords())
     if sol is None:
         return None
-    return tuple(sol)
+    return tuple(sol[:order.d])  # s^d was fed last, and is dependent
 
 
 def in_order(t: AlgElem, order: MonOrder) -> bool:

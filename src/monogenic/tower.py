@@ -2,8 +2,13 @@
 
 A tower is a chain K = L_0 < L_1 < ... < L_n where L_i = L_{i-1}(g_i) for a
 monic separable defining polynomial f_i over L_{i-1}.  A value at level i is
-a tuple of level-(i-1) values of length deg f_i (level 0: a RatFunc).  The
-product power basis g_n^{a_n} ... g_1^{a_1} orders flattened coordinates.
+the tuple of its deg f_1 * ... * deg f_i coordinates over K in the product
+power basis g_i^{a_i} ... g_1^{a_1}, with g_1 varying fastest.  The basis of
+L_{i-1} is the start of the basis of L_i (the monomials with a_i = 0), so a
+lower level's value is the start of its value at a higher level and
+embedding pads with zeros.  Read as a polynomial in g_i, a level-i value
+has deg f_i consecutive blocks of coordinates as its coefficients, which
+is how multiplication reduces by f_i.
 
 Galois action is by declared generator images only: automatic splitting
 fields are out of scope, and every caller-declared map is verified to send
@@ -18,6 +23,9 @@ failure after the bounded scan records the level as "assumed".
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
@@ -123,12 +131,22 @@ def kp_str(f, var: str = "Y") -> str:
 # towers
 # ---------------------------------------------------------------------------
 
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 class Level:
     __slots__ = ("label", "coeffs", "degree", "status")
 
     def __init__(self, label: str, coeffs, degree: int, status: str):
         self.label = label
-        self.coeffs = coeffs  # tuple of lower-level values, length degree+1, monic
+        # lower-level values, length degree+1, monic: elements of K for the
+        # first level, coordinate tuples above
+        self.coeffs = coeffs
         self.degree = degree
         self.status = status  # "certified(...)" or "assumed"
 
@@ -139,6 +157,7 @@ class Tower:
     def __init__(self, base: FqCtx):
         self.base = base
         self.levels: List[Level] = []
+        self._zero = (RatFunc.of(0, base),)  # the zero of the top level
 
     # ---- construction
 
@@ -152,11 +171,12 @@ class Tower:
         d = len(cs) - 1
         if d < 2:
             raise ValueError("defining polynomial must have degree >= 2")
-        if cs[-1] != self._embed_to(0, lvl, RatFunc.of(1, self.base)):
+        if cs[-1] != self._coerce_val(lvl, 1):
             raise ValueError("defining polynomial must be monic")
         status = self._certify(lvl, cs, assume_irreducible)
         self._check_separable(lvl, cs)
         self.levels.append(Level(label, tuple(cs), d, status))
+        self._zero = self._zero * d
         return self
 
     def _certify(self, lvl: int, cs, assume: bool) -> str:
@@ -188,172 +208,89 @@ class Tower:
         return "assumed"
 
     def _check_separable(self, lvl: int, cs):
-        der = [
-            self._mul(lvl, cs[i], self._embed_to(0, lvl, RatFunc.of(i, self.base)))
-            for i in range(1, len(cs))
-        ]
-        if len(self._poly_gcd(lvl, cs, der)) != 1:
+        # the coefficients are values of the current top level `lvl`, so
+        # Res(f, f') is computed over it; it vanishes iff gcd(f, f') != 1
+        f = cs if lvl == 0 else [AlgElem(self, c) for c in cs]
+        if kp_resultant(f, kp_derivative(f, self.base), self.base).is_zero():
             raise ValueError("defining polynomial is not separable")
 
     def _coerce_val(self, lvl: int, v):
-        """Coerce v (int, FqElem, Poly, RatFunc, AlgElem, or nested value)
-        into a level-`lvl` value."""
+        """Coerce v (int, FqElem, Poly, RatFunc or an element of the top
+        level `lvl`) into a level-`lvl` value."""
         if isinstance(v, AlgElem):
             if v.tower is not self:
                 raise ValueError("element from another tower")
-            return v.val  # only valid at top level
-        if isinstance(v, (int, FqElem, Poly)):
-            v = RatFunc.of(v, self.base)
-        if isinstance(v, RatFunc):
-            return self._embed_to(0, lvl, v)
-        return v  # trust nested tuples (internal use)
+            return v.val
+        r = RatFunc.of(v, self.base)
+        return r if lvl == 0 else self._embed(r).val
 
-    # ---- structural helpers on nested values
+    # ---- structural helpers on values
 
     def degree_total(self) -> int:
-        d = 1
-        for lv in self.levels:
-            d *= lv.degree
-        return d
+        return len(self._zero)
 
-    def _dim(self, lvl: int) -> int:
-        d = 1
-        for lv in self.levels[:lvl]:
-            d *= lv.degree
-        return d
+    def _embed(self, v) -> "AlgElem":
+        """The lower-level value v (an element of K or a coordinate tuple)
+        as a top-level element: its coordinates padded with zeros."""
+        if isinstance(v, RatFunc):
+            v = (v,)
+        return AlgElem(self, v + self._zero[len(v):])
 
-    def _embed_to(self, from_lvl: int, to_lvl: int, v):
-        """The level-`from_lvl` value v as a level-`to_lvl` value; from
-        level 0 this gives the zero, the one and every element of K."""
-        if from_lvl == to_lvl:
+    def _blocks(self, lvl: int, v):
+        """The level-`lvl` value v as a polynomial in g_lvl: its
+        coefficients, elements of K at level 1, coordinate tuples above."""
+        if lvl == 1:
             return v
-        zero = RatFunc.of(0, self.base)
-        for l in range(to_lvl):
-            d = self.levels[l].degree
-            if l >= from_lvl:
-                v = (v,) + (zero,) * (d - 1)
-            zero = (zero,) * d
-        return v
-
-    def _is_zero(self, lvl: int, a) -> bool:
-        if lvl == 0:
-            return a.is_zero()
-        return all(self._is_zero(lvl - 1, c) for c in a)
-
-    def _add(self, lvl: int, a, b):
-        if lvl == 0:
-            return a + b
-        return tuple(self._add(lvl - 1, x, y) for x, y in zip(a, b))
-
-    def _sub(self, lvl: int, a, b):
-        if lvl == 0:
-            return a - b
-        return tuple(self._sub(lvl - 1, x, y) for x, y in zip(a, b))
-
-    def _neg(self, lvl: int, a):
-        if lvl == 0:
-            return -a
-        return tuple(self._neg(lvl - 1, c) for c in a)
+        d = self.levels[lvl - 1].degree
+        m = len(v) // d
+        return [v[k * m:(k + 1) * m] for k in range(d)]
 
     def _mul(self, lvl: int, a, b):
-        if lvl == 0:
-            return a * b
-        low = lvl - 1
-        d = self.levels[low].degree
-        zero = self._embed_to(0, low, RatFunc.of(0, self.base))
+        """Schoolbook product over the blocks of g_lvl, reduced by f_lvl."""
+        level = self.levels[lvl - 1]
+        d = level.degree
+        if lvl == 1:
+            zero = self._zero[0]
+            mul, add, sub, nonzero = operator.mul, operator.add, operator.sub, bool
+        else:
+            zero = self._zero[:len(a) // d]
+            mul, add, sub, nonzero = partial(self._mul, lvl - 1), _add, _sub, any
         prod = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if not self._is_zero(low, x):
-                for j, y in enumerate(b):
-                    prod[i + j] = self._add(low, prod[i + j], self._mul(low, x, y))
-        modulus = self.levels[lvl - 1].coeffs
+        xs, ys = self._blocks(lvl, a), self._blocks(lvl, b)
+        for i, x in enumerate(xs):
+            if nonzero(x):
+                for j, y in enumerate(ys):
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+        modulus = level.coeffs
         for i in range(2 * d - 2, d - 1, -1):
             c = prod[i]
-            if self._is_zero(low, c):
-                continue
-            prod[i] = zero
-            for j in range(d):
-                prod[i - d + j] = self._sub(
-                    low, prod[i - d + j], self._mul(low, c, modulus[j])
-                )
-        return tuple(prod[:d])
+            if nonzero(c):
+                for j in range(d):
+                    prod[i - d + j] = sub(prod[i - d + j], mul(c, modulus[j]))
+        return tuple(prod[:d]) if lvl == 1 else sum(prod[:d], ())
 
-    def _pow(self, lvl: int, a, n: int):
-        out = self._embed_to(0, lvl, RatFunc.of(1, self.base))
+    def _pow(self, a, n: int):
+        out = self.from_base(1).val
         base = a
         while n:
             if n & 1:
-                out = self._mul(lvl, out, base)
-            base = self._mul(lvl, base, base)
+                out = self._mul(self.top, out, base)
+            base = self._mul(self.top, base, base)
             n >>= 1
         return out
 
-    def _flatten(self, lvl: int, a) -> List[RatFunc]:
-        if lvl == 0:
-            return [a]
-        out = []
-        for c in a:
-            out.extend(self._flatten(lvl - 1, c))
-        return out
-
-    def _unflatten(self, lvl: int, flat: Sequence[RatFunc]):
-        if lvl == 0:
-            return flat[0]
-        low = lvl - 1
-        step = self._dim(low)
-        return tuple(
-            self._unflatten(low, flat[i * step : (i + 1) * step])
-            for i in range(self.levels[low].degree)
-        )
-
-    # generic polynomial gcd with coefficients at level `lvl`
-
-    def _trim_poly(self, lvl, f):
-        f = list(f)
-        while f and self._is_zero(lvl, f[-1]):
-            f.pop()
-        return f
-
-    def _poly_gcd(self, lvl, f, g):
-        f, g = self._trim_poly(lvl, f), self._trim_poly(lvl, g)
-        while g:
-            inv = self._inv(lvl, g[-1])
-            r = list(f)
-            dg = len(g) - 1
-            while len(r) - 1 >= dg and r:
-                c = self._mul(lvl, r[-1], inv)
-                sh = len(r) - 1 - dg
-                for j in range(len(g)):
-                    r[sh + j] = self._sub(lvl, r[sh + j], self._mul(lvl, c, g[j]))
-                r = self._trim_poly(lvl, r)
-                if not r:
-                    break
-            f, g = g, r
-        if f:
-            inv = self._inv(lvl, f[-1])
-            f = [self._mul(lvl, c, inv) for c in f]
-        return f
-
-    def _inv(self, lvl: int, a):
-        if lvl == 0:
-            if a.is_zero():
-                raise ZeroDivisionError("division by zero in tower")
-            return RatFunc.of(1, self.base) / a
-        if self._is_zero(lvl, a):
+    def _inv(self, a):
+        """Inverse of a top-level value, by solving a * b = 1 over K."""
+        if not any(a):
             raise ZeroDivisionError("division by zero in tower")
-        n = self._dim(lvl)
-        cols = []
-        basis_flat = [[RatFunc.of(1 if i == j else 0, self.base) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            b = self._unflatten(lvl, basis_flat[i])
-            cols.append(self._flatten(lvl, self._mul(lvl, a, b)))
-        target = basis_flat[0]
-        zero = RatFunc.of(0, self.base)
-        one = RatFunc.of(1, self.base)
-        sol = solve_in_span(cols, target, zero, one)
+        zero, one = self._zero, RatFunc.of(1, self.base)
+        cols = [
+            self._mul(self.top, a, zero[:i] + (one,) + zero[i + 1:]) for i in range(len(a))
+        ]
+        sol = solve_in_span(cols, (one,) + zero[1:], zero[0], one)
         if sol is None:
             raise ZeroDivisionError("non-invertible tower value (not a field?)")
-        return self._unflatten(lvl, sol)
+        return tuple(sol)
 
     # ---- public element constructors
 
@@ -362,7 +299,7 @@ class Tower:
         return len(self.levels)
 
     def from_base(self, r) -> "AlgElem":
-        return AlgElem(self, self._embed_to(0, self.top, RatFunc.of(r, self.base)))
+        return self._embed(RatFunc.of(r, self.base))
 
     def gen(self, i: int = -1) -> "AlgElem":
         """The i-th tower generator as a top-level element."""
@@ -370,10 +307,8 @@ class Tower:
             i += len(self.levels)
         if not (0 <= i < len(self.levels)):
             raise IndexError("no such tower level")
-        d = self.levels[i].degree
-        zero = self._embed_to(0, i, RatFunc.of(0, self.base))
-        val = (zero, self._embed_to(0, i, RatFunc.of(1, self.base))) + (zero,) * (d - 2)
-        return AlgElem(self, self._embed_to(i + 1, self.top, val))
+        m = math.prod(lv.degree for lv in self.levels[:i])
+        return self._embed(self._zero[:m] + (RatFunc.of(1, self.base),))
 
     def x(self) -> "AlgElem":
         return self.from_base(RatFunc.gen(self.base))
@@ -389,7 +324,7 @@ class Tower:
 
 
 class AlgElem:
-    """Element of the top level of a tower."""
+    """Element of the top level of a tower; `val` is its coordinate tuple."""
 
     __slots__ = ("tower", "val")
 
@@ -410,7 +345,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.tower, self.tower._add(self.tower.top, self.val, o.val))
+        return AlgElem(self.tower, _add(self.val, o.val))
 
     __radd__ = __add__
 
@@ -418,7 +353,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.tower, self.tower._sub(self.tower.top, self.val, o.val))
+        return AlgElem(self.tower, _sub(self.val, o.val))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -427,7 +362,7 @@ class AlgElem:
         return o - self
 
     def __neg__(self):
-        return AlgElem(self.tower, self.tower._neg(self.tower.top, self.val))
+        return AlgElem(self.tower, tuple(-c for c in self.val))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -438,10 +373,14 @@ class AlgElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, FqElem, Poly, RatFunc)):
+            # an element of K divides coordinate by coordinate
+            inv = 1 / RatFunc.of(other, self.tower.base)
+            return AlgElem(self.tower, tuple(c * inv for c in self.val))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        inv = self.tower._inv(self.tower.top, o.val)
+        inv = self.tower._inv(o.val)
         return AlgElem(self.tower, self.tower._mul(self.tower.top, self.val, inv))
 
     def __rtruediv__(self, other):
@@ -452,9 +391,8 @@ class AlgElem:
 
     def __pow__(self, n: int):
         if n < 0:
-            inv = self.tower._inv(self.tower.top, self.val)
-            return AlgElem(self.tower, self.tower._pow(self.tower.top, inv, -n))
-        return AlgElem(self.tower, self.tower._pow(self.tower.top, self.val, n))
+            return AlgElem(self.tower, self.tower._pow(self.tower._inv(self.val), -n))
+        return AlgElem(self.tower, self.tower._pow(self.val, n))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -466,32 +404,33 @@ class AlgElem:
         return hash((id(self.tower), self.val))
 
     def is_zero(self) -> bool:
-        return self.tower._is_zero(self.tower.top, self.val)
+        return not any(self.val)
 
     def __bool__(self):
         return not self.is_zero()
 
-    def coords(self) -> List[RatFunc]:
-        """Flattened coordinates over K in the product power basis."""
-        return self.tower._flatten(self.tower.top, self.val)
+    def coords(self) -> Tuple[RatFunc, ...]:
+        """Coordinates over K in the product power basis."""
+        return self.val
 
     def in_base(self) -> Optional[RatFunc]:
         """The value as an element of K, or None if it is not in K."""
-        flat = self.coords()
-        if any(not c.is_zero() for c in flat[1:]):
+        if any(self.val[1:]):
             return None
-        return flat[0]
+        return self.val[0]
 
     def __repr__(self):
-        labels = self.tower.gen_labels()
+        tower = self.tower
+        labels = tower.gen_labels()
 
         def render(lvl, v):
             if lvl == 0:
                 return repr(v), v.is_zero(), v.is_one()
             label = labels[lvl - 1]
             parts = []
-            for i in range(len(v) - 1, -1, -1):
-                s, zero, one = render(lvl - 1, v[i])
+            blocks = tower._blocks(lvl, v)
+            for i in range(len(blocks) - 1, -1, -1):
+                s, zero, one = render(lvl - 1, blocks[i])
                 if zero:
                     continue
                 if i == 0:
@@ -509,7 +448,7 @@ class AlgElem:
             joined = "+".join(parts)
             return joined, False, joined == "1"
 
-        return render(self.tower.top, self.val)[0]
+        return render(tower.top, self.val)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +456,25 @@ class AlgElem:
 # ---------------------------------------------------------------------------
 
 def minimal_polynomial(
-    t: AlgElem, columns: Optional[List[List[RatFunc]]] = None
+    t: AlgElem, span: Optional[SpanTracker] = None
 ) -> Tuple[List[RatFunc], int]:
     """Monic minimal polynomial of t over K (little-endian RatFunc list)
     and its degree d = [K(t):K], by exact linear algebra on powers of t.
-    When a list `columns` is given, the coordinate vectors of the power
-    basis 1, t, ..., t^{d-1} found on the way are appended to it."""
+    An empty SpanTracker given as `span` is left holding the power basis
+    1, t, ..., t^{d-1}, so that its `express` gives coordinates in it."""
     tower = t.tower
     if tower.degree_total() > 64:
         raise ValueError("tower degree exceeds the supported desk scale")
     ctx = tower.base
-    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
-    tracker = SpanTracker(zero, one)
+    one = RatFunc.of(1, ctx)
+    if span is None:
+        span = SpanTracker(RatFunc.of(0, ctx), one)
     power = tower.from_base(one)
     while True:
-        vec = power.coords()
-        combo = tracker.add(vec)
+        combo = span.add(power.coords())
         if combo is not None:
             coeffs = [-c for c in combo] + [one]
             return kp_trim(coeffs), len(coeffs) - 1
-        if columns is not None:
-            columns.append(vec)
         power = power * t
 
 
@@ -584,16 +521,9 @@ class GaloisMap:
 
     def _verify(self):
         # each image must be a root of the sigma-mapped defining polynomial
-        for i, lv in enumerate(self.tower.levels):
-            coeffs = [
-                self.apply(AlgElem(self.tower, self.tower._embed_to(i, self.tower.top, c)))
-                for c in lv.coeffs
-            ]
-            img = self.images[lv.label]
-            acc = self.tower.from_base(0)
-            for c in reversed(coeffs):
-                acc = acc * img + c
-            if not acc.is_zero():
+        for lv in self.tower.levels:
+            coeffs = [self.apply(self.tower._embed(c)) for c in lv.coeffs]
+            if not kp_eval(coeffs, self.images[lv.label]).is_zero():
                 raise ValueError(
                     f"image of {lv.label!r} is not a root of its defining polynomial"
                 )
@@ -607,10 +537,7 @@ class GaloisMap:
             if lvl == 0:
                 return tower.from_base(v)
             img = self.images[tower.levels[lvl - 1].label]
-            acc = tower.from_base(0)
-            for c in reversed(v):
-                acc = acc * img + walk(lvl - 1, c)
-            return acc
+            return kp_eval([walk(lvl - 1, c) for c in tower._blocks(lvl, v)], img)
 
         return walk(tower.top, t.val)
 

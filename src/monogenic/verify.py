@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from .bivar import BivarPoly
 from .funcfield import Place, Poly, RatFunc, valuation
+from .frobsearch import sym_flags
 from .gf import FqCtx
 from .monorder import (
     MonOrder,
@@ -26,7 +27,7 @@ from .monorder import (
     orders_equal,
     sym_in_order,
 )
-from .tower import Tower, frobenius_power
+from .tower import Tower, frobenius_power, kp_eval
 
 
 @dataclass
@@ -34,17 +35,6 @@ class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "info"
     detail: str
-
-
-def _reevaluate(gen, coords):
-    """Sum coords[i] * gen^i by direct tower arithmetic: an oracle for the
-    linear-algebra route that produced the coordinates."""
-    acc = gen.tower.from_base(0)
-    power = gen.tower.from_base(1)
-    for c in coords:
-        acc = acc + power * c
-        power = power * gen
-    return acc
 
 
 @dataclass
@@ -127,7 +117,7 @@ def verify_quartic_twist_family(m_max: int = 3, relation_box: int = 8) -> Verifi
         coords = express_in_power_basis(family[m + 1], order_m)
         nxt = coords is not None and all(c.is_polynomial() for c in coords)
         # independent cross-check: re-evaluate the claimed coordinates
-        nxt = nxt and (_reevaluate(sm, coords) - family[m + 1]).is_zero()
+        nxt = nxt and (kp_eval(coords, sm) - family[m + 1]).is_zero()
         rep.add(f"(ii) s_{m+1} in O[s_{m}]", nxt,
                 "power-basis coordinates are polynomial and re-evaluate exactly")
         eq = orders_equal(order_m, order_s)
@@ -262,7 +252,7 @@ def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) 
         zm = zs[m]
         coords = express_in_power_basis(zm, order_s)
         ok = coords is not None and all(c.is_polynomial() for c in coords)
-        ok = ok and (_reevaluate(s, coords) - zm).is_zero()  # oracle cross-check
+        ok = ok and (kp_eval(coords, s) - zm).is_zero()  # oracle cross-check
         detail = "no expression" if coords is None else f"coords {[repr(c) for c in coords]}"
         if m == 1:
             expected = (
@@ -360,12 +350,7 @@ def verify_symmetric_quadratic_powers(i_max: int = 2, j_max: int = 2) -> Verific
             rep.add(f"t^{m} in O[s^{m}] (i={i}, j={j})", rev.contained, rev.reason)
 
             # degenerate flags must all be false for these pairs
-            q_at = sm.divide_exact(tn)
-            in_a = q_at is not None and q_at.is_constant() and not q_at.is_zero()
-            stn = tn.swap()
-            q_b = sm.divide_exact(stn)
-            in_b = (not (tn - stn).is_zero()) and q_b is not None and q_b.is_constant() and not q_b.is_zero()
-            in_c = (sm * tn).is_constant()
+            in_a, in_b, in_c = sym_flags(sm, tn)
             rep.add(
                 f"(m,n)=({m},{m}) is not in A, B, or C",
                 not (in_a or in_b or in_c),

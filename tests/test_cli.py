@@ -285,3 +285,25 @@ def test_polynomial_places_and_eta_accepted(tmp_path):
     assert main([_write(tmp_path, scenario)]) == 0
     scenario = {"task": "verify-33", "params": {"eta": "(x^2+x)/x", "m_max": 1}}
     assert main([_write(tmp_path, scenario)]) == 0
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "verify-b", "base": {"p": 3}}, "base: task 'verify-b' runs over F_7 only"),
+    ({"task": "verify-a1", "base": {"p": 5}}, "base: task 'verify-a1' runs over F_2 only"),
+    ({"task": "verify-33", "base": {"p": 7}}, "base: task 'verify-33' runs over F_2 only"),
+    ({"task": "bounds", "base": {"p": 3}, "params": _BOUNDS}, "base: task 'bounds' takes no base"),
+], ids=["verify-b", "verify-a1", "verify-33", "bounds"])
+def test_unread_base_rejected(tmp_path, capsys, scenario, message):
+    # each task fixes its own field, so another base was silently ignored
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_own_base_accepted(tmp_path):
+    assert main([str(SCENARIOS / "verify_33.json")]) == 0
+    scenario = {"task": "verify-33", "base": {"p": 2}, "params": {"m_max": 2, "eta": "x+1"}}
+    assert main([_write(tmp_path, scenario)]) == 0
+    scenario = {"task": "verify-b", "base": {"p": 7}, "params": {"i_max": 1, "j_max": 1}}
+    assert main([_write(tmp_path, scenario)]) == 0

@@ -5,17 +5,18 @@ recomputed the minimal polynomials of s^m and t^n, rebuilt the power basis
 of each side by repeated multiplication and ran both membership solves,
 with no discriminant prune.  `TowerPowerPair.equal` (cached order records
 and the discriminant-ratio prune) must agree with it on every cell, and
-`orders_equal` must give the same reason strings.  The degenerate flags
-were decided by dividing in the tower (`s^m / t^n`, `s^m / conj`);
-`TowerPowerPair.flags` reads the quotient off the coordinates instead and
-must give the same flags on every cell.
+`orders_equal` must give the same reason strings, and the span each record
+keeps must express every oracle column s^i as the i-th unit vector.  The
+degenerate flags were decided by dividing in the tower (`s^m / t^n`,
+`s^m / conj`); `TowerPowerPair.flags` reads the quotient off the
+coordinates instead and must give the same flags on every cell.
 """
 
 from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair
-from monogenic.linalg import solve_in_span
 from monogenic.monorder import MonOrder, RingTag, POLY_RING, orders_equal
 from monogenic.tower import Tower, discriminant, minimal_polynomial
 from monogenic.verify import shifted_tower
+from test_linalg_oracle import gauss_jordan_solve
 
 F2 = FqCtx(2)
 F3 = FqCtx(3)
@@ -35,7 +36,8 @@ def oracle_columns(gen):
 
 def oracle_in_order(t, gen, ring):
     ctx = t.tower.base
-    sol = solve_in_span(oracle_columns(gen), t.coords(), RatFunc.of(0, ctx), RatFunc.of(1, ctx))
+    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+    sol = gauss_jordan_solve(oracle_columns(gen), t.coords(), zero, one)
     return sol is not None and all(ring.contains(c) for c in sol)
 
 
@@ -88,10 +90,14 @@ def check_grid(s, t, ring=POLY_RING):
                 res = orders_equal(sm, MonOrder(tn, ring))
                 assert (res.equal, res.reason) == expected, (m, n)
                 equal_cells += res.equal
-    # every record the search built: columns and discriminant as before
+    # every record the search built: its span expresses each oracle column
+    # s^i as the i-th unit vector, and the discriminant is as before
     for orders in (pair._s_orders, pair._t_orders):
         for rec in orders.values():
-            assert rec.columns == oracle_columns(rec.generator)
+            ctx = rec.generator.tower.base
+            for i, col in enumerate(oracle_columns(rec.generator)):
+                unit = [RatFunc.of(int(i == j), ctx) for j in range(rec.d)]
+                assert rec.span.express(col)[:rec.d] == unit
             if rec.d >= 2:
                 assert rec.disc == discriminant(rec.generator)
             else:

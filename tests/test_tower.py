@@ -16,6 +16,7 @@ from monogenic import (
 )
 from monogenic.tower import kp_str
 from monogenic.verify import quartic_twist_tower, shifted_tower
+from test_parse import _random_elem, _random_ratfunc
 
 F2 = FqCtx(2)
 F3 = FqCtx(3)
@@ -212,6 +213,49 @@ def test_inseparable_defining_poly_rejected():
     with pytest.raises(ValueError):
         # Y^2 + x is inseparable in characteristic 2
         Tower(F2).extend("w", [x, RatFunc.of(0, F2), RatFunc.of(1, F2)])
+
+
+def test_second_level_separability():
+    # over K(s): W^2 + s has derivative 0, W^2 + W + s is Artin-Schreier
+    tw = shifted_tower(Poly(F2, [1, 1]))
+    s = tw.gen(0)
+    with pytest.raises(ValueError, match="not separable"):
+        tw.extend("w", [s, 0, 1])
+    assert tw.top == 1
+    tw.extend("w", [s, 1, 1])
+    assert tw.top == 2 and tw.degree_total() == 8
+    w = tw.gen(1)
+    assert (w * w + w + tw.gen(0)).is_zero()
+
+
+def test_galois_map_on_two_levels():
+    tw = shifted_tower(Poly(F2, [1, 1]))
+    s = tw.gen(0)
+    tw.extend("w", [s, 1, 1])
+    s, w = tw.gen(0), tw.gen(1)
+    sigma = GaloisMap(tw, {"s": s, "w": w + 1})
+    t = w * s + tw.x() * w + s * s
+    assert sigma.apply(t) == (w + 1) * s + tw.x() * (w + 1) + s * s
+    assert sigma.apply(sigma.apply(t)) == t
+    with pytest.raises(ValueError, match="not a root"):
+        GaloisMap(tw, {"s": s, "w": w + s})
+
+
+def test_division_by_an_element_of_K():
+    rng = random.Random(11)
+    for make in (quartic_twist_tower, sqrt_x_tower):
+        tw = make()
+        for _ in range(8):
+            a = _random_elem(tw, rng)
+            r = _random_ratfunc(tw.base, rng)
+            if r.is_zero():
+                continue
+            assert a / r == a * (1 / r)
+            assert (a / r) * r == a
+        with pytest.raises(ZeroDivisionError):
+            tw.gen(0) / RatFunc.of(0, tw.base)
+        with pytest.raises(ZeroDivisionError):
+            tw.gen(0) / 0
 
 
 def test_element_text():
