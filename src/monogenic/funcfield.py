@@ -1,14 +1,35 @@
 """The base ring O = F_q[x] and its fraction field K = F_q(x).
 
-A polynomial has one representation, chosen by its field.  Over F_2 it is
-an `F2Poly`: one int whose bit i is the coefficient of x^i, on which
-multiplication, division, gcd, shifts and the rational-function
-normalization act directly; its coefficient tuple is built only when
-`coeffs` is read (text form, sort keys, p-th power decomposition).  Over
-every other field it is a `Poly` holding a tuple of raw coefficients from
-`gf`, little-endian with trailing zeros stripped.  The zero polynomial has
-the distinguished degree `MINUS_INF`.  Rational functions are kept in the
-canonical form num/den with den monic and gcd(num, den) = 1.
+A polynomial has one representation, chosen by its field:
+
+- over F_2, an `F2Poly`: one int whose bit i is the coefficient of x^i;
+- over F_p for an odd prime p < 128, an `FpPoly`, and over F_{2^k} for
+  2 <= k <= 4, an `F2kPoly`: one bytes string `code` whose byte i is the
+  code of the coefficient of x^i (over F_p the residue itself, so `coeffs`
+  is that bytes string; over F_{2^k} the k coordinates of the element as
+  the bits of a byte, so `coeffs` is a tuple of raw coordinate tuples,
+  built only when it is read);
+- over every other field (p >= 128, odd p with k > 1, 2^k with k > 4), the
+  fallback: a `Poly` holding a tuple of raw coefficients from `gf`, on
+  which the operations loop coefficient by coefficient.  The tests keep
+  this tuple path as the oracle of the packed kernels.
+
+The packed kernels let CPython's int and bytes operations do the work per
+coefficient (Kronecker substitution; Harvey, arXiv:0712.4046).  Over F_p a
+sum is one int addition of the packed strings and one `bytes.translate`
+through a 256-entry table of residues mod p; a product is one int product,
+reduced the same way when no slot can exceed a byte, and in slots of
+several bytes otherwise.  Over F_{2^k} a sum is an XOR and a product is the
+carry-less product of the packed ints, each slot of which stays below
+2^(2k-1) <= 2^7, reduced by one `translate` modulo the field's modulus.
+Division and gcd hold the remainder as one int and take one int addition
+(or XOR) per quotient coefficient.  The tables of a field are built on
+first use and shared by its contexts.
+
+Every representation stores little-endian coefficients with trailing zeros
+stripped.  The zero polynomial has the distinguished degree `MINUS_INF`.
+Rational functions are kept in the canonical form num/den with den monic
+and gcd(num, den) = 1.
 
 Places of K are the monic irreducible polynomials (degree n_v = deg pi)
 together with the place at infinity (n_v = 1).  The valuation at a finite
@@ -51,6 +72,8 @@ def _b2_unpack(n: int) -> tuple:
 
 
 def _b2_mul(a: int, b: int) -> int:
+    """The carry-less product.  It also multiplies F_{2^k}[x] polynomials
+    packed one element per byte: there each slot stays within 7 bits."""
     if not a or not b:
         return 0
     if a == b:
@@ -90,11 +113,177 @@ def _b2_gcd(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# byte-slot kernels: byte i of a bytes string is the code of the
+# coefficient of x^i (F_p: the residue; F_{2^k}: bit i = coordinate of z^i)
+# ---------------------------------------------------------------------------
+
+class _ByteField:
+    """The 256-entry byte tables of one field, for `bytes.translate`."""
+
+    __slots__ = ("p", "xor", "raw", "code", "mod", "mul", "inv", "neg", "root", "rank",
+                 "bound", "fold", "fresh")
+
+    def __init__(self, ctx: FqCtx):
+        p, k, q = ctx.p, ctx.k, ctx.q
+        self.p = p
+        self.xor = p == 2  # codes add by XOR, and a product needs no carry
+        # a row of `mul` is read at codes below q only
+        if k == 1:
+            self.raw = list(range(p))
+            self.mod = bytes(x % p for x in range(256))
+            self.mul = [bytes(x * c % p for x in range(q)) + bytes(256 - q) for c in range(q)]
+        else:  # F_{2^k}, k <= 4: products of codes stay below 2^(2k-1)
+            self.raw = [tuple(c >> i & 1 for i in range(k)) for c in range(q)]
+            modulus = _b2_pack(ctx.modulus)
+            top = 1 << (2 * k - 1)
+            self.mod = bytes(_b2_divmod(x, modulus)[1] for x in range(top)) + bytes(256 - top)
+            self.mul = [bytes(self.mod[_b2_mul(c, x)] for x in range(q)) + bytes(256 - q)
+                        for c in range(q)]
+        self.code = {r: c for c, r in enumerate(self.raw)}
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+        self.neg = [-c % p for c in range(q)] if k == 1 else list(range(q))
+        # the p-th root a^(p^(k-1)), and the place of each code in the order
+        # of raw tuples (sort keys); both the identity over a prime field
+        self.root = self.rank = None
+        if k > 1:
+            root = list(range(q))
+            for _ in range(k - 1):
+                root = [self.mul[c][c] for c in root]
+            order = sorted(range(q), key=self.raw.__getitem__)
+            self.root = bytes(root) + bytes(256 - q)
+            self.rank = bytes(order.index(c) for c in range(q)) + bytes(256 - q)
+        # F_p products: (p-1)^2 bounds each term of a product slot, and
+        # fold[j] maps a byte b to b * 256^j mod p (slots of several bytes)
+        self.bound = (p - 1) ** 2
+        self.fold = [self.mod]
+        # F_p division: a slot that starts below p stays below 256 for
+        # this many additions of at most p - 1
+        self.fresh = 255 // (p - 1) - 1
+
+    def folded(self, j: int) -> bytes:
+        while len(self.fold) <= j:
+            m = pow(256, len(self.fold), self.p)
+            self.fold.append(bytes(x * m % self.p for x in range(256)))
+        return self.fold[j]
+
+
+_BYTE_FIELDS = {}
+
+
+def _tables(ctx: FqCtx) -> _ByteField:
+    """The byte tables of ctx, built once per field."""
+    tables = ctx.packed
+    if tables is None:
+        key = (ctx.p, ctx.k, ctx.modulus)
+        tables = _BYTE_FIELDS.get(key)
+        if tables is None:
+            tables = _BYTE_FIELDS[key] = _ByteField(ctx)
+        ctx.packed = tables
+    return tables
+
+
+def _int(code) -> int:
+    return int.from_bytes(code, "little")
+
+
+def _spread(code: bytes, width: int) -> int:
+    """The int of code with each byte in a slot of `width` bytes."""
+    slots = bytearray(width * len(code))
+    slots[::width] = code
+    return _int(slots)
+
+
+def _fp_mul(a: bytes, b: bytes, F: _ByteField) -> bytes:
+    """The product over F_p of two packed polynomials of degree >= 1."""
+    n = len(a) + len(b) - 1
+    # bytes per slot: enough for the largest slot sum of the product
+    width = ((F.bound * min(len(a), len(b))).bit_length() + 7) >> 3
+    if width == 1:
+        x = _int(a)
+        return (x * (x if a is b else _int(b))).to_bytes(n, "little").translate(F.mod)
+    prod = (_spread(a, width) * _spread(b, width)).to_bytes(width * n, "little")
+    out = prod[::width].translate(F.mod)
+    for j in range(1, width):
+        high = prod[j::width].translate(F.folded(j))
+        out = (_int(out) + _int(high)).to_bytes(n, "little").translate(F.mod)
+    return out
+
+
+def _f2k_mul(a: bytes, b: bytes, F: _ByteField) -> bytes:
+    """The product over F_{2^k} of two packed polynomials of degree >= 1:
+    the carry-less product, each slot reduced by the modulus."""
+    prod = _b2_mul(_int(a), _int(b)).to_bytes(len(a) + len(b) - 1, "little")
+    return prod.translate(F.mod)
+
+
+def _slot_divmod(a: bytes, b: bytes, F: _ByteField):
+    """(q, r) with a = q*b + r and deg r < deg b, for deg a >= deg b >= 1.
+
+    The remainder stays one int.  Each quotient coefficient is read from
+    its slot and costs one int addition (XOR over F_{2^k}) of a multiple
+    of the monic divisor's lower part.  Over F_p a slot gains at most one
+    addition per step and at most deg b in all, so the slots are reduced
+    mod p every F.fresh steps, before any can pass 255, and only when
+    deg b > F.fresh."""
+    db = len(b) - 1
+    inv = F.inv[b[-1]]
+    low = b[:db] if inv == 1 else b[:db].translate(F.mul[inv])
+    rem = _int(a)
+    quo = bytearray(len(a) - db)
+    steps = [None] * len(F.mul)  # c -> the packed int of -c * low
+    mul, neg, p = F.mul, F.neg, F.p
+    top = 8 * db
+    if F.xor:
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = rem >> 8 * i + top & 255
+            if c:
+                quo[i] = c
+                step = steps[c]
+                if step is None:
+                    step = steps[c] = _int(low.translate(mul[c]))
+                rem ^= step << 8 * i
+        out = rem.to_bytes(len(a), "little")[:db]
+    else:
+        left = F.fresh if db > F.fresh else len(a)
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = (rem >> 8 * i + top & 255) % p
+            if c:
+                quo[i] = c
+                step = steps[c]
+                if step is None:
+                    step = steps[c] = _int(low.translate(mul[neg[c]]))
+                rem += step << 8 * i
+                left -= 1
+                if not left:
+                    rem = _int(rem.to_bytes(len(a), "little").translate(F.mod))
+                    left = F.fresh
+        out = rem.to_bytes(len(a), "little")[:db].translate(F.mod)
+    if inv != 1:
+        quo = quo.translate(mul[inv])
+    return bytes(quo), out.rstrip(b"\0")
+
+
+def _slot_monic(code: bytes, F: _ByteField) -> bytes:
+    if not code or code[-1] == 1:
+        return code
+    return code.translate(F.mul[F.inv[code[-1]]])
+
+
+def _slot_gcd(a: bytes, b: bytes, F: _ByteField) -> bytes:
+    while len(b) > 1:
+        a, b = b, (_slot_divmod(a, b, F)[1] if len(a) >= len(b) else a)
+    return b"\x01" if b else _slot_monic(a, F)
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _is_f2(ctx: FqCtx) -> bool:
-    return ctx.p == 2 and ctx.k == 1
+def _poly_class(ctx: FqCtx):
+    """The class that holds a polynomial over ctx."""
+    if ctx.p == 2:
+        return F2Poly if ctx.k == 1 else F2kPoly if ctx.k <= 4 else Poly
+    return FpPoly if ctx.k == 1 and ctx.p < 128 else Poly
 
 
 def _read_raw(ctx: FqCtx, coeffs: Iterable) -> list:
@@ -116,16 +305,22 @@ def _read_raw(ctx: FqCtx, coeffs: Iterable) -> list:
 class Poly:
     """Univariate polynomial over F_q.
 
-    `Poly(ctx, coeffs)` over F_2 returns an `F2Poly`, held as one packed
-    int.  Over any other field `coeffs` is the tuple of little-endian raw
-    coefficients with trailing zeros stripped.
+    `Poly(ctx, coeffs)` returns the representation of the field (see the
+    module docstring): an `F2Poly`, `FpPoly` or `F2kPoly`, or over the
+    fallback fields a `Poly` whose `coeffs` is the tuple of little-endian
+    raw coefficients with trailing zeros stripped.
+
+    The ring operations that `perfbench/tracer.py` wraps (`*`, `divmod`,
+    `gcd`, `factor`) have one entry point here for every representation.
+    It runs the `F2Poly` kernels itself and calls `_mul`, `_divmod` or
+    `_gcd` of every other representation.
     """
 
     __slots__ = ("ctx", "coeffs")
 
     def __new__(cls, ctx: Optional[FqCtx] = None, coeffs: Iterable = ()):
         # ctx is None when copy or pickle rebuilds a tuple-held polynomial
-        return object.__new__(F2Poly if ctx is not None and _is_f2(ctx) else cls)
+        return object.__new__(cls if ctx is None else _poly_class(ctx))
 
     def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
         raw = _read_raw(ctx, coeffs)
@@ -137,15 +332,14 @@ class Poly:
     @staticmethod
     def _make(ctx: FqCtx, raw_list) -> "Poly":
         """The polynomial of a list of raw coefficients, over any field."""
-        if _is_f2(ctx):
-            return _f2(ctx, _b2_pack(raw_list))
-        return Poly._tuple(ctx, raw_list)
+        return _poly_class(ctx)._from_raw(ctx, raw_list)
 
     @staticmethod
     def _tuple(ctx: FqCtx, raw_list) -> "Poly":
-        """A tuple-held polynomial.  The library builds these over fields
-        other than F_2 only; over F_2 they run the coefficient loops, which
-        the tests keep as the oracle of the packed kernels."""
+        """A tuple-held polynomial.  The library builds these over the
+        fallback fields only; over the packed fields they run the
+        coefficient loops, which the tests keep as the oracle of the packed
+        kernels."""
         p = object.__new__(Poly)
         raw = list(raw_list)
         while raw and ctx.ris_zero(raw[-1]):
@@ -154,21 +348,23 @@ class Poly:
         p.coeffs = tuple(raw)
         return p
 
+    _from_raw = _tuple
+
     def _like(self, raw_list) -> "Poly":
         """A polynomial over the same field, in the same representation."""
-        return Poly._tuple(self.ctx, raw_list)
+        return self._from_raw(self.ctx, raw_list)
 
     @classmethod
     def zero(cls, ctx) -> "Poly":
-        return _f2(ctx, 0) if _is_f2(ctx) else Poly._tuple(ctx, [])
+        return Poly._make(ctx, [])
 
     @classmethod
     def one(cls, ctx) -> "Poly":
-        return _f2(ctx, 1) if _is_f2(ctx) else Poly._tuple(ctx, [ctx.rone])
+        return _monomial(ctx, 0)
 
     @classmethod
     def x(cls, ctx) -> "Poly":
-        return _f2(ctx, 2) if _is_f2(ctx) else Poly._tuple(ctx, [ctx.rzero, ctx.rone])
+        return _monomial(ctx, 1)
 
     @classmethod
     def constant(cls, c: FqElem) -> "Poly":
@@ -279,9 +475,14 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if type(self) is F2Poly:  # the hottest case, without a second call
+            return _f2(self.ctx, _b2_mul(self.bits, other.bits))
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def _mul(self, other: "Poly") -> "Poly":
         ctx = self.ctx
-        if type(self) is F2Poly:
-            return _f2(ctx, _b2_mul(self.bits, other.bits))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly._tuple(ctx, ())
@@ -294,19 +495,18 @@ class Poly:
                     out[i + j] = ctx.radd(out[i + j], ctx.rmul(x, y))
         return Poly._tuple(ctx, out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self._like([self.ctx.rone])
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return self._like([self.ctx.rone]) if out is None else out
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -314,10 +514,13 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
         if type(self) is F2Poly:
             q, r = _b2_divmod(self.bits, other.bits)
-            return _f2(ctx, q), _f2(ctx, r)
+            return _f2(self.ctx, q), _f2(self.ctx, r)
+        return self._divmod(other)
+
+    def _divmod(self, other: "Poly"):
+        ctx = self.ctx
         da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
         if da < db:
             return Poly._tuple(ctx, ()), self
@@ -389,22 +592,38 @@ class Poly:
         ctx = a.ctx
         if ctx.p != self.ctx.p:
             raise ValueError("incompatible characteristic")
-        acc = ctx.rzero
-        for c in reversed(self.coeffs):
-            acc = ctx.radd(ctx.rmul(acc, a.raw), ctx.rfrom_int(c))
-        return FqElem(ctx, acc)
+        if _poly_class(ctx) is Poly:
+            acc = ctx.rzero
+            for c in reversed(self.coeffs):
+                acc = ctx.radd(ctx.rmul(acc, a.raw), ctx.rfrom_int(c))
+            return FqElem(ctx, acc)
+        # Horner's rule on codes: a coefficient of F_p has the code c
+        F = _tables(ctx)
+        times_a = F.mul[F.code[a.raw]]
+        acc = 0
+        if F.xor:
+            for c in reversed(self.coeffs):
+                acc = times_a[acc] ^ c
+        else:
+            p = ctx.p
+            for c in reversed(self.coeffs):
+                acc = (times_a[acc] + c) % p
+        return FqElem(ctx, F.raw[acc])
+
+    def pth_parts(self) -> list:
+        """The p polynomials g_0..g_{p-1} with self = sum g_m^p x^m."""
+        ctx = self.ctx
+        p = ctx.p
+        return [
+            self._like([ctx.rpth_root(c) for c in self.coeffs[m::p]]) for m in range(p)
+        ]
 
     def pth_root_poly(self) -> "Poly":
         """For f with f = g(x^p) return the unique g with g^p = f."""
-        ctx = self.ctx
-        p = ctx.p
-        raw = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                raw.append(ctx.rpth_root(c))
-            elif not ctx.ris_zero(c):
-                raise ValueError("polynomial is not a p-th power")
-        return Poly._tuple(ctx, raw)
+        root, *rest = self.pth_parts()
+        if any(rest):
+            raise ValueError("polynomial is not a p-th power")
+        return root
 
     # ---- gcd and factorization
 
@@ -413,6 +632,9 @@ class Poly:
             raise ValueError("polynomials over different fields")
         if type(self) is F2Poly:
             return _f2(self.ctx, _b2_gcd(self.bits, other.bits))
+        return self._gcd(other)
+
+    def _gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -565,12 +787,8 @@ class Poly:
 class F2Poly(Poly):
     """A polynomial over F_2, held as one int `bits` whose bit i is the
     coefficient of x^i.  Every operation acts on the int; `coeffs`, the
-    coefficient tuple, is built only when it is read.
-
-    Multiplication, division, gcd and factorization are not overridden:
-    the `Poly` methods branch on the type, so each of these operations has
-    one entry point for every field (the one `perfbench/tracer.py` wraps).
-    """
+    coefficient tuple, is built only when it is read.  `Poly` runs its
+    product, division and gcd."""
 
     __slots__ = ("bits",)
 
@@ -578,15 +796,16 @@ class F2Poly(Poly):
         self.ctx = ctx
         self.bits = _b2_pack(_read_raw(ctx, coeffs))
 
+    @staticmethod
+    def _from_raw(ctx: FqCtx, raw_list) -> "F2Poly":
+        return _f2(ctx, _b2_pack(raw_list))
+
     @property
     def coeffs(self):
         return _b2_unpack(self.bits)
 
     def __reduce__(self):
         return _f2, (self.ctx, self.bits)
-
-    def _like(self, raw_list) -> "F2Poly":
-        return _f2(self.ctx, _b2_pack(raw_list))
 
     def degree(self):
         return self.bits.bit_length() - 1 if self.bits else MINUS_INF
@@ -641,18 +860,221 @@ class F2Poly(Poly):
         """Multiply by x^n."""
         return _f2(self.ctx, self.bits << n)
 
-    def pth_root_poly(self) -> "F2Poly":
-        """For f with f = g(x^2) return the unique g with g^2 = f."""
+    def pth_parts(self) -> list:
+        """[g_0, g_1] with self = g_0^2 + g_1^2 x."""
         digits = bin(self.bits)[:1:-1]
-        if "1" in digits[1::2]:
-            raise ValueError("polynomial is not a p-th power")
-        return _f2(self.ctx, int(digits[::2][::-1], 2))
+        return [_f2(self.ctx, int(half[::-1] or "0", 2)) for half in (digits[::2], digits[1::2])]
 
 
 def _f2(ctx: FqCtx, bits: int) -> F2Poly:
     p = object.__new__(F2Poly)
     p.ctx = ctx
     p.bits = bits
+    return p
+
+
+class _BytePoly(Poly):
+    """A polynomial held as `code`, one byte per coefficient (see the
+    byte-slot kernels above): the part `FpPoly` and `F2kPoly` share.  A
+    subclass says what `coeffs` is, how codes add, and in `_product` how
+    two polynomials of degree >= 1 multiply."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
+        self.ctx = ctx
+        self.code = self._encode(ctx, _read_raw(ctx, coeffs))
+
+    @classmethod
+    def _from_raw(cls, ctx: FqCtx, raw_list) -> "_BytePoly":
+        return _packed(cls, ctx, cls._encode(ctx, raw_list))
+
+    def __reduce__(self):
+        return _packed, (type(self), self.ctx, self.code)
+
+    def _new(self, code: bytes) -> "_BytePoly":
+        return _packed(type(self), self.ctx, code)
+
+    def degree(self):
+        return len(self.code) - 1 if self.code else MINUS_INF
+
+    def is_zero(self) -> bool:
+        return not self.code
+
+    def is_constant(self) -> bool:
+        return len(self.code) <= 1
+
+    def is_one(self) -> bool:
+        return self.code == b"\x01"
+
+    def is_monic(self) -> bool:
+        return self.code[-1:] == b"\x01"
+
+    def coeff(self, i: int) -> FqElem:
+        if 0 <= i < len(self.code):
+            return FqElem(self.ctx, _tables(self.ctx).raw[self.code[i]])
+        return self.ctx.zero
+
+    def lc(self) -> FqElem:
+        return self.coeff(len(self.code) - 1)
+
+    def __bool__(self):
+        return bool(self.code)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.code == other.code
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+        )
+
+    def __hash__(self):
+        return hash(self.code)
+
+    def _mul(self, other: "_BytePoly") -> "_BytePoly":
+        a, b = self.code, other.code
+        F = self.ctx.packed or _tables(self.ctx)
+        if len(a) > 1 < len(b):
+            return self._new(self._product(a, b, F))
+        if not a or not b:
+            return self._new(b"")
+        if len(a) > 1:
+            a, b = b, a
+        return self._new(b.translate(F.mul[a[0]]))
+
+    def _divmod(self, other: "_BytePoly"):
+        a, b = self.code, other.code
+        if len(a) < len(b):
+            return self._new(b""), self
+        F = self.ctx.packed or _tables(self.ctx)
+        if len(b) == 1:
+            return self._new(a.translate(F.mul[F.inv[b[0]]])), self._new(b"")
+        q, r = _slot_divmod(a, b, F)
+        return self._new(q), self._new(r)
+
+    def _gcd(self, other: "_BytePoly") -> "_BytePoly":
+        return self._new(_slot_gcd(self.code, other.code, self.ctx.packed or _tables(self.ctx)))
+
+    def monic(self) -> "_BytePoly":
+        code = self.code
+        if not code or code[-1] == 1:
+            return self
+        return self._new(_slot_monic(code, self.ctx.packed or _tables(self.ctx)))
+
+    def derivative(self) -> "_BytePoly":
+        code, p = self.code, self.ctx.p
+        mul = (self.ctx.packed or _tables(self.ctx)).mul
+        out = bytearray(max(len(code) - 1, 0))
+        for i in range(1, p):  # x^j with j = i mod p gets the factor i
+            out[i - 1::p] = code[i::p].translate(mul[i])
+        return self._new(bytes(out.rstrip(b"\0")))
+
+    def shift(self, n: int) -> "_BytePoly":
+        """Multiply by x^n."""
+        return self._new(bytes(n) + self.code) if self.code else self
+
+    def pth_parts(self) -> list:
+        """The p polynomials g_0..g_{p-1} with self = sum g_m^p x^m."""
+        code, p = self.code, self.ctx.p
+        root = (self.ctx.packed or _tables(self.ctx)).root
+        parts = (code[m::p].rstrip(b"\0") for m in range(p))
+        return [self._new(part if root is None else part.translate(root)) for part in parts]
+
+
+class FpPoly(_BytePoly):
+    """A polynomial over F_p, p an odd prime below 128: `code` holds one
+    residue per byte, and `coeffs` is that same bytes string, so it reads,
+    prints, hashes and sorts like the coefficient tuple."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _encode(ctx: FqCtx, raw_list) -> bytes:
+        return bytes(raw_list).rstrip(b"\0")
+
+    @property
+    def coeffs(self) -> bytes:
+        return self.code
+
+    def sort_key(self):
+        return (len(self.code), self.code)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.code, other.code
+        F = self.ctx.packed or _tables(self.ctx)
+        total = (_int(a) + _int(b)).to_bytes(max(len(a), len(b)), "little")
+        return _packed(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.code, other.code
+        F = self.ctx.packed or _tables(self.ctx)
+        minus_b = b.translate(F.mul[F.neg[1]])
+        total = (_int(a) + _int(minus_b)).to_bytes(max(len(a), len(b)), "little")
+        return _packed(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
+
+    def __neg__(self):
+        F = self.ctx.packed or _tables(self.ctx)
+        return _packed(FpPoly, self.ctx, self.code.translate(F.mul[F.neg[1]]))
+
+    _product = staticmethod(_fp_mul)
+
+
+class F2kPoly(_BytePoly):
+    """A polynomial over F_{2^k}, 2 <= k <= 4: `code` holds one element per
+    byte, bit i the coordinate of z^i; `coeffs`, the tuple of raw
+    coordinate tuples, is built only when it is read."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _encode(ctx: FqCtx, raw_list) -> bytes:
+        return bytes(map(_tables(ctx).code.__getitem__, raw_list)).rstrip(b"\0")
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(_tables(self.ctx).raw.__getitem__, self.code))
+
+    def sort_key(self):
+        return (len(self.code), self.code.translate(_tables(self.ctx).rank))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.code, other.code
+        total = (_int(a) ^ _int(b)).to_bytes(max(len(a), len(b)), "little")
+        return _packed(F2kPoly, self.ctx, total.rstrip(b"\0"))
+
+    __radd__ = __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    _product = staticmethod(_f2k_mul)
+
+
+def _monomial(ctx: FqCtx, n: int) -> Poly:
+    """x^n over ctx."""
+    cls = _poly_class(ctx)
+    if cls is F2Poly:
+        return _f2(ctx, 1 << n)
+    if cls is Poly:
+        return Poly._tuple(ctx, [ctx.rzero] * n + [ctx.rone])
+    return _packed(cls, ctx, bytes(n) + b"\x01")
+
+
+def _packed(cls, ctx: FqCtx, code: bytes) -> _BytePoly:
+    p = object.__new__(cls)
+    p.ctx = ctx
+    p.code = code
     return p
 
 
@@ -666,8 +1088,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
-        if den is None:
-            den = Poly.one(num.ctx)
+        if den is None:  # num/1 is canonical as it stands
+            self.num = num
+            self.den = Poly.one(num.ctx)
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero():

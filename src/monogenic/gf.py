@@ -9,7 +9,9 @@ power basis 1, z, ..., z^{k-1} of a fixed monic irreducible modulus.  The
 
 All raw-level arithmetic lives on the context object `FqCtx`; `FqElem` is a
 thin value wrapper with operator overloads.  Contexts are immutable after
-construction and elements never mutate, so values can be shared freely
+construction, apart from the byte tables of the packed polynomial kernels
+that `funcfield` caches on them at first use (the same tables, however
+often built), and elements never mutate, so values can be shared freely
 between concurrent tasks.
 
 Canonical text form: prime-field elements print as decimal residues,
@@ -92,7 +94,9 @@ def _fp_is_irreducible(m, p) -> bool:
 class FqCtx:
     """Context of a finite field F_{p^k}: prime, extension degree, modulus."""
 
-    __slots__ = ("p", "k", "q", "modulus", "gen_label")
+    # `packed`: the byte tables of the packed polynomial kernels, set by
+    # `funcfield` on their first use
+    __slots__ = ("p", "k", "q", "modulus", "gen_label", "packed")
 
     def __init__(self, p: int, k: int = 1, modulus=None, gen_label: str = "z"):
         if not (2 <= p <= 2 ** 16) or not _is_prime(p):
@@ -119,6 +123,7 @@ class FqCtx:
         self.q = q
         self.modulus = modulus
         self.gen_label = gen_label
+        self.packed = None
 
     # contexts compare by value so fields built twice interoperate
     def __eq__(self, other):

@@ -47,9 +47,11 @@ class SpanTracker:
         for pivot, rvec, rexpr in self.rows:
             c = cur[pivot]
             if c:
-                cur = [a - c * b for a, b in zip(cur, rvec)]
+                # most row entries are zero: they leave their coordinate as is
+                cur = [a - c * b if b else a for a, b in zip(cur, rvec)]
                 for i, b in enumerate(rexpr):
-                    used[i] = used[i] + c * b
+                    if b:
+                        used[i] = used[i] + c * b
         return cur, used
 
     def express(self, vec: Sequence) -> Optional[List]:
@@ -66,5 +68,6 @@ class SpanTracker:
             return used
         inv = self.one / cur[pivot]
         # inv * cur = inv * (vec - sum used_i v_i): expression over fed vectors
-        self.rows.append((pivot, [inv * c for c in cur], [-(inv * c) for c in used] + [inv]))
+        self.rows.append((pivot, [inv * c if c else c for c in cur],
+                          [-(inv * c) if c else c for c in used] + [inv]))
         return None

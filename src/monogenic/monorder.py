@@ -68,6 +68,7 @@ class MonOrder:
     ):
         self.generator = generator
         self.ring = ring
+        self._frobenius = [generator]  # generator^(p^e) at index e
         ctx = generator.tower.base
         self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
         self.minpoly, self.d = minimal_polynomial(generator, self.span)
@@ -85,6 +86,13 @@ class MonOrder:
         if self.d < 2:
             return None
         return discriminant(self.generator, (self.minpoly, self.d))
+
+    def frobenius(self, e: int) -> AlgElem:
+        """generator^(p^e), each power computed once."""
+        pows = self._frobenius
+        while len(pows) <= e:
+            pows.append(frobenius_power(pows[-1], 1))
+        return pows[e]
 
     def __repr__(self):
         return f"O[{self.generator!r}]"
@@ -154,26 +162,25 @@ class GeneratorRelation:
 
 
 def fit_generator_relation(
-    t: AlgElem, t_i: AlgElem, max_e: int = 8, ring: RingTag = POLY_RING
+    t: AlgElem, t_i: Union[AlgElem, MonOrder], max_e: int = 8, ring: RingTag = POLY_RING
 ) -> Optional[GeneratorRelation]:
     """Search q = p^e, e = 0..max_e, for a relation t = a*t_i^q + b with
     a, b in K; the smallest successful e wins (a search policy, not a
     canonical form).  Failure is a search-horizon report, not a refutation.
+    A caller holding the record of t_i (a MonOrder, integral or not) passes
+    it for t_i; its discriminant and Frobenius powers are then reused.
     """
     tower = t.tower
-    if t_i.tower is not tower:
+    if (t_i.generator if isinstance(t_i, MonOrder) else t_i).tower is not tower:
         raise ValueError("elements of different towers")
+    rec = t_i if isinstance(t_i, MonOrder) else MonOrder(t_i, ring, require_integral=False)
     ctx = tower.base
     zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
     one_vec = tower.from_base(1).coords()
     t_vec = t.coords()
-    rec = MonOrder(t_i, ring, require_integral=False)
     d, disc_i = rec.d, rec.disc
-    w = t_i
     for e in range(max_e + 1):
-        if e > 0:
-            w = frobenius_power(w, 1)
-        sol = solve_in_span([w.coords(), one_vec], t_vec, zero, one)
+        sol = solve_in_span([rec.frobenius(e).coords(), one_vec], t_vec, zero, one)
         if sol is not None and not sol[0].is_zero():
             a, b = sol
             q = ctx.p ** e
@@ -188,12 +195,34 @@ def fit_generator_relation(
 # quadratic symmetric backend: O = F_q[x+y, xy] in L = F_q(x, y)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SymMembership:
-    contained: bool
-    reason: str
-    lin: Optional[BivarPoly] = None    # B in e1, e2
-    const: Optional[BivarPoly] = None  # A in e1, e2
+    """The answer of `sym_in_order`: contained or not, why, and for a
+    contained u the symmetric B and A of u = A + B*w.  `lin` and `const`
+    rewrite B and A in e1, e2 when first read (B is None when w is in K,
+    and both are None when u is outside O[w])."""
+
+    __slots__ = ("contained", "reason", "_b", "_a", "_lin", "_const")
+
+    def __init__(self, contained: bool, reason: str,
+                 b: Optional[BivarPoly] = None, a: Optional[BivarPoly] = None):
+        self.contained = contained
+        self.reason = reason
+        self._b, self._a = b, a
+        self._lin = self._const = None
+
+    @property
+    def lin(self) -> Optional[BivarPoly]:
+        """B in e1, e2."""
+        if self._lin is None and self._b is not None:
+            self._lin = self._b.sym_decompose()
+        return self._lin
+
+    @property
+    def const(self) -> Optional[BivarPoly]:
+        """A in e1, e2."""
+        if self._const is None and self._a is not None:
+            self._const = self._a.sym_decompose()
+        return self._const
 
 
 def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
@@ -201,7 +230,8 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
 
     For nonsymmetric w (so [K(w):K] = 2) this solves u = A + B*w by applying
     sigma and eliminating: B = (u - sigma u)/(w - sigma w) must divide
-    exactly and both B and A = u - B*w must be symmetric polynomials.
+    exactly and both B and A = u - B*w must be symmetric polynomials, that
+    is polynomials in e1 and e2.
     """
     sw = w.swap()
     dw = w - sw
@@ -209,26 +239,21 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
         # w is in K: O[w] = O (w integral means w in O); u must be symmetric
         if not u.is_symmetric():
             return SymMembership(False, "w generates O but u is not symmetric")
-        dec = u.sym_decompose()
-        return SymMembership(True, "both inside the base ring", None, dec)
+        return SymMembership(True, "both inside the base ring", None, u)
     du = u - u.swap()
     if du.is_zero():
-        b = BivarPoly(u.ctx, {})
-        a = u.sym_decompose()
-        return SymMembership(True, "u symmetric", b.sym_decompose(), a)
+        return SymMembership(True, "u symmetric", BivarPoly(u.ctx, {}), u)
     if du.total_degree() < dw.total_degree():
         return SymMembership(False, "degree obstruction: B would not be polynomial")
     b = du.divide_exact(dw)
     if b is None:
         return SymMembership(False, "(u - sigma u)/(w - sigma w) is not a polynomial")
-    b_sym = b.sym_decompose()
-    if b_sym is None:
+    if not b.is_symmetric():
         return SymMembership(False, "B is not symmetric")
     a = u - b * w
-    a_sym = a.sym_decompose()
-    if a_sym is None:
+    if not a.is_symmetric():
         return SymMembership(False, "A = u - B*w is not symmetric")
-    return SymMembership(True, "u = A + B*w with A, B in O", b_sym, a_sym)
+    return SymMembership(True, "u = A + B*w with A, B in O", b, a)
 
 
 def sym_orders_equal(u: BivarPoly, w: BivarPoly) -> OrdersEqual:

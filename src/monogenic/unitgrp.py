@@ -282,18 +282,8 @@ def build_group(generators: Sequence, ctx: FqCtx) -> GroupCtx:
 def pth_power_decompose(a: RatFunc) -> List[RatFunc]:
     """Unique c_0..c_{p-1} in K with a = sum c_m^p x^m over the p-basis
     {1, x, ..., x^{p-1}} of K over K^p."""
-    ctx = a.ctx
-    p = ctx.p
-    w = a.num * a.den ** (p - 1)
-    buckets = [[] for _ in range(p)]
-    for i, c in enumerate(w.coeffs):
-        m = i % p
-        j = i // p
-        bucket = buckets[m]
-        while len(bucket) <= j:
-            bucket.append(ctx.rzero)
-        bucket[j] = ctx.rpth_root(c)
-    return [RatFunc(Poly._make(ctx, b), a.den) for b in buckets]
+    w = a.num * a.den ** (a.ctx.p - 1)
+    return [RatFunc(g, a.den) for g in w.pth_parts()]
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) 
     rep.add("disc(s) = x^12", disc_s == RatFunc(xp ** 12), f"disc(s) = {disc_s!r}")
 
     zs = {}
+    orders_z = {}
     for m in range(1, m_max + 1):
         zs[m] = (s ** (4 ** m) + RatFunc(seq.term(m))) / (xr ** (4 ** m - 1))
 
@@ -263,7 +264,7 @@ def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) 
         else:
             rep.add(f"(a) z_{m} in O[s]", ok, detail if not ok else "polynomial coordinates")
 
-        order_z = MonOrder(zm, POLY_RING, require_integral=False)
+        order_z = orders_z[m] = MonOrder(zm, POLY_RING, require_integral=False)
         eq = orders_equal(order_z, order_s)
         rep.add(f"(b) O[z_{m}] = O[s]", bool(eq), eq.reason)
 
@@ -290,7 +291,7 @@ def verify_shifted_generator_family(eta: Optional[Poly] = None, m_max: int = 4) 
     # a shift b with negative valuation once m - j is large enough
     for j in range(1, m_max):
         for m in range(j + 1, m_max + 1):
-            rel = fit_generator_relation(zs[m], zs[j], max_e=2 * (m - j) + 2)
+            rel = fit_generator_relation(zs[m], orders_z[j], max_e=2 * (m - j) + 2)
             if rel is None:
                 rep.add(f"(f) relation z_{m} over z_{j}", False, "no relation found in the horizon")
                 continue

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogenic import FqCtx, Poly
-from monogenic.funcfield import F2Poly
+from monogenic.funcfield import F2kPoly, F2Poly, FpPoly
 
 F2 = FqCtx(2)
 
@@ -129,7 +129,9 @@ def test_constructors_are_packed():
         assert type(p) is F2Poly
     assert Poly(F2, [1, 1, 0, 0]).coeffs == (1, 1)
     assert Poly.zero(F2).coeffs == () and Poly.zero(F2).degree() == float("-inf")
-    assert type(Poly(FqCtx(3), [1, 1])) is Poly and type(Poly(FqCtx(2, 2), [1])) is Poly
+    # the other packed fields have their own classes; F_9 keeps the tuples
+    assert type(Poly(FqCtx(3), [1, 1])) is FpPoly and type(Poly(FqCtx(2, 2), [1])) is F2kPoly
+    assert type(Poly(FqCtx(3, 2), [1])) is Poly
     with pytest.raises(ValueError):
         x * Poly.x(FqCtx(3))
     f = x ** 5 + 1

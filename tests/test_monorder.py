@@ -244,6 +244,32 @@ def test_sym_membership_seven_powers():
     assert sym_orders_equal(s ** m, t ** m)
 
 
+def test_sym_membership_rewrites_lazily_as_before():
+    # `lin` and `const` are B and A rewritten in e1, e2 when first read;
+    # they equal the rewrite of B = (u - sigma u)/(w - sigma w) and
+    # A = u - B*w made eagerly
+    ctx, s, t = symmetric_pair()
+    e1 = s + s.swap()
+    cases = [(s ** 14, t ** 14), (t ** 14, s ** 14), (t, t), (e1, t), (s ** 2, t ** 2),
+             (s ** 3, t ** 3), (t * t, e1), (e1 * e1, e1)]
+    for u, w in cases:
+        mem = sym_in_order(u, w)
+        dw = w - w.swap()
+        if not mem.contained:
+            assert mem.lin is None and mem.const is None
+            continue
+        if dw.is_zero():
+            assert mem.lin is None
+            assert mem.const == u.sym_decompose()
+            continue
+        b = (u - u.swap()).divide_exact(dw)
+        a = u - b * w
+        assert mem.lin == b.sym_decompose() and mem.const == a.sym_decompose()
+        assert mem.lin.names == mem.const.names == ("e1", "e2")
+        assert mem.lin.expand_sym() == b and mem.const.expand_sym() == a
+        assert mem.lin is mem.lin  # rewritten once
+
+
 def test_sym_membership_failure():
     ctx, s, t = symmetric_pair()
     assert not sym_in_order(s ** 3, t ** 3).contained

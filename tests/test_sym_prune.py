@@ -73,3 +73,22 @@ def test_membership_runs_only_on_equal_degrees(monkeypatch):
         for n in range(1, box + 1):
             pair.equal(m, n)
     assert len(calls) == want > 0
+
+
+def test_grid_rewrites_nothing_in_e1_e2(monkeypatch):
+    """Deciding a cell needs only whether B and A are symmetric, not their
+    rewriting in e1, e2: a box-30 grid over F_7 makes no `sym_decompose`
+    call."""
+    calls = []
+    eager = BivarPoly.sym_decompose
+
+    def counted(self):
+        calls.append(self)
+        return eager(self)
+
+    monkeypatch.setattr(BivarPoly, "sym_decompose", counted)
+    ctx = FqCtx(7)
+    x, y = BivarPoly.gens(ctx)
+    pair = SymPowerPair(x, x * 3 + y * 2)
+    equal_cells = sum(pair.equal(m, n) for m in range(1, 31) for n in range(1, 31))
+    assert equal_cells > 0 and calls == []
