@@ -1083,7 +1083,8 @@ def _packed(cls, ctx: FqCtx, code: bytes) -> _BytePoly:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Element of K = F_q(x) in canonical form (monic denominator, coprime)."""
+    """Element of K = F_q(x) in canonical form (monic denominator, coprime);
+    +, -, * and exact / of two polynomials are canonical without a gcd."""
 
     __slots__ = ("num", "den")
 
@@ -1170,6 +1171,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc._coprime(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -1178,6 +1181,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc._coprime(self.num - o.num, self.den)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
@@ -1187,12 +1192,14 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._coprime(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return RatFunc._coprime(self.num * o.num, self.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -1203,6 +1210,10 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if self.den.is_one() and o.den.is_one():
+            q, r = divmod(self.num, o.num)
+            if not r:  # an exact quotient, as in fraction-free elimination
+                return RatFunc._coprime(q, self.den)
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):

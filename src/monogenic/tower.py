@@ -8,7 +8,11 @@ L_{i-1} is the start of the basis of L_i (the monomials with a_i = 0), so a
 lower level's value is the start of its value at a higher level and
 embedding pads with zeros.  Read as a polynomial in g_i, a level-i value
 has deg f_i consecutive blocks of coordinates as its coefficients, which
-is how multiplication reduces by f_i.
+is how multiplication reduces by f_i.  Every product bottoms out in the
+level-1 product, which runs on numerators in F_q[x] over one common
+denominator per operand (1 for polynomial coordinates, as on every power
+of a generator of a tower with polynomial coefficients) and normalizes
+each output coordinate once.
 
 Galois action is by declared generator images only: automatic splitting
 fields are out of scope, and every caller-declared map is verified to send
@@ -24,7 +28,6 @@ failure after the bounded scan records the level as "assumed".
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -139,8 +142,18 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _common_denominator(v: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
+    """(nums, den): den is the lcm of the denominators of the elements of K
+    in v (1 when they are all polynomials), and v_i = nums_i / den."""
+    lcm = v[0].den
+    for c in v[1:]:
+        if c.den != lcm:
+            lcm = lcm * (c.den // lcm.gcd(c.den))
+    return [c.num if c.den == lcm else c.num * (lcm // c.den) for c in v], lcm
+
+
 class Level:
-    __slots__ = ("label", "coeffs", "degree", "status")
+    __slots__ = ("label", "coeffs", "degree", "status", "cleared")
 
     def __init__(self, label: str, coeffs, degree: int, status: str):
         self.label = label
@@ -149,6 +162,8 @@ class Level:
         self.coeffs = coeffs
         self.degree = degree
         self.status = status  # "certified(...)" or "assumed"
+        # the first level's coefficients over their common denominator delta
+        self.cleared = _common_denominator(coeffs) if isinstance(coeffs[0], RatFunc) else None
 
 
 class Tower:
@@ -188,11 +203,7 @@ class Tower:
         if self.base.k != 1:
             return "assumed"
         d = len(cs) - 1
-        dens = [c.den for c in cs]
-        lcm = Poly.one(self.base)
-        for dd in dens:
-            lcm = (lcm * dd) // lcm.gcd(dd)
-        cleared = [c.num * (lcm // c.den) for c in cs]
+        cleared = _common_denominator(cs)[0]
         # scan c over F_q, F_{q^2}, ... using the built-in modulus table
         for j in (1, 2, 3, 4):
             try:
@@ -248,26 +259,49 @@ class Tower:
     def _mul(self, lvl: int, a, b):
         """Schoolbook product over the blocks of g_lvl, reduced by f_lvl."""
         level = self.levels[lvl - 1]
-        d = level.degree
         if lvl == 1:
-            zero = self._zero[0]
-            mul, add, sub, nonzero = operator.mul, operator.add, operator.sub, bool
-        else:
-            zero = self._zero[:len(a) // d]
-            mul, add, sub, nonzero = partial(self._mul, lvl - 1), _add, _sub, any
-        prod = [zero] * (2 * d - 1)
+            return self._mul_level1(level, a, b)
+        d = level.degree
+        mul = partial(self._mul, lvl - 1)
+        prod = [self._zero[:len(a) // d]] * (2 * d - 1)
         xs, ys = self._blocks(lvl, a), self._blocks(lvl, b)
         for i, x in enumerate(xs):
-            if nonzero(x):
+            if any(x):
                 for j, y in enumerate(ys):
-                    prod[i + j] = add(prod[i + j], mul(x, y))
+                    prod[i + j] = _add(prod[i + j], mul(x, y))
         modulus = level.coeffs
         for i in range(2 * d - 2, d - 1, -1):
             c = prod[i]
-            if nonzero(c):
+            if any(c):
                 for j in range(d):
-                    prod[i - d + j] = sub(prod[i - d + j], mul(c, modulus[j]))
-        return tuple(prod[:d]) if lvl == 1 else sum(prod[:d], ())
+                    prod[i - d + j] = _sub(prod[i - d + j], mul(c, modulus[j]))
+        return sum(prod[:d], ())
+
+    def _mul_level1(self, level: Level, a, b):
+        """The level-1 product on numerators in F_q[x]: each operand, and
+        f_1, over its common denominator (delta for f_1); each output
+        coordinate is divided by the product of the denominators once."""
+        d = level.degree
+        (xs, den), (ys, dy) = _common_denominator(a), _common_denominator(b)
+        den = den * dy
+        prod = [self._zero[0].num] * (2 * d - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    prod[i + j] = prod[i + j] + x * y
+        modulus, delta = level.cleared
+        scale = not delta.is_one()
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            if c:
+                if scale:  # c * f_1 / delta: bring what is left over delta
+                    prod[:i] = [delta * p for p in prod[:i]]
+                    den = den * delta
+                for j in range(d):
+                    prod[i - d + j] = prod[i - d + j] - c * modulus[j]
+        if den.is_one():
+            return tuple(RatFunc._coprime(p, den) for p in prod[:d])
+        return tuple(RatFunc(p, den) for p in prod[:d])
 
     def _pow(self, a, n: int):
         out = self.from_base(1).val

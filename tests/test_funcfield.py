@@ -211,3 +211,30 @@ def test_coprime_and_pow_match_normalizing_constructor(ctx, dn, dd, n, seed):
     want = RatFunc(a.num ** n, a.den ** n) if n >= 0 else RatFunc(a.den ** -n, a.num ** -n)
     got = a ** n
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(st.sampled_from([F2, F3, F7, F4]), st.booleans(), st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_textbook_formulas(ctx, poly_a, poly_b, seed):
+    # polynomial operands take the gcd-free paths, the others the general one
+    rng = random.Random(seed)
+
+    def draw(polynomial):
+        num = Poly.random(ctx, rng.randint(0, 4), rng) if rng.random() < 0.85 else Poly.zero(ctx)
+        den = Poly.one(ctx) if polynomial else Poly.random(ctx, rng.randint(0, 3), rng)
+        return RatFunc(num, den)
+
+    a, b = draw(poly_a), draw(poly_b)
+    cases = [
+        (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+        (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+        (a * b, a.num * b.num, a.den * b.den),
+        (-a, -a.num, a.den),
+    ]
+    if b:
+        cases.append((a / b, a.num * b.den, a.den * b.num))
+        assert (a * b) / b == a
+    for got, num, den in cases:
+        want = RatFunc(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den.is_monic() and got.num.gcd(got.den).is_one()

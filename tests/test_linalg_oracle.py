@@ -6,8 +6,12 @@ was: one Gauss-Jordan pass over the augmented matrix.  On random systems
 over Q and over F_3(x), with dependent columns and inconsistent targets
 among them, both must return None together, give the same solution when
 the columns are independent, and every solution must satisfy the system.
+The `SpanTracker` is also fed vector sequences directly: at each dependence
+the combination it returns must be the oracle's, and on polynomial vectors
+its fraction-free rows must stay polynomial.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogenic import FqCtx, Poly, RatFunc
-from monogenic.linalg import solve_in_span
+from monogenic.linalg import SpanTracker, solve_in_span
 
 F3 = FqCtx(3)
 
@@ -123,6 +127,63 @@ _RATFUNCS = st.sampled_from([[], [], [1]]).map(lambda c: RatFunc(Poly(F3, c))) \
 @given(_systems(_RATFUNCS, RatFunc.of(0, F3)))
 def test_ratfunc_systems_over_f3(system):
     _check(*system, RatFunc.of(0, F3), RatFunc.of(1, F3))
+
+
+@st.composite
+def _sequences(draw, scalar, zero):
+    """Vectors of one length, some of them combinations of earlier ones."""
+    n = draw(st.integers(1, 4))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        if vectors and draw(st.booleans()):
+            vectors.append(_combine(vectors, [draw(scalar) for _ in vectors], zero))
+        else:
+            vectors.append([draw(scalar) for _ in range(n)])
+    return vectors
+
+
+def _check_sequence(vectors, zero, one):
+    # Gauss-Jordan leaves the coefficient of every column that depends on
+    # earlier ones at zero, as the tracker does for a vector it did not store
+    span = SpanTracker(zero, one)
+    for j, vec in enumerate(vectors):
+        assert span.add(vec) == gauss_jordan_solve(vectors[:j], vec, zero, one)
+    assert span.count == len(vectors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sequences(_FRACTIONS, Fraction(0)))
+def test_tracker_combinations_over_q(vectors):
+    _check_sequence(vectors, Fraction(0), Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sequences(_RATFUNCS, RatFunc.of(0, F3)))
+def test_tracker_combinations_over_f3(vectors):
+    _check_sequence(vectors, RatFunc.of(0, F3), RatFunc.of(1, F3))
+
+
+@pytest.mark.parametrize("ctx", [FqCtx(2), F3])
+def test_polynomial_vectors_keep_polynomial_rows(ctx):
+    rng = random.Random(ctx.p)
+    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+    for _ in range(25):
+        n = rng.randint(2, 5)
+        vectors = []
+        for _ in range(n + 1):
+            if vectors and rng.random() < 0.3:  # a dependent vector
+                scale = [RatFunc(Poly.random(ctx, 1, rng)) for _ in vectors]
+                vectors.append(_combine(vectors, scale, zero))
+                continue
+            vectors.append([RatFunc(Poly.random(ctx, rng.randint(0, 3), rng))
+                            if rng.random() < 0.7 else zero for _ in range(n)])
+        span = SpanTracker(zero, one)
+        for vec in vectors:
+            span.add(vec)
+        assert span.rows
+        for stored in span.rows:
+            for part in stored[1:]:  # the reduced vector and its expression
+                assert all(c.is_polynomial() for c in part)
 
 
 def test_ragged_columns_rejected():

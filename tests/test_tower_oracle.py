@@ -5,15 +5,16 @@ generator, nested down to elements of K; it is now the flat tuple of its
 coordinates over K.  The oracle below is the earlier nested arithmetic,
 kept as it was (`_embed_to`, `_mul`, `_inv`, `_flatten` and the helpers
 they call), with its linear solve done by the kept Gauss-Jordan oracle.
-On random elements of three towers, products, powers, inverses, divisions
-by elements of K and embeddings must agree after flattening.
+On random elements of four towers, one of them with a level-1 defining
+polynomial that is not integral, products, powers, inverses, divisions by
+elements of K and embeddings must agree after flattening.
 """
 
 import random
 
 import pytest
 
-from monogenic import RatFunc
+from monogenic import FqCtx, RatFunc, Tower
 from test_linalg_oracle import gauss_jordan_solve
 from test_parse import (
     _f3_cubic, _random_elem, _random_ratfunc, _shifted_quartic, _two_level_degree_8,
@@ -128,7 +129,18 @@ class NestedTower:
         return self._unflatten(lvl, sol)
 
 
-TOWERS = [_shifted_quartic, _two_level_degree_8, _f3_cubic]
+def _f3_non_integral():
+    """y^2 + y/x + 1 over F_3(x): f_1 has a coefficient with denominator x,
+    so the level-1 product reduces over delta = x.  `extend` checks that it
+    is separable (its discriminant 1/x^2 - 1 is nonzero)."""
+    ctx = FqCtx(3)
+    x = RatFunc.gen(ctx)
+    tw = Tower(ctx).extend("y", [1, 1 / x, 1])
+    assert tw.levels[0].coeffs[1].den == x.num
+    return tw
+
+
+TOWERS = [_shifted_quartic, _two_level_degree_8, _f3_cubic, _f3_non_integral]
 
 
 @pytest.mark.parametrize("make", TOWERS)
