@@ -3,10 +3,11 @@
 #
 #   scripts/check.sh
 #
-# 1. the tier-1 test suite;
-# 2. every bundled scenario report against tests/golden;
-# 3. the benchmark self-test;
-# 4. a 5 s default-seed run of the search, verify and sym_unit workloads:
+# 1. no unused import in src/monogenic (scripts/check_imports.py);
+# 2. the tier-1 test suite;
+# 3. every bundled scenario report against tests/golden;
+# 4. the benchmark self-test;
+# 5. a 5 s default-seed run of the search, verify and sym_unit workloads:
 #    run.py compares their report digests with perfbench/digests.json and
 #    prints "correct": false on any difference or failed task.
 # It ends by printing the line total of src/, the size figure each change
@@ -15,6 +16,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+echo "== unused imports"
+python3 scripts/check_imports.py
 echo "== tier-1 tests"
 python3 -m pytest -q
 echo "== scenario reports against tests/golden"

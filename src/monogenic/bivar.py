@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .gf import FqCtx, FqElem
+from .gf import FqCtx, FqElem, power
 
 
 class BivarPoly:
@@ -143,14 +143,7 @@ class BivarPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = BivarPoly.constant(self.ctx, 1, self.names)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n) if n else BivarPoly.constant(self.ctx, 1, self.names)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -26,6 +26,8 @@ Division and gcd hold the remainder as one int and take one int addition
 (or XOR) per quotient coefficient.  The tables of a field are built on
 first use and shared by its contexts.
 
+Powers go through `gf.power`.  `evaluate` also takes a point of an
+extension of a prime field, which the irreducibility scan of `tower` needs.
 Every representation stores little-endian coefficients with trailing zeros
 stripped.  The zero polynomial has the distinguished degree `MINUS_INF`.
 Rational functions are kept in the canonical form num/den with den monic
@@ -48,7 +50,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Tuple
 
-from .gf import FqCtx, FqElem, _fp_poly_mul
+from .gf import FqCtx, FqElem, _fp_poly_mul, power
 
 MINUS_INF = float("-inf")
 
@@ -449,15 +451,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        raw = []
-        za = ctx.rzero
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else za
-            y = other.coeffs[i] if i < len(other.coeffs) else za
-            raw.append(ctx.rsub(x, y))
-        return Poly._tuple(ctx, raw)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -498,15 +492,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self._like([self.ctx.rone]) if out is None else out
+        return power(self, n) if n else self._like([self.ctx.rone])
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -577,38 +563,31 @@ class Poly:
         return Poly._tuple(self.ctx, [self.ctx.rzero] * n + list(self.coeffs))
 
     def evaluate(self, a: FqElem) -> FqElem:
-        ctx = a.ctx
-        if ctx != self.ctx:
-            raise ValueError("evaluation point from a different field")
+        """The value at a point a of F_q or, over a prime field F_p, of an
+        extension of F_p (Horner's rule)."""
+        ctx, base = a.ctx, self.ctx
+        if ctx != base and (base.k != 1 or ctx.p != base.p):
+            raise ValueError("evaluation point from an unrelated field")
+        coeffs = self.coeffs
+        if base.k == 1 and _poly_class(ctx) is not Poly:
+            # Horner's rule on codes: a coefficient of F_p has the code c
+            F = _tables(ctx)
+            times_a = F.mul[F.code[a.raw]]
+            acc = 0
+            if F.xor:
+                for c in reversed(coeffs):
+                    acc = times_a[acc] ^ c
+            else:
+                p = ctx.p
+                for c in reversed(coeffs):
+                    acc = (times_a[acc] + c) % p
+            return FqElem(ctx, F.raw[acc])
+        if ctx != base:
+            coeffs = [ctx.rfrom_int(c) for c in coeffs]
         acc = ctx.rzero
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = ctx.radd(ctx.rmul(acc, a.raw), c)
         return FqElem(ctx, acc)
-
-    def evaluate_ext(self, a: FqElem) -> FqElem:
-        """Evaluate at a point of an extension of the (prime) base field."""
-        if self.ctx.k != 1:
-            raise ValueError("extension evaluation supported over prime fields only")
-        ctx = a.ctx
-        if ctx.p != self.ctx.p:
-            raise ValueError("incompatible characteristic")
-        if _poly_class(ctx) is Poly:
-            acc = ctx.rzero
-            for c in reversed(self.coeffs):
-                acc = ctx.radd(ctx.rmul(acc, a.raw), ctx.rfrom_int(c))
-            return FqElem(ctx, acc)
-        # Horner's rule on codes: a coefficient of F_p has the code c
-        F = _tables(ctx)
-        times_a = F.mul[F.code[a.raw]]
-        acc = 0
-        if F.xor:
-            for c in reversed(self.coeffs):
-                acc = times_a[acc] ^ c
-        else:
-            p = ctx.p
-            for c in reversed(self.coeffs):
-                acc = (times_a[acc] + c) % p
-        return FqElem(ctx, F.raw[acc])
 
     def pth_parts(self) -> list:
         """The p polynomials g_0..g_{p-1} with self = sum g_m^p x^m."""
@@ -641,14 +620,9 @@ class Poly:
         return a.monic()
 
     def pow_mod(self, n: int, mod: "Poly") -> "Poly":
-        out = self._like([self.ctx.rone])
-        base = self % mod
-        while n:
-            if n & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return out
+        if not n:
+            return self._like([self.ctx.rone])
+        return power(self % mod, n, lambda a, b: a * b % mod)
 
     def squarefree_decomposition(self):
         """Monic squarefree parts with multiplicities; handles derivative-zero

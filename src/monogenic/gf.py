@@ -16,12 +16,15 @@ between concurrent tasks.
 
 Canonical text form: prime-field elements print as decimal residues,
 extension elements as polynomials in z with descending exponents
-(`z^2+z+1`), omitting zero terms and unit coefficients.
+(`z^2+z+1`), omitting zero terms and unit coefficients, as does the
+modulus in a context's repr.  `power` is the one square-and-multiply of
+the package, for every type that raises to a power.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 # Default moduli for the small fields used throughout: fixed, reproducible
@@ -45,6 +48,19 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def power(base, n: int, mul=operator.mul):
+    """base^n for n >= 1 by square-and-multiply with `mul`.  It starts from
+    base, so it never multiplies by one; each caller handles n <= 0."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = mul(base, base)
 
 
 def _fp_poly_mul(a, b, p):
@@ -96,9 +112,11 @@ class FqCtx:
 
     # `packed`: the byte tables of the packed polynomial kernels, set by
     # `funcfield` on their first use
-    __slots__ = ("p", "k", "q", "modulus", "gen_label", "packed")
+    __slots__ = ("p", "k", "q", "modulus", "packed")
 
-    def __init__(self, p: int, k: int = 1, modulus=None, gen_label: str = "z"):
+    gen_label = "z"  # the name of the extension generator in text forms
+
+    def __init__(self, p: int, k: int = 1, modulus=None):
         if not (2 <= p <= 2 ** 16) or not _is_prime(p):
             raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
         if k < 1:
@@ -122,7 +140,6 @@ class FqCtx:
         self.k = k
         self.q = q
         self.modulus = modulus
-        self.gen_label = gen_label
         self.packed = None
 
     # contexts compare by value so fields built twice interoperate
@@ -138,7 +155,7 @@ class FqCtx:
     def __repr__(self):
         if self.k == 1:
             return f"F{self.p}"
-        return f"F{self.q}=F{self.p}[{self.gen_label}]/({_mod_str(self.modulus, self.gen_label)})"
+        return f"F{self.q}=F{self.p}[{self.gen_label}]/({self._raw_str(self.modulus)})"
 
     # ---- raw-scalar arithmetic -------------------------------------------
 
@@ -193,14 +210,7 @@ class FqCtx:
             return self.rpow(self.rinv(a), -n)
         if self.k == 1:
             return pow(a, n, self.p)
-        out = self.rone
-        base = a
-        while n:
-            if n & 1:
-                out = self.rmul(out, base)
-            base = self.rmul(base, base)
-            n >>= 1
-        return out
+        return power(a, n, self.rmul) if n else self.rone
 
     def rinv(self, a):
         if self.ris_zero(a):
@@ -272,10 +282,11 @@ class FqCtx:
         return FqElem(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def _raw_str(self, a) -> str:
+        """The text form of a raw value, or of the modulus (k + 1 coordinates)."""
         if self.k == 1:
             return str(a)
         terms = []
-        for i in range(self.k - 1, -1, -1):
+        for i in range(len(a) - 1, -1, -1):
             c = a[i]
             if not c:
                 continue
@@ -285,19 +296,6 @@ class FqCtx:
                 var = self.gen_label if i == 1 else f"{self.gen_label}^{i}"
                 terms.append(var if c == 1 else f"{c}*{var}")
         return "+".join(terms) if terms else "0"
-
-
-def _mod_str(m, label):
-    terms = []
-    for i in range(len(m) - 1, -1, -1):
-        if m[i]:
-            if i == 0:
-                terms.append(str(m[i]))
-            elif i == 1:
-                terms.append(label if m[i] == 1 else f"{m[i]}*{label}")
-            else:
-                terms.append(f"{label}^{i}" if m[i] == 1 else f"{m[i]}*{label}^{i}")
-    return "+".join(terms)
 
 
 class FqElem:

@@ -162,18 +162,19 @@ class GeneratorRelation:
 
 
 def fit_generator_relation(
-    t: AlgElem, t_i: Union[AlgElem, MonOrder], max_e: int = 8, ring: RingTag = POLY_RING
+    t: AlgElem, t_i: Union[AlgElem, MonOrder], max_e: int = 8
 ) -> Optional[GeneratorRelation]:
     """Search q = p^e, e = 0..max_e, for a relation t = a*t_i^q + b with
     a, b in K; the smallest successful e wins (a search policy, not a
     canonical form).  Failure is a search-horizon report, not a refutation.
     A caller holding the record of t_i (a MonOrder, integral or not) passes
-    it for t_i; its discriminant and Frobenius powers are then reused.
+    it for t_i; its discriminant and Frobenius powers are then reused, and
+    its ring judges `disc_unit_ok` and `b_in_ring` (F_q[x] for a bare t_i).
     """
     tower = t.tower
     if (t_i.generator if isinstance(t_i, MonOrder) else t_i).tower is not tower:
         raise ValueError("elements of different towers")
-    rec = t_i if isinstance(t_i, MonOrder) else MonOrder(t_i, ring, require_integral=False)
+    rec = t_i if isinstance(t_i, MonOrder) else MonOrder(t_i, require_integral=False)
     ctx = tower.base
     zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
     one_vec = tower.from_base(1).coords()
@@ -186,8 +187,8 @@ def fit_generator_relation(
             q = ctx.p ** e
             ok = False
             if disc_i is not None:
-                ok = ring.is_unit((a ** (d * (d - 1))) * (disc_i ** (q - 1)))
-            return GeneratorRelation(a, b, q, e, ok, ring.contains(b))
+                ok = rec.ring.is_unit((a ** (d * (d - 1))) * (disc_i ** (q - 1)))
+            return GeneratorRelation(a, b, q, e, ok, rec.ring.contains(b))
     return None
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
+from .gf import power
+
 MAX_DEGREE = 1000
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|/|\(|\))")
@@ -195,14 +197,7 @@ class SymbolPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ParseError("negative power of the formal symbol")
-        result = SymbolPoly([self.zero + 1], self.zero)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n) if n else SymbolPoly([self.zero + 1], self.zero)
 
     def __truediv__(self, other):
         if isinstance(other, SymbolPoly):

@@ -32,7 +32,7 @@ from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
-from .gf import FqCtx, FqElem
+from .gf import FqCtx, FqElem, power
 from .linalg import SpanTracker, solve_in_span
 
 
@@ -211,9 +211,9 @@ class Tower:
             except ValueError:
                 break
             for c in ext.elements():
-                if cleared[-1].evaluate_ext(c).is_zero():
+                if cleared[-1].evaluate(c).is_zero():
                     continue  # degree would drop
-                img = Poly(ext, [cf.evaluate_ext(c) for cf in cleared])
+                img = Poly(ext, [cf.evaluate(c) for cf in cleared])
                 if img.degree() == d and img.is_irreducible():
                     return f"certified(x={c!r} in F_{ext.q})"
         return "assumed"
@@ -304,14 +304,7 @@ class Tower:
         return tuple(RatFunc(p, den) for p in prod[:d])
 
     def _pow(self, a, n: int):
-        out = self.from_base(1).val
-        base = a
-        while n:
-            if n & 1:
-                out = self._mul(self.top, out, base)
-            base = self._mul(self.top, base, base)
-            n >>= 1
-        return out
+        return power(a, n, partial(self._mul, self.top)) if n else self.from_base(1).val
 
     def _inv(self, a):
         """Inverse of a top-level value, by solving a * b = 1 over K."""

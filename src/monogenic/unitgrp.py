@@ -44,7 +44,8 @@ from .gf import FqCtx, FqElem
 # ---------------------------------------------------------------------------
 
 def _hnf_rows(rows: List[List[int]]) -> List[List[int]]:
-    """Row-style Hermite normal form (nonzero rows, positive pivots)."""
+    """Row-style Hermite normal form, one per lattice: nonzero echelon rows,
+    positive pivots, every entry above a pivot in [0, pivot)."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
@@ -77,8 +78,9 @@ def _hnf_rows(rows: List[List[int]]) -> List[List[int]]:
             col += 1
         else:
             rows.append(piv)
-    # reduce above-pivot entries for a canonical form
-    for i in range(len(out) - 1, -1, -1):
+    # reduce above-pivot entries top-down: reducing by row i changes only
+    # the columns from its pivot on, so earlier pivots stay reduced
+    for i in range(len(out)):
         pc = next(c for c in range(ncols) if out[i][c])
         for j in range(i):
             k = out[j][pc] // out[i][pc]
@@ -88,29 +90,12 @@ def _hnf_rows(rows: List[List[int]]) -> List[List[int]]:
 
 
 def _int_kernel(mat: List[List[int]], ncols: int) -> List[List[int]]:
-    """Integer basis of the right kernel {v in Z^n : mat . v = 0}, by
-    unimodular column operations on [mat; identity]."""
+    """Saturated integer basis of the right kernel {v in Z^n : mat . v = 0}:
+    the rows of the Hermite normal form of [mat^T | identity] that vanish on
+    the mat^T part (Cohen, GTM 138, ch. 2)."""
     m = len(mat)
-    cols = [
-        [mat[r][j] for r in range(m)] + [1 if i == j else 0 for i in range(ncols)]
-        for j in range(ncols)
-    ]
-    active = list(range(ncols))
-    for r in range(m):
-        while True:
-            nz = [j for j in active if cols[j][r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: abs(cols[j][r]))
-            jp = nz[0]
-            for j in nz[1:]:
-                k = cols[j][r] // cols[jp][r]
-                if k:
-                    cols[j] = [a - k * b for a, b in zip(cols[j], cols[jp])]
-        nz = [j for j in active if cols[j][r] != 0]
-        if nz:
-            active.remove(nz[0])
-    return [cols[j][m:] for j in active]
+    rows = [[r[j] for r in mat] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return [row[m:] for row in _hnf_rows(rows) if not any(row[:m])]
 
 
 def _saturate(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[List[int]]]:

@@ -23,7 +23,6 @@ from .monorder import (
     POLY_RING,
     express_in_power_basis,
     fit_generator_relation,
-    in_order,
     orders_equal,
     sym_in_order,
 )

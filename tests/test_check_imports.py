@@ -1,0 +1,27 @@
+"""The unused-import lint of scripts/check_imports.py."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_imports.py"
+_spec = importlib.util.spec_from_file_location("check_imports", SCRIPT)
+check_imports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_imports)
+
+
+def test_flags_only_unused_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import re\n"
+        "from typing import Dict, List\n"
+        "from .gf import FqCtx, power\n"
+        "def f(a: 'FqCtx') -> Dict:\n"
+        "    return os.getcwd()\n"
+    )
+    assert check_imports.unused_imports(module) == [(3, "re"), (4, "List"), (5, "power")]
+
+
+def test_library_has_no_unused_import():
+    assert check_imports.main() == 0

@@ -47,6 +47,25 @@ def test_x2_plus_1_irreducible_over_f7():
     assert f.is_irreducible()
 
 
+@pytest.mark.parametrize("base, ext", [(F2, F2), (F2, F4), (F2, FqCtx(2, 4)), (F3, F3),
+                                       (F3, FqCtx(3, 2)), (F7, FqCtx(7, 2)),
+                                       (FqCtx(131), FqCtx(131))])
+def test_evaluate_at_extension_points(base, ext):
+    # oracle: the same polynomial over the extension, evaluated by the
+    # coefficient loop (a tuple-held polynomial over ext)
+    rng = random.Random(ext.q)
+    for degree in (0, 1, 5):
+        f = Poly.random(base, degree, rng)
+        lifted = Poly._tuple(ext, [ext.rfrom_int(c) for c in f.coeffs])
+        for c in ext.elements():
+            want = ext.zero
+            for coeff in reversed(lifted.coeffs):
+                want = want * c + ext.elem(coeff)
+            assert f.evaluate(c) == want
+    with pytest.raises(ValueError):
+        x(F4).evaluate(FqCtx(2, 4).gen)
+
+
 def test_factor_roundtrip_randomized():
     rng = random.Random(2024)
     for ctx in (F2, F3, F7):

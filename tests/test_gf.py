@@ -102,3 +102,5 @@ def test_text_form():
     z = F4.gen
     assert repr(z * z) == "z+1"
     assert repr(F16.gen ** 2 + F16.gen + 1) == "z^2+z+1"
+    assert [repr(F7), repr(F4), repr(F16)] == ["F7", "F4=F2[z]/(z^2+z+1)", "F16=F2[z]/(z^4+z+1)"]
+    assert repr(FqCtx(3, 2, (2, 2, 1))) == "F9=F3[z]/(z^2+2*z+2)"

@@ -22,7 +22,7 @@ from monogenic import (
     sym_orders_equal,
 )
 from monogenic.tower import Tower
-from monogenic.monorder import POLY_RING
+from monogenic.monorder import POLY_RING, RingTag
 from monogenic.verify import (
     EtaSequence,
     eta_conditions_hold,
@@ -140,6 +140,20 @@ def test_fit_generator_relation_shift_escape():
     assert rel.b == RatFunc(seq.term(3) - seq.term(1) ** q) / x ** (4 ** 3 - 1)
     assert not rel.b_in_ring  # the shift escapes O
     assert rel.disc_unit_ok
+
+
+def test_fit_generator_relation_judges_in_the_record_ring():
+    # t = x*s + 1/x over O_{K,T}, T = {inf, x}: a^12 = x^12 is a T-unit and
+    # b = 1/x a T-integer, though neither holds over F_q[x]
+    tw = shifted_tower(Poly(F2, [1, 1]))
+    s = tw.gen(0)
+    x = RatFunc.gen(F2)
+    rec = MonOrder(s, RingTag(PlaceSet.of(Poly.x(F2))))
+    rel = fit_generator_relation(x * s + 1 / x, rec)
+    assert (rel.a, rel.b, rel.q) == (x, 1 / x, 1)
+    assert rel.disc_unit_ok and rel.b_in_ring
+    rel = fit_generator_relation(x * s + 1 / x, s)
+    assert not rel.disc_unit_ok and not rel.b_in_ring
 
 
 def test_fit_generator_relation_horizon():

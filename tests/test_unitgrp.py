@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -161,6 +162,55 @@ def test_lattice_helpers_against_oracles():
         halves = [sum(c * row[j] for c, row in zip(coeffs, mat)) // 2 for j in range(n)]
         for v in (probe, combo, halves, [0] * n, [2 * x for x in combo]):
             assert gctx.in_saturation(v) == _in_q_span([list(r) for r in mat], v), (mat, v)
+
+
+def _unimodular_mix(rows, rng):
+    """rows after random unimodular row operations: sums, swaps, signs."""
+    rows = [list(r) for r in rows]
+    for _ in range(12):
+        i, j = rng.sample(range(len(rows)), 2)
+        op = rng.randrange(3)
+        if op == 0:
+            k = rng.randrange(-9, 10)
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        elif op == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return rows
+
+
+def test_hnf_is_canonical():
+    from monogenic.unitgrp import _hnf_rows
+
+    rng = random.Random(2718)
+    for _ in range(400):
+        n = rng.randrange(2, 6)
+        basis = [[rng.randrange(-30, 31) for _ in range(n)] for _ in range(rng.randrange(2, 5))]
+        hnf = _hnf_rows(basis)
+        assert _hnf_rows(_unimodular_mix(basis, rng)) == hnf, basis
+        for i, row in enumerate(hnf):
+            pc = next(c for c in range(n) if row[c])
+            assert row[pc] > 0
+            assert all(0 <= above[pc] < row[pc] for above in hnf[:i]), hnf
+
+
+def test_int_kernel_is_saturated():
+    from monogenic.unitgrp import _hnf_rows, _in_lattice, _int_kernel
+
+    rng = random.Random(31415)
+    for _ in range(200):
+        n = rng.randrange(2, 6)
+        mat = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(1, n))]
+        ker = _int_kernel([list(r) for r in mat], n)
+        span = _hnf_rows(ker)
+        for _ in range(5):
+            # a primitive vector of the Q-kernel: a combination divided by its content
+            coeffs = [rng.randrange(-4, 5) for _ in ker]
+            v = [sum(c * k[j] for c, k in zip(coeffs, ker)) for j in range(n)]
+            content = math.gcd(*v)
+            if content:
+                assert _in_lattice(span, [a // content for a in v]), (mat, ker, v)
 
 
 # ---- pth_power_decompose ----------------------------------------------------
