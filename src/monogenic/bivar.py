@@ -227,16 +227,6 @@ class BivarPoly:
         g.ctx, g.terms, g.names = ctx, out, ("e1", "e2")
         return g
 
-    def expand_sym(self) -> "BivarPoly":
-        """Substitute e1 -> x+y, e2 -> xy (inverse of sym_decompose)."""
-        ctx = self.ctx
-        e1 = BivarPoly(ctx, {(1, 0): 1, (0, 1): 1})
-        e2 = BivarPoly(ctx, {(1, 1): 1})
-        acc = BivarPoly(ctx, {})
-        for (a, b), c in self.terms.items():
-            acc = acc + (e1 ** a) * (e2 ** b) * FqElem(ctx, c)
-        return acc
-
     def __repr__(self):
         if not self.terms:
             return "0"

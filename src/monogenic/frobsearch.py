@@ -3,14 +3,17 @@
 The grid search is exact order equality on every cell, run through either
 the tower backend or the quadratic symmetric backend.  The tower backend
 keeps one order record per power s^m and t^n (minimal polynomial, degree,
-power-basis span, discriminant) and rejects a cell before any linear
-solve when the degrees differ or when disc(s^m)/disc(t^n) is not a unit of
-the tagged ring (a nonzero constant of F_q[x], a T-unit of O_{K,T}).  The
-prune is sound: O[s^m] = O[t^n] makes the change of basis between the two
-power bases invertible over the ring, so the index [O[s^m]:O[t^n]], its
-determinant, is a unit, and disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m).  It
-only returns False where the mutual-membership check would; a zero or
-missing (degree 1) discriminant skips it.  Per-pair flags mark
+power-basis span and its `index`: the pivot columns and last pivot of that
+span's Bareiss elimination) and decides a cell from the two indexes and
+one membership.  Equal orders span one field K(s^m) = K(t^n), so their
+pivot columns agree, and the change of basis between the two power bases
+is invertible over the ring, so the index [O[s^m]:O[t^n]], its
+determinant, is the ratio pv_t/pv_s of the last pivots up to sign and a
+unit of the tagged ring (a nonzero constant of F_q[x], a T-unit of
+O_{K,T}); this is disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m) without the
+discriminants.  A cell that passes both tests is decided by t^n in
+O[s^m] alone: then O[t^n] is a sub-order of unit index, so the two orders
+are equal.  Per-pair flags mark
 the degenerate families (quotient, twisted quotient in the quadratic case,
 and product being a unit), which always sit inside the searched set; a
 nondegeneracy witness is recorded for the rest when an automorphism is
@@ -38,7 +41,7 @@ from .monorder import (
     POLY_RING,
     RingTag,
     express_in_power_basis,
-    orders_equal,
+    in_order,
     sym_orders_equal,
 )
 from .tower import AlgElem
@@ -60,7 +63,8 @@ class TowerPowerPair:
     """Oracle over a tower: s, t integral over the tagged ring.  One order
     record per power of s (by m) and of t (by n) is built on first use and
     serves every cell of its row or column; when t is s, both sides share
-    one cache of powers and records."""
+    one cache of powers and records.  `equal` prunes a cell by the ratio of
+    the two records' last pivots and then makes one membership solve."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
         self.s = s
@@ -92,13 +96,13 @@ class TowerPowerPair:
         return self._order(self._t_orders, self.t_pow, n)
 
     def equal(self, m: int, n: int) -> bool:
+        """O[s^m] = O[t^n]: equal pivot columns, a unit pivot ratio (the
+        index [O[s^m]:O[t^n]] up to sign) and t^n in O[s^m]."""
         order_s, order_t = self.s_order(m), self.t_order(n)
-        if order_s.d != order_t.d:
+        (cols_s, pv_s), (cols_t, pv_t) = order_s.index, order_t.index
+        if cols_s != cols_t or not self.ring.is_unit(pv_s / pv_t):
             return False
-        ds, dt = order_s.disc, order_t.disc
-        if ds and dt and not self.ring.is_unit(ds / dt):
-            return False  # the index [O[s^m]:O[t^n]] is not a unit
-        return bool(orders_equal(order_s, order_t))
+        return in_order(order_t.generator, order_s)
 
     def _unit_in_K(self, v: AlgElem) -> bool:
         r = v.in_base()

@@ -383,9 +383,6 @@ class FqElem:
     def frobenius(self, e: int = 1) -> "FqElem":
         return FqElem(self.ctx, self.ctx.rfrob(self.raw, e))
 
-    def pth_root(self) -> "FqElem":
-        return FqElem(self.ctx, self.ctx.rpth_root(self.raw))
-
     def __repr__(self):
         return self.ctx._raw_str(self.raw)
 

@@ -15,7 +15,7 @@ polynomial vectors keep polynomial rows, with no gcd in K = F_q(x).
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 def solve_in_span(columns: Sequence[Sequence], target: Sequence, zero, one) -> Optional[List]:
@@ -75,6 +75,13 @@ class SpanTracker:
         None when vec lies outside their span; vec is not stored."""
         cur, expr = self._reduce(vec)
         return None if any(cur) else self._combination(expr)
+
+    def pivots(self) -> Tuple[List[int], object]:
+        """The pivot columns of the stored rows, in the order stored, and
+        the last pivot: the determinant of the stored vectors on those
+        columns taken in that order.  Needs a stored row."""
+        pivot, row = self.rows[-1]
+        return [p for p, _ in self.rows], row[pivot]
 
     def add(self, vec: Sequence) -> Optional[List]:
         cur, expr = self._reduce(vec)

@@ -61,7 +61,18 @@ class MonOrder:
     the span of its power basis 1, s, ..., s^{d-1} (the SpanTracker that
     found the minimal polynomial) and (on first use) its discriminant, each
     computed once.  `require_integral=False` keeps the record of a
-    non-integral s instead of raising."""
+    non-integral s instead of raising.
+
+    `index` is read off the span's Bareiss pivots: the set of pivot
+    columns, which depends on K(s) alone (they are the leading columns of
+    an echelon form of K(s) in the tower basis), and the last pivot, which
+    is +- the determinant of the power basis on those columns.  Two orders
+    with the same columns have index [O[s]:O[t]] = +- pv_t / pv_s.  On a
+    one-level tower a generator of full degree N has the whole basis as its
+    columns, so disc(s) = pv^2 * disc(f_1) (the determinant of a change of
+    basis squared, times the discriminant of the basis) and `disc` reads
+    it off the pivot; elsewhere it is `discriminant` of the minimal
+    polynomial."""
 
     def __init__(
         self, generator: AlgElem, ring: RingTag = POLY_RING, require_integral: bool = True
@@ -72,6 +83,8 @@ class MonOrder:
         ctx = generator.tower.base
         self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
         self.minpoly, self.d = minimal_polynomial(generator, self.span)
+        columns, pivot = self.span.pivots()
+        self.index = (frozenset(columns), pivot)
         bad = [c for c in self.minpoly if not ring.contains(c)]
         self.integral = not bad
         if bad and require_integral:
@@ -85,6 +98,9 @@ class MonOrder:
         """discr_K of the generator, or None when d < 2."""
         if self.d < 2:
             return None
+        levels = self.generator.tower.levels
+        if len(levels) == 1 and self.d == levels[0].degree:
+            return self.index[1] ** 2 * levels[0].disc
         return discriminant(self.generator, (self.minpoly, self.d))
 
     def frobenius(self, e: int) -> AlgElem:

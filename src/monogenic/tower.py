@@ -14,6 +14,12 @@ denominator per operand (1 for polynomial coordinates, as on every power
 of a generator of a tower with polynomial coefficients) and normalizes
 each output coordinate once.
 
+There is one exact elimination over K, the Bareiss `SpanTracker`.  It
+finds minimal polynomials (fed the powers of an element) and gives every
+discriminant as a Hankel determinant of power sums (`kp_discriminant`);
+no resultant or remainder sequence over K is computed.  Each level keeps
+disc(f_i), which `extend` computes to check that f_i is separable.
+
 Galois action is by declared generator images only: automatic splitting
 fields are out of scope, and every caller-declared map is verified to send
 each generator to a root of its (mapped) defining polynomial.
@@ -22,85 +28,51 @@ Irreducibility of a level-1 defining polynomial is certified by
 specialization: clear denominators to F_q[x][Y], then scan x -> c over
 small extensions of F_q looking for an irreducible specialization of full
 degree.  Success is sound (a factorization over F_q[x] would specialize);
-failure after the bounded scan records the level as "assumed".
+failure after the scan, bounded at CERTIFY_POINTS points in all, records
+the level as "assumed".
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
 from .gf import FqCtx, FqElem, power
 from .linalg import SpanTracker, solve_in_span
 
+# specialization points x -> c tried before a level-1 polynomial is assumed
+CERTIFY_POINTS = 256
 
 # ---------------------------------------------------------------------------
-# polynomials over K (coefficient lists of RatFunc), used for minimal
-# polynomials, resultants and defining-polynomial bookkeeping
+# polynomials over K (coefficient lists of RatFunc, or of tower elements
+# for a defining polynomial above level 1)
 # ---------------------------------------------------------------------------
 
-def kp_trim(coeffs: List[RatFunc]) -> List[RatFunc]:
-    c = list(coeffs)
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def kp_divmod(f, g, ctx):
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    zero = RatFunc.of(0, ctx)
-    f = list(f)
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return [], kp_trim(f)
-    inv = RatFunc.of(1, ctx) / g[-1]
-    quo = [zero] * (len(f) - dg)
-    for i in range(len(f) - 1 - dg, -1, -1):
-        c = f[i + dg] * inv
-        if c.is_zero():
-            continue
-        quo[i] = c
-        for j, m in enumerate(g):
-            f[i + j] = f[i + j] - c * m
-    return kp_trim(quo), kp_trim(f[:dg])
-
-
-def kp_derivative(f, ctx):
-    return kp_trim([f[i] * i for i in range(1, len(f))])
-
-
-def kp_resultant(f, g, ctx) -> RatFunc:
-    """Res(f, g) over K by the Euclidean remainder recursion."""
-    one = RatFunc.of(1, ctx)
-    zero = RatFunc.of(0, ctx)
-    f, g = kp_trim(f), kp_trim(g)
-    sign_flip = (ctx.p != 2)
-    acc = one
-    neg = False
-    while True:
-        if not f or not g:
+def kp_discriminant(g, zero, one):
+    """disc(g) = prod_{i<j} (a_i - a_j)^2 over the roots a_i of the monic
+    g (little-endian), as the determinant of the Hankel matrix (p_{i+j}),
+    0 <= i, j < deg g, of the power sums of the roots: that matrix is
+    V V^T for the Vandermonde matrix V, so no sign rule is needed.  Newton's
+    identities give the power sums without a division, and the determinant
+    is the last Bareiss pivot, signed by the parity of the order in which
+    the pivot columns were taken.  Zero exactly when gcd(g, g') != 1."""
+    d = len(g) - 1
+    sums = [one * d]
+    for k in range(1, 2 * d - 1):
+        acc = g[d - k] * k if k <= d else zero
+        for i in range(1, min(k, d + 1)):
+            acc = acc + g[d - i] * sums[k - i]
+        sums.append(-acc)
+    span = SpanTracker(zero, one)
+    for i in range(d):
+        if span.add(sums[i:i + d]) is not None:
             return zero
-        df, dg = len(f) - 1, len(g) - 1
-        if df < dg:
-            f, g = g, f
-            if sign_flip and (df * dg) % 2 == 1:
-                neg = not neg
-            continue
-        if dg == 0:
-            acc = acc * (g[0] ** df)
-            break
-        r = kp_divmod(f, g, ctx)[1]
-        if not r:
-            return zero
-        dr = len(r) - 1
-        acc = acc * (g[-1] ** (df - dr))
-        if sign_flip and (df * dg) % 2 == 1:
-            neg = not neg
-        f, g = g, r
-    return -acc if neg else acc
+    cols, pivot = span.pivots()
+    odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
+    return -pivot if odd else pivot
 
 
 def kp_eval(f, t: "AlgElem") -> "AlgElem":
@@ -109,25 +81,6 @@ def kp_eval(f, t: "AlgElem") -> "AlgElem":
     for c in reversed(f):
         acc = acc * t + c
     return acc
-
-
-def kp_str(f, var: str = "Y") -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if c.is_zero():
-            continue
-        if i == 0:
-            parts.append(repr(c))
-            continue
-        v = var if i == 1 else f"{var}^{i}"
-        if c.is_one():
-            parts.append(v)
-        else:
-            parts.append(f"({c!r})*{v}")
-    return "+".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +106,16 @@ def _common_denominator(v: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
 
 
 class Level:
-    __slots__ = ("label", "coeffs", "degree", "status", "cleared")
+    __slots__ = ("label", "coeffs", "degree", "status", "disc", "cleared")
 
-    def __init__(self, label: str, coeffs, degree: int, status: str):
+    def __init__(self, label: str, coeffs, degree: int, status: str, disc):
         self.label = label
         # lower-level values, length degree+1, monic: elements of K for the
         # first level, coordinate tuples above
         self.coeffs = coeffs
         self.degree = degree
         self.status = status  # "certified(...)" or "assumed"
+        self.disc = disc  # disc(f), a nonzero lower-level value
         # the first level's coefficients over their common denominator delta
         self.cleared = _common_denominator(coeffs) if isinstance(coeffs[0], RatFunc) else None
 
@@ -189,8 +143,12 @@ class Tower:
         if cs[-1] != self._coerce_val(lvl, 1):
             raise ValueError("defining polynomial must be monic")
         status = self._certify(lvl, cs, assume_irreducible)
-        self._check_separable(lvl, cs)
-        self.levels.append(Level(label, tuple(cs), d, status))
+        # disc(f) over the current top level vanishes iff gcd(f, f') != 1
+        f = cs if lvl == 0 else [AlgElem(self, c) for c in cs]
+        disc = kp_discriminant(f, f[-1] - f[-1], f[-1])  # f is monic
+        if not disc:
+            raise ValueError("defining polynomial is not separable")
+        self.levels.append(Level(label, tuple(cs), d, status, disc if lvl == 0 else disc.val))
         self._zero = self._zero * d
         return self
 
@@ -204,26 +162,22 @@ class Tower:
             return "assumed"
         d = len(cs) - 1
         cleared = _common_denominator(cs)[0]
-        # scan c over F_q, F_{q^2}, ... using the built-in modulus table
+        # scan c over F_q, F_{q^2}, ... using the built-in modulus table,
+        # CERTIFY_POINTS points in all
+        left = CERTIFY_POINTS
         for j in (1, 2, 3, 4):
             try:
                 ext = FqCtx(self.base.p, j * self.base.k)
             except ValueError:
                 break
-            for c in ext.elements():
+            for c in islice(ext.elements(), left):
+                left -= 1
                 if cleared[-1].evaluate(c).is_zero():
                     continue  # degree would drop
                 img = Poly(ext, [cf.evaluate(c) for cf in cleared])
                 if img.degree() == d and img.is_irreducible():
                     return f"certified(x={c!r} in F_{ext.q})"
         return "assumed"
-
-    def _check_separable(self, lvl: int, cs):
-        # the coefficients are values of the current top level `lvl`, so
-        # Res(f, f') is computed over it; it vanishes iff gcd(f, f') != 1
-        f = cs if lvl == 0 else [AlgElem(self, c) for c in cs]
-        if kp_resultant(f, kp_derivative(f, self.base), self.base).is_zero():
-            raise ValueError("defining polynomial is not separable")
 
     def _coerce_val(self, lvl: int, v):
         """Coerce v (int, FqElem, Poly, RatFunc or an element of the top
@@ -500,27 +454,23 @@ def minimal_polynomial(
     while True:
         combo = span.add(power.coords())
         if combo is not None:
-            coeffs = [-c for c in combo] + [one]
-            return kp_trim(coeffs), len(coeffs) - 1
+            return [-c for c in combo] + [one], len(combo)
         power = power * t
 
 
 def discriminant(t: AlgElem, minpoly: Optional[Tuple[List[RatFunc], int]] = None) -> RatFunc:
-    """discr_K(t) = (-1)^{d(d-1)/2} Res(g, g') for the monic minimal
-    polynomial g of t; nonzero exactly when t is separable of degree d >= 2.
-    A caller that already holds `minimal_polynomial(t)` passes it as
-    `minpoly`.  Res(g, g') = 0 exactly when gcd(g, g') != 1, so the one
-    Euclidean pass of the resultant also decides separability."""
+    """discr_K(t), the discriminant of the monic minimal polynomial g of t
+    (`kp_discriminant`: a Hankel determinant of power sums); nonzero
+    exactly when t is separable of degree d >= 2.  A caller that already
+    holds `minimal_polynomial(t)` passes it as `minpoly`."""
     ctx = t.tower.base
     g, d = minpoly if minpoly is not None else minimal_polynomial(t)
     if d < 2:
         raise ValueError("discriminant needs degree >= 2 over K")
-    res = kp_resultant(g, kp_derivative(g, ctx), ctx)
-    if res.is_zero():
+    disc = kp_discriminant(g, RatFunc.of(0, ctx), RatFunc.of(1, ctx))
+    if not disc:
         raise ValueError("inseparable element: gcd(g, g') is nontrivial")
-    if ctx.p != 2 and (d * (d - 1) // 2) % 2 == 1:
-        res = -res
-    return res
+    return disc
 
 
 def frobenius_power(t: AlgElem, e: int) -> AlgElem:
@@ -584,20 +534,6 @@ class ConjugateSet:
 
     def __len__(self):
         return len(self.conjugates)
-
-    def product_discriminant(self) -> RatFunc:
-        """prod_{i<j} (a_i - a_j)^2, which must land in K."""
-        tower = self.element.tower
-        acc = tower.from_base(1)
-        cs = self.conjugates
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                diff = cs[i] - cs[j]
-                acc = acc * diff * diff
-        r = acc.in_base()
-        if r is None:
-            raise ValueError("conjugate product did not land in K")
-        return r
 
 
 def conjugates(t: AlgElem, maps: Sequence[GaloisMap]) -> ConjugateSet:

@@ -38,6 +38,9 @@ from typing import List, Optional, Sequence, Tuple
 from .funcfield import Poly, RatFunc
 from .gf import FqCtx, FqElem
 
+# the most torsion candidates (q - 2) or cosets of H/H^p (p^rank) that
+# solve_xy1 enumerates: 3^6, the cosets of the largest rank over F_3
+ENUMERATION_CAP = 3 ** 6
 
 # ---------------------------------------------------------------------------
 # small exact integer lattice helpers
@@ -309,6 +312,13 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     p = ctx.p
     if gctx.rank > 6:
         raise ValueError("rank too large for the desk-scale coset enumeration")
+    sat = gctx.sat_basis
+    if ctx.q - 2 > ENUMERATION_CAP:
+        raise ValueError(f"{ctx.q - 2} torsion candidates exceed the desk-scale "
+                         f"cap of {ENUMERATION_CAP}")
+    if p ** len(sat) > ENUMERATION_CAP:
+        raise ValueError(f"{p ** len(sat)} cosets of H/H^p exceed the desk-scale "
+                         f"cap of {ENUMERATION_CAP}")
 
     families: List[SolutionFamily] = []
 
@@ -330,7 +340,6 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
 
     # nontorsion families via H/H^p cosets, bucketed by the projective class
     # of the p-basis tail (d_1..d_{p-1}) of each coset's value
-    sat = gctx.sat_basis
     rho = len(sat)
     buckets = {}
     for tup in itertools.product(range(p), repeat=rho):

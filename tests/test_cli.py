@@ -228,6 +228,28 @@ def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "unit-solve", "base": {"p": 131}, "params": {"generators": ["x", "x+1"]}},
+     "17161 cosets of H/H^p exceed the desk-scale cap of 729"),
+    ({"task": "unit-solve", "base": {"p": 65521}, "params": {"generators": ["2"]}},
+     "65519 torsion candidates exceed the desk-scale cap of 729"),
+    ({"task": "disc", "base": {"p": 65521},
+      "tower": {"levels": [{"label": "s", "poly": "s^2-x^2"}]}, "elements": {"s": "s"}},
+     "irreducibility of level 's' did not certify"),
+], ids=["unit-solve-cosets", "unit-solve-torsion", "certification-scan"])
+def test_unbounded_enumeration_rejected(tmp_path, capsys, scenario, message):
+    # each ran past 30 s: a coset or torsion enumeration over a large field,
+    # and a certification scan over every point of F_65521 (the level is
+    # reducible, so no point certifies it)
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4}
 
 

@@ -22,6 +22,7 @@ from monogenic import (
     sym_orders_equal,
 )
 from monogenic.tower import Tower
+from test_bivar import expand_sym
 from monogenic.monorder import POLY_RING, RingTag
 from monogenic.verify import (
     EtaSequence,
@@ -231,8 +232,10 @@ _ETAS = [Poly(F2, c) for c in _ETA_COEFFS if eta_conditions_hold(Poly(F2, c)) is
     b=st.lists(st.integers(0, 1), max_size=4),
 )
 def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
-    # the search prunes a cell when disc(s^m)/disc(t^n) is not a unit;
-    # that is sound only if equal orders always give a unit ratio
+    # the search prunes a cell when the pivot columns of the two records
+    # differ or their last pivots have a ratio that is not a unit; that is
+    # sound only if equal orders always agree on both, as they do on the
+    # discriminant ratio
     tw = shifted_tower(eta)
     s = tw.gen(0)
     x = RatFunc.gen(F2)
@@ -241,6 +244,8 @@ def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
     equal = orders_equal(t, order_s)
     assert equal or form == "sq"  # s + b and x*s^2 + s + b generate O[s]
     if equal:
+        (cols_s, pv_s), (cols_t, pv_t) = order_s.index, MonOrder(t).index
+        assert cols_s == cols_t and POLY_RING.is_unit(pv_s / pv_t)
         assert POLY_RING.is_unit(discriminant(t) / order_s.disc)
 
 
@@ -280,7 +285,7 @@ def test_sym_membership_rewrites_lazily_as_before():
         a = u - b * w
         assert mem.lin == b.sym_decompose() and mem.const == a.sym_decompose()
         assert mem.lin.names == mem.const.names == ("e1", "e2")
-        assert mem.lin.expand_sym() == b and mem.const.expand_sym() == a
+        assert expand_sym(mem.lin) == b and expand_sym(mem.const) == a
         assert mem.lin is mem.lin  # rewritten once
 
 

@@ -10,6 +10,12 @@ keeps must express every oracle column s^i as the i-th unit vector.  The
 degenerate flags were decided by dividing in the tower (`s^m / t^n`,
 `s^m / conj`); `TowerPowerPair.flags` reads the quotient off the
 coordinates instead and must give the same flags on every cell.
+
+Each record's discriminant must equal the resultant oracle of
+`test_tower_oracle`.  The search now decides a cell by the records'
+`index` (pivot columns and last pivot); on every pair of records of equal
+degree the pivot columns must agree exactly when the two powers span one
+field, and then disc(s^m) * pv_t^2 = disc(t^n) * pv_s^2.
 """
 
 from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair
@@ -17,6 +23,7 @@ from monogenic.monorder import MonOrder, RingTag, POLY_RING, orders_equal
 from monogenic.tower import Tower, discriminant, minimal_polynomial
 from monogenic.verify import shifted_tower
 from test_linalg_oracle import gauss_jordan_solve
+from test_tower_oracle import resultant_discriminant
 
 F2 = FqCtx(2)
 F3 = FqCtx(3)
@@ -100,9 +107,27 @@ def check_grid(s, t, ring=POLY_RING):
                 assert rec.span.express(col)[:rec.d] == unit
             if rec.d >= 2:
                 assert rec.disc == discriminant(rec.generator)
+                assert rec.disc == resultant_discriminant(rec.minpoly, ctx)
             else:
                 assert rec.disc is None
+    check_pivot_identity(pair)
     return equal_cells, flagged
+
+
+def check_pivot_identity(pair):
+    records = [pair.s_order(m) for m in range(1, BOX + 1)]
+    records += [pair.t_order(n) for n in range(1, BOX + 1)]
+    for a in records:
+        for b in records:
+            if a.d != b.d:
+                continue
+            (cols_a, pv_a), (cols_b, pv_b) = a.index, b.index
+            one_field = (a.span.express(b.generator.coords()) is not None
+                         and b.span.express(a.generator.coords()) is not None)
+            assert (cols_a == cols_b) == one_field
+            if one_field and a.d >= 2:
+                assert a.disc * pv_b ** 2 == b.disc * pv_a ** 2
+    return {rec.d for rec in records}
 
 
 def f3_level(*coeffs):
@@ -136,6 +161,16 @@ def test_f3_cubic_level():
     x = RatFunc.gen(F3)
     s = f3_level(x * x + 1, x, 0, 1)
     check_grid(s, s * s + x)
+
+
+def test_two_level_tower():
+    # w^2 = y, y^2 = x over F_3: the records of w^m have d = 4, 2 and 1
+    x = RatFunc.gen(F3)
+    tw = Tower(F3).extend("y", [-x, 0, 1])
+    tw.extend("w", [-tw.gen(0), 0, 1])
+    w = tw.gen(1)
+    assert check_grid(w, w + x + 1)[0] > 0
+    assert check_pivot_identity(TowerPowerPair(w, w + x + 1)) == {1, 2, 4}
 
 
 def test_t_unit_branch():

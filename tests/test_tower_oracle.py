@@ -8,17 +8,99 @@ they call), with its linear solve done by the kept Gauss-Jordan oracle.
 On random elements of four towers, one of them with a level-1 defining
 polynomial that is not integral, products, powers, inverses, divisions by
 elements of K and embeddings must agree after flattening.
+
+Discriminants were (-1)^{d(d-1)/2} Res(g, g'), with the resultant taken by
+a Euclidean remainder sequence over K (`kp_resultant` below, kept as it
+was); they are now a Hankel determinant of power sums read off the
+Bareiss elimination (`kp_discriminant`), which must agree with it on
+polynomials over F_2, F_3, F_4, F_5 and F_7 of degree 1 to 7, with
+polynomial, rational and tower-element coefficients.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monogenic import FqCtx, RatFunc, Tower
+from monogenic import FqCtx, Poly, RatFunc, Tower
+from monogenic.tower import kp_discriminant
 from test_linalg_oracle import gauss_jordan_solve
 from test_parse import (
     _f3_cubic, _random_elem, _random_ratfunc, _shifted_quartic, _two_level_degree_8,
 )
+
+
+def kp_trim(coeffs):
+    c = list(coeffs)
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def kp_divmod(f, g, ctx):
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    zero = RatFunc.of(0, ctx)
+    f = list(f)
+    dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return [], kp_trim(f)
+    inv = RatFunc.of(1, ctx) / g[-1]
+    quo = [zero] * (len(f) - dg)
+    for i in range(len(f) - 1 - dg, -1, -1):
+        c = f[i + dg] * inv
+        if c.is_zero():
+            continue
+        quo[i] = c
+        for j, m in enumerate(g):
+            f[i + j] = f[i + j] - c * m
+    return kp_trim(quo), kp_trim(f[:dg])
+
+
+def kp_derivative(f, ctx):
+    return kp_trim([f[i] * i for i in range(1, len(f))])
+
+
+def kp_resultant(f, g, ctx):
+    """Res(f, g) over K by the Euclidean remainder recursion."""
+    one = RatFunc.of(1, ctx)
+    zero = RatFunc.of(0, ctx)
+    f, g = kp_trim(f), kp_trim(g)
+    sign_flip = (ctx.p != 2)
+    acc = one
+    neg = False
+    while True:
+        if not f or not g:
+            return zero
+        df, dg = len(f) - 1, len(g) - 1
+        if df < dg:
+            f, g = g, f
+            if sign_flip and (df * dg) % 2 == 1:
+                neg = not neg
+            continue
+        if dg == 0:
+            acc = acc * (g[0] ** df)
+            break
+        r = kp_divmod(f, g, ctx)[1]
+        if not r:
+            return zero
+        dr = len(r) - 1
+        acc = acc * (g[-1] ** (df - dr))
+        if sign_flip and (df * dg) % 2 == 1:
+            neg = not neg
+        f, g = g, r
+    return -acc if neg else acc
+
+
+def resultant_discriminant(g, ctx):
+    """(-1)^{d(d-1)/2} Res(g, g') for monic g over K (or over a tower level,
+    with `ctx` its base field)."""
+    d = len(g) - 1
+    res = kp_resultant(g, kp_derivative(g, ctx), ctx)
+    if ctx.p != 2 and (d * (d - 1) // 2) % 2 == 1:
+        res = -res
+    return res
 
 
 class NestedTower:
@@ -180,3 +262,61 @@ def test_embedding_pads_a_lower_level_value():
         v = tuple(_random_ratfunc(tw.base, rng) for _ in range(nested._dim(1)))
         embedded = nested._embed_to(1, 2, nested._unflatten(1, v))
         assert tuple(nested._flatten(2, embedded)) == tw._embed(v).coords()
+
+
+# ---------------------------------------------------------------------------
+# kp_discriminant against the resultant
+# ---------------------------------------------------------------------------
+
+DISC_FIELDS = [FqCtx(2), FqCtx(3), FqCtx(2, 2), FqCtx(5), FqCtx(7)]
+
+
+def _random_poly_coeff(ctx, rng):
+    if rng.random() < 0.8:
+        return RatFunc(Poly.random(ctx, rng.randint(0, 3), rng))
+    return RatFunc.of(0, ctx)
+
+
+def _monic(coeffs, one):
+    return list(coeffs) + [one]
+
+
+@pytest.mark.parametrize("ctx", DISC_FIELDS, ids=lambda c: f"F{c.q}")
+@pytest.mark.parametrize("d", range(1, 8))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hankel_discriminant_matches_resultant(ctx, d, seed):
+    # d = 0 mod p makes p_0 = 0, so the first pivot is not column 0
+    rng = random.Random(seed)
+    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+    for coeff in (_random_poly_coeff, _random_ratfunc):
+        g = _monic([coeff(ctx, rng) for _ in range(d)], one)
+        assert kp_discriminant(g, zero, one) == resultant_discriminant(g, ctx), g
+
+
+@pytest.mark.parametrize("ctx", DISC_FIELDS, ids=lambda c: f"F{c.q}")
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hankel_discriminant_of_inseparable_is_zero(ctx, seed):
+    # h(Y^p) has g' = 0: every root is repeated
+    rng = random.Random(seed)
+    p = ctx.p
+    zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
+    for e in range(1, 7 // p + 1):
+        h = _monic([_random_ratfunc(ctx, rng) for _ in range(e)], one)
+        g = [h[i // p] if i % p == 0 else zero for i in range(p * e + 1)]
+        assert resultant_discriminant(g, ctx).is_zero()
+        assert kp_discriminant(g, zero, one).is_zero()
+
+
+@pytest.mark.parametrize("make", [_f3_cubic, _f3_non_integral, _shifted_quartic])
+@pytest.mark.parametrize("d", range(1, 5))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_hankel_discriminant_over_a_tower_level(make, d, seed):
+    # coefficients in L_1, as for the defining polynomial of a second level
+    tw = make()
+    rng = random.Random(seed)
+    zero, one = tw.from_base(0), tw.from_base(1)
+    g = _monic([_random_elem(tw, rng) for _ in range(d)], one)
+    assert kp_discriminant(g, zero, one) == resultant_discriminant(g, tw.base)
