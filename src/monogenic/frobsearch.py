@@ -11,12 +11,12 @@ is invertible over the ring, so the index [O[s^m]:O[t^n]], its
 determinant, is the ratio pv_t/pv_s of the last pivots up to sign and a
 unit of the tagged ring (a nonzero constant of F_q[x], a T-unit of
 O_{K,T}); this is disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m) without the
-discriminants.  A cell that passes both tests is decided by t^n in
-O[s^m] alone: then O[t^n] is a sub-order of unit index, so the two orders
-are equal.  Per-pair flags mark
-the degenerate families (quotient, twisted quotient in the quadratic case,
-and product being a unit), which always sit inside the searched set; a
-nondegeneracy witness is recorded for the rest when an automorphism is
+discriminants.  A cell that passes both tests goes to `orders_equal`,
+which decides it by the one membership t^n in O[s^m]: then O[t^n] is a
+sub-order of unit index, so the two orders are equal.  Per-pair flags
+mark the degenerate families (quotient, twisted quotient in the quadratic
+case, and product being a unit), which always sit inside the searched set;
+a nondegeneracy witness is recorded for the rest when an automorphism is
 available.
 
 Pattern fitting is heuristic and box-relative: emitted patterns are
@@ -41,7 +41,7 @@ from .monorder import (
     POLY_RING,
     RingTag,
     express_in_power_basis,
-    in_order,
+    orders_equal,
     sym_orders_equal,
 )
 from .tower import AlgElem
@@ -63,8 +63,9 @@ class TowerPowerPair:
     """Oracle over a tower: s, t integral over the tagged ring.  One order
     record per power of s (by m) and of t (by n) is built on first use and
     serves every cell of its row or column; when t is s, both sides share
-    one cache of powers and records.  `equal` prunes a cell by the ratio of
-    the two records' last pivots and then makes one membership solve."""
+    one cache of powers and records.  `equal` prunes a cell by the pivot
+    columns and the ratio of the last pivots of the two records, and then
+    `orders_equal` makes one membership solve."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
         self.s = s
@@ -96,13 +97,14 @@ class TowerPowerPair:
         return self._order(self._t_orders, self.t_pow, n)
 
     def equal(self, m: int, n: int) -> bool:
-        """O[s^m] = O[t^n]: equal pivot columns, a unit pivot ratio (the
-        index [O[s^m]:O[t^n]] up to sign) and t^n in O[s^m]."""
+        """O[s^m] = O[t^n]: a cell whose pivot columns differ or whose pivot
+        ratio (the index [O[s^m]:O[t^n]] up to sign) is not a unit is
+        rejected before `orders_equal` makes its membership solve."""
         order_s, order_t = self.s_order(m), self.t_order(n)
         (cols_s, pv_s), (cols_t, pv_t) = order_s.index, order_t.index
         if cols_s != cols_t or not self.ring.is_unit(pv_s / pv_t):
             return False
-        return in_order(order_t.generator, order_s)
+        return bool(orders_equal(order_t, order_s))
 
     def _unit_in_K(self, v: AlgElem) -> bool:
         r = v.in_base()

@@ -41,53 +41,75 @@ class SpanTracker:
     c_0..c_{j-1} with v_j = sum c_i v_i over the previously fed vectors.
     A dependent vector is counted but not stored, so it gets coefficient 0
     in every later combination.
+
+    A row keeps the multipliers c it was reduced with, and its expression
+    over the fed vectors is built from them when a combination first needs
+    it: the same steps run on [0, ..., 0, 1] against the rows' expressions.
+    A caller that only reads pivots (a determinant) never pays for them.
     """
 
     def __init__(self, zero, one):
         self.zero = zero
         self.one = one
-        self.rows = []  # (pivot, reduced vector + its expression over fed vectors)
+        self.rows = []  # (pivot, reduced vector, its multipliers, vectors fed before it)
+        self._exprs = []  # the rows' expressions over the fed vectors, in order
         self.count = 0
 
-    def _reduce(self, vec: Sequence):
-        """(cur, expr) with cur = sum expr_i v_i over the fed vectors and
-        vec (last, with coefficient mu = the last pivot), zero at every pivot."""
-        zero, one, n = self.zero, self.one, len(vec)
-        cur = list(vec) + [zero] * self.count + [one]
-        prev = one
-        for pivot, row in self.rows:
-            pv, c = row[pivot], cur[pivot]
-            # with c = 0, or where the row is zero, an entry is only scaled
-            cur = [(pv * a - c * b if a else -(c * b)) if b else pv * a if a else a
-                   for a, b in zip_longest(cur, row if c else (), fillvalue=zero)]
-            if prev != one:
-                cur = [a / prev if a else a for a in cur]
-            prev = pv
-        return cur[:n], cur[n:]
+    def _step(self, cur: List, row: Sequence, pv, c, prev) -> List:
+        """(pv * cur - c * row) / prev; with c = 0, or where the row is zero,
+        an entry is only scaled."""
+        zero = self.zero
+        cur = [(pv * a - c * b if a else -(c * b)) if b else pv * a if a else a
+               for a, b in zip_longest(cur, row if c else (), fillvalue=zero)]
+        if prev != self.one:
+            cur = [a / prev if a else a for a in cur]
+        return cur
 
-    def _combination(self, expr: List) -> List:
+    def _reduce(self, vec: Sequence):
+        """(cur, cs): vec reduced to zero at every pivot, scaled by the last
+        pivot, and the multiplier c used against each row."""
+        cur, cs, prev = list(vec), [], self.one
+        for pivot, row, _, _ in self.rows:
+            cs.append(cur[pivot])
+            cur = self._step(cur, row, row[pivot], cs[-1], prev)
+            prev = row[pivot]
+        return cur, cs
+
+    def _expression(self, cs: List, count: int) -> List:
+        """expr with (reduced vector) = sum expr_i v_i, the reduced vector
+        fed after `count` others (last, with coefficient the last pivot)."""
+        for _, _, row_cs, row_count in self.rows[len(self._exprs):len(cs)]:
+            self._exprs.append(self._expression(row_cs, row_count))
+        expr, prev = [self.zero] * count + [self.one], self.one
+        for (pivot, row, _, _), c, row_expr in zip(self.rows, cs, self._exprs):
+            expr = self._step(expr, row_expr, row[pivot], c, prev)
+            prev = row[pivot]
+        return expr
+
+    def _combination(self, cs: List, count: int) -> List:
         """The c_i with vec = sum c_i v_i, from mu * vec + sum expr_i v_i = 0."""
+        expr = self._expression(cs, count)
         mu = expr.pop()
         return [-(e / mu) if e else e for e in expr]
 
     def express(self, vec: Sequence) -> Optional[List]:
         """Coefficients c_i with vec = sum c_i v_i over the fed vectors, or
         None when vec lies outside their span; vec is not stored."""
-        cur, expr = self._reduce(vec)
-        return None if any(cur) else self._combination(expr)
+        cur, cs = self._reduce(vec)
+        return None if any(cur) else self._combination(cs, self.count)
 
     def pivots(self) -> Tuple[List[int], object]:
         """The pivot columns of the stored rows, in the order stored, and
         the last pivot: the determinant of the stored vectors on those
         columns taken in that order.  Needs a stored row."""
-        pivot, row = self.rows[-1]
-        return [p for p, _ in self.rows], row[pivot]
+        pivot, row, _, _ = self.rows[-1]
+        return [p for p, _, _, _ in self.rows], row[pivot]
 
     def add(self, vec: Sequence) -> Optional[List]:
-        cur, expr = self._reduce(vec)
-        self.count += 1
+        cur, cs = self._reduce(vec)
+        count, self.count = self.count, self.count + 1
         pivot = next((i for i, c in enumerate(cur) if c), None)
         if pivot is None:
-            return self._combination(expr)
-        self.rows.append((pivot, cur + expr))
+            return self._combination(cs, count)
+        self.rows.append((pivot, cur, cs, count))
         return None

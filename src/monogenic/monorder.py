@@ -6,8 +6,10 @@ O_{K,T}) and separable of degree d over K.  Membership of t in O[s] is
 exact linear algebra: express t in the power basis and inspect coordinate
 denominators.
 
-Equality O[s] = O[t] is mutual membership; a non-integral t is reported
-with a distinguishable diagnostic rather than a silent False, since the
+Equality O[s] = O[t] is mutual membership, decided by one membership
+solve (t in O[s]) and a unit index, the ratio of the last pivots of the
+two power-basis spans; a non-integral t is reported with a
+distinguishable diagnostic rather than a silent False, since the
 underlying problem presumes integrality.
 
 The quadratic symmetric backend (O = F_q[x+y, xy] inside F_q[x, y]) gets a
@@ -143,7 +145,12 @@ class OrdersEqual:
 
 def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
     """Decide O[t] = O[s] for the order O[s].  A caller holding the record
-    of t (a MonOrder over the same ring, integral or not) passes it for t."""
+    of t (a MonOrder over the same ring, integral or not) passes it for t.
+
+    Once t is in O[s] and of the same degree, K(t) = K(s), so both records
+    have the same pivot columns, and O[t] is a sub-order of index
+    [O[s]:O[t]] = +- pv_t / pv_s (the ratio of their last pivots): s is in
+    O[t] exactly when that ratio is a unit of the ring."""
     if not isinstance(t, MonOrder):
         t = MonOrder(t, order.ring, require_integral=False)
     if t.d != order.d:
@@ -152,7 +159,7 @@ def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
         return OrdersEqual(False, "t is not integral over the tagged ring")
     if not in_order(t.generator, order):
         return OrdersEqual(False, "t is outside O[s]")
-    if not in_order(order.generator, t):
+    if not order.ring.is_unit(t.index[1] / order.index[1]):
         return OrdersEqual(False, "s is outside O[t]")
     return OrdersEqual(True, "mutual membership")
 

@@ -115,7 +115,10 @@ class Level:
         self.coeffs = coeffs
         self.degree = degree
         self.status = status  # "certified(...)" or "assumed"
-        self.disc = disc  # disc(f), a nonzero lower-level value
+        # disc(f), nonzero, as `kp_discriminant` returned it: an element of K
+        # for the first level; above it, an AlgElem made before this level
+        # was added, so its `val` is a value of the level below
+        self.disc = disc
         # the first level's coefficients over their common denominator delta
         self.cleared = _common_denominator(coeffs) if isinstance(coeffs[0], RatFunc) else None
 
@@ -148,7 +151,7 @@ class Tower:
         disc = kp_discriminant(f, f[-1] - f[-1], f[-1])  # f is monic
         if not disc:
             raise ValueError("defining polynomial is not separable")
-        self.levels.append(Level(label, tuple(cs), d, status, disc if lvl == 0 else disc.val))
+        self.levels.append(Level(label, tuple(cs), d, status, disc))
         self._zero = self._zero * d
         return self
 

@@ -238,13 +238,16 @@ def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
      "irreducibility of level 's' did not certify"),
 ], ids=["unit-solve-cosets", "unit-solve-torsion", "certification-scan"])
 def test_unbounded_enumeration_rejected(tmp_path, capsys, scenario, message):
-    # each ran past 30 s: a coset or torsion enumeration over a large field,
-    # and a certification scan over every point of F_65521 (the level is
-    # reducible, so no point certifies it)
+    # uncapped, the coset enumeration over F_131 and the certification scan
+    # over every point of F_65521 (the level is reducible, so no point
+    # certifies it) ran past 30 s, and the torsion enumeration reported
+    # 65519 families; capped, each exits in about 0.2 s.  The time bound
+    # only has to catch a return of the uncapped loops, so it leaves room
+    # for a loaded machine.
     path = _write(tmp_path, scenario)
     t0 = time.perf_counter()
     assert main([path]) == 2
-    assert time.perf_counter() - t0 < 3
+    assert time.perf_counter() - t0 < 20
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.strip().splitlines()) == 1

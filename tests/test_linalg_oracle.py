@@ -181,9 +181,23 @@ def test_polynomial_vectors_keep_polynomial_rows(ctx):
         for vec in vectors:
             span.add(vec)
         assert span.rows
-        for stored in span.rows:
-            for part in stored[1:]:  # the reduced vector and its expression
+        span.express([zero] * n)  # builds every row's expression
+        assert len(span._exprs) == len(span.rows)
+        for (_, vec, _, _), expr in zip(span.rows, span._exprs):
+            for part in (vec, expr):  # the reduced vector and its expression
                 assert all(c.is_polynomial() for c in part)
+
+
+def test_pivots_build_no_expression():
+    # a determinant reads the pivots alone; a row's expression over the fed
+    # vectors is built only when a combination is asked for
+    span = SpanTracker(Fraction(0), Fraction(1))
+    for vec in ([2, 1, 0], [1, 3, 1], [0, 1, 4]):
+        assert span.add([Fraction(c) for c in vec]) is None
+    assert span.pivots() == ([0, 1, 2], Fraction(18))
+    assert span._exprs == []
+    assert span.express([Fraction(3), Fraction(4), Fraction(1)]) == [1, 1, 0]
+    assert len(span._exprs) == 3
 
 
 def test_ragged_columns_rejected():

@@ -4,8 +4,9 @@ The oracle below is the earlier code, kept as it was: every cell
 recomputed the minimal polynomials of s^m and t^n, rebuilt the power basis
 of each side by repeated multiplication and ran both membership solves,
 with no discriminant prune.  `TowerPowerPair.equal` (cached order records
-and the discriminant-ratio prune) must agree with it on every cell, and
-`orders_equal` must give the same reason strings, and the span each record
+and the pivot-ratio prune) must agree with it on every cell, and
+`orders_equal` (one membership and the pivot ratio) must give the same
+reason strings as its two membership solves, and the span each record
 keeps must express every oracle column s^i as the i-th unit vector.  The
 degenerate flags were decided by dividing in the tower (`s^m / t^n`,
 `s^m / conj`); `TowerPowerPair.flags` reads the quotient off the
