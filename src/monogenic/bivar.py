@@ -3,9 +3,9 @@
 This is the backend for the base ring O = F_q[x+y, xy] inside F_q[x, y]:
 the quadratic example where the nontrivial automorphism of Frac(O) swaps
 the two variables.  Only what that example needs is here: arithmetic, the
-swap, exact division, and rewriting a symmetric polynomial in the
-elementary symmetric generators e1 = x+y, e2 = xy (Gauss's algorithm by
-lexicographic leading-term elimination).
+swap, exact division, scaling to monic, and rewriting a symmetric
+polynomial in the elementary symmetric generators e1 = x+y, e2 = xy
+(Gauss's algorithm by lexicographic leading-term elimination).
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ class BivarPoly:
 
     def _leading(self):
         return max(self.terms)  # pure lex with x > y
+
+    def monic(self) -> "BivarPoly":
+        """self scaled to lex-leading coefficient 1; 0 stays 0."""
+        if not self.terms:
+            return self
+        return self * FqElem(self.ctx, self.ctx.rinv(self.terms[self._leading()]))
 
     def divide_exact(self, d: "BivarPoly") -> Optional["BivarPoly"]:
         """Exact division in F_q[x, y]; None when d does not divide self."""

@@ -16,7 +16,8 @@ A scenario is a JSON file with a `task` plus the data it needs:
 Unknown keys anywhere are rejected (exit 2), and so is a base the task
 does not read: verify-a1 and verify-33 run over F_2 only, verify-b over
 F_7 only, and bounds takes no base.  Exit codes: 0 success,
-1 a verify-style task had failing checks, 2 configuration error.
+1 a verify-style task had failing checks, 2 configuration error or a
+report that could not be written (a closed pipe, a full device).
 `--json` selects machine output; reports are deterministic and re-runs are
 byte-identical (timing goes to stderr, never into the report).
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, Optional, Tuple
@@ -432,10 +434,14 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - start
 
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(report_to_text(report))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if args.json
+              else report_to_text(report), flush=True)
+    except OSError as exc:
+        # a closed pipe or a full device; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return code
 

@@ -1,23 +1,24 @@
 """Bounded enumeration and structure of {(m, n) : O[s^m] = O[t^n]}.
 
-The grid search is exact order equality on every cell, run through either
-the tower backend or the quadratic symmetric backend.  The tower backend
-keeps one order record per power s^m and t^n (minimal polynomial, degree,
-power-basis span and its `index`: the pivot columns and last pivot of that
-span's Bareiss elimination) and decides a cell from the two indexes and
-one membership.  Equal orders span one field K(s^m) = K(t^n), so their
-pivot columns agree, and the change of basis between the two power bases
-is invertible over the ring, so the index [O[s^m]:O[t^n]], its
-determinant, is the ratio pv_t/pv_s of the last pivots up to sign and a
-unit of the tagged ring (a nonzero constant of F_q[x], a T-unit of
-O_{K,T}); this is disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m) without the
-discriminants.  A cell that passes both tests goes to `orders_equal`,
-which decides it by the one membership t^n in O[s^m]: then O[t^n] is a
-sub-order of unit index, so the two orders are equal.  Per-pair flags
-mark the degenerate families (quotient, twisted quotient in the quadratic
-case, and product being a unit), which always sit inside the searched set;
-a nondegeneracy witness is recorded for the rest when an automorphism is
-available.
+The grid search is exact order equality, run through either the tower
+backend or the quadratic symmetric backend, as a join: each power s^m
+and t^n gets one index key, equal for equal orders, and `equal` runs only
+on the cells whose two keys agree.  The tower backend keeps one order
+record per power (minimal polynomial, degree, power-basis span, key).
+Equal orders span one field K(s^m) = K(t^n), so their pivot columns
+agree, and the change of basis between the two power bases is invertible
+over the ring, so the index [O[s^m]:O[t^n]], its determinant, is the
+ratio pv_t/pv_s of the last pivots up to sign and a unit of the tagged
+ring (a nonzero constant of F_q[x], a T-unit of O_{K,T}); this is
+disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m) without the discriminants.  The
+key is the pivot columns and the last pivot up to a unit, and a cell of
+equal keys goes to `orders_equal`, which decides it by the one membership
+t^n in O[s^m]: then O[t^n] is a sub-order of unit index.  In the symmetric
+backend the key of u is u - sigma(u) made monic, and equal keys decide
+the cell (`sym_orders_equal`).  Per-pair flags mark the degenerate families
+(quotient, twisted quotient in the quadratic case, and product being a
+unit), which always sit inside the searched set; a nondegeneracy witness
+is recorded for the rest when an automorphism is available.
 
 Pattern fitting is heuristic and box-relative: emitted patterns are
 descriptions of the observed data, validated to regenerate exactly their
@@ -42,7 +43,7 @@ from .monorder import (
     RingTag,
     express_in_power_basis,
     orders_equal,
-    sym_orders_equal,
+    sym_index_key,
 )
 from .tower import AlgElem
 
@@ -51,60 +52,73 @@ from .tower import AlgElem
 # backends
 # ---------------------------------------------------------------------------
 
-def _power(cache: list, base, n: int):
-    """base^n for n >= 1, where cache[k - 1] holds base^k; missing powers
-    are appended by repeated multiplication."""
-    while len(cache) < n:
-        cache.append(cache[-1] * base if cache else base)
-    return cache[n - 1]
+class _PowerPair:
+    """The powers of s and of t, each computed once, and one record per
+    power (`_record`), built on first use and serving every cell of its row
+    or column; when t is s, both sides share one cache of powers and
+    records.  `s_key(m)` and `t_key(n)` are the index keys of the powers,
+    equal for equal orders, on which `enumerate_M` joins."""
+
+    def __init__(self, s, t, p: int, shared: bool):
+        if s.is_zero() or t.is_zero():
+            raise ValueError("search elements s and t must be nonzero")
+        self.s, self.t, self.p = s, t, p
+        self._s_pows, self._s_records = [], {}
+        self._t_pows = self._s_pows if shared else []
+        self._t_records = self._s_records if shared else {}
+
+    @staticmethod
+    def _power(pows: list, base, n: int):
+        # pows[k - 1] holds base^k; missing powers by repeated multiplication
+        while len(pows) < n:
+            pows.append(pows[-1] * base if pows else base)
+        return pows[n - 1]
+
+    def s_pow(self, m: int):
+        return self._power(self._s_pows, self.s, m)
+
+    def t_pow(self, n: int):
+        return self._power(self._t_pows, self.t, n)
+
+    def _cached(self, records: dict, power, n: int):
+        if n not in records:
+            records[n] = self._record(power(n))
+        return records[n]
+
+    def s_record(self, m: int):
+        return self._cached(self._s_records, self.s_pow, m)
+
+    def t_record(self, n: int):
+        return self._cached(self._t_records, self.t_pow, n)
 
 
-class TowerPowerPair:
-    """Oracle over a tower: s, t integral over the tagged ring.  One order
-    record per power of s (by m) and of t (by n) is built on first use and
-    serves every cell of its row or column; when t is s, both sides share
-    one cache of powers and records.  `equal` prunes a cell by the pivot
-    columns and the ratio of the last pivots of the two records, and then
-    `orders_equal` makes one membership solve."""
+class TowerPowerPair(_PowerPair):
+    """Oracle over a tower: s, t integral over the tagged ring.  The record
+    of a power is its `MonOrder`, whose `key` is the power's index key, and
+    `equal` makes one membership solve on a cell of equal keys."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
-        self.s = s
-        self.t = t
         self.ring = ring
-        self.p = s.tower.base.p
+        super().__init__(s, t, s.tower.base.p, t.tower is s.tower and t == s)
         # the m = n = 1 records double as the integrality check of the inputs
-        self._s_pows: List[AlgElem] = []
-        self._s_orders: Dict[int, MonOrder] = {1: MonOrder(s, ring)}
-        shared = t.tower is s.tower and t == s
-        self._t_pows = self._s_pows if shared else []
-        self._t_orders = self._s_orders if shared else {1: MonOrder(t, ring)}
+        self.s_record(1)
+        self.t_record(1)
 
-    def s_pow(self, m: int) -> AlgElem:
-        return _power(self._s_pows, self.s, m)
+    def _record(self, power: AlgElem) -> MonOrder:
+        return MonOrder(power, self.ring)
 
-    def t_pow(self, n: int) -> AlgElem:
-        return _power(self._t_pows, self.t, n)
+    def s_key(self, m: int):
+        return self.s_record(m).key
 
-    def _order(self, orders: Dict[int, MonOrder], power, n: int) -> MonOrder:
-        if n not in orders:
-            orders[n] = MonOrder(power(n), self.ring)
-        return orders[n]
-
-    def s_order(self, m: int) -> MonOrder:
-        return self._order(self._s_orders, self.s_pow, m)
-
-    def t_order(self, n: int) -> MonOrder:
-        return self._order(self._t_orders, self.t_pow, n)
+    def t_key(self, n: int):
+        return self.t_record(n).key
 
     def equal(self, m: int, n: int) -> bool:
-        """O[s^m] = O[t^n]: a cell whose pivot columns differ or whose pivot
-        ratio (the index [O[s^m]:O[t^n]] up to sign) is not a unit is
+        """O[s^m] = O[t^n]: a cell whose index keys differ (different pivot
+        columns, or an index [O[s^m]:O[t^n]] that is not a unit) is
         rejected before `orders_equal` makes its membership solve."""
-        order_s, order_t = self.s_order(m), self.t_order(n)
-        (cols_s, pv_s), (cols_t, pv_t) = order_s.index, order_t.index
-        if cols_s != cols_t or not self.ring.is_unit(pv_s / pv_t):
-            return False
-        return bool(orders_equal(order_t, order_s))
+        order_s, order_t = self.s_record(m), self.t_record(n)
+        return order_s.key == order_t.key and bool(orders_equal(order_t, order_s))
 
     def _unit_in_K(self, v: AlgElem) -> bool:
         r = v.in_base()
@@ -129,7 +143,7 @@ class TowerPowerPair:
         in_a = self._unit_quotient(sm, tn)
         in_c = self._unit_in_K(sm * tn)
         in_b = False
-        order_t = self.t_order(n)
+        order_t = self.t_record(n)
         if order_t.d == 2:
             # the quadratic conjugate is trace - t^n, no declared map needed
             conj = tn.tower.from_base(-order_t.minpoly[1]) - tn
@@ -142,87 +156,44 @@ class TowerPowerPair:
 
 
 def sym_flags(sm: BivarPoly, tn: BivarPoly) -> Tuple[bool, bool, bool]:
-    """(in_A, in_B, in_C) of a cell of the symmetric backend: whether
-    s^m/t^n, s^m/sigma(t^n) (only when [K(t^n):K] = 2) and s^m*t^n are
-    units of F_q[x, y], the nonzero constants.  A quotient u/w is such a
-    unit iff u = c*w exactly."""
-
-    def unit(v: Optional[BivarPoly]) -> bool:
-        return v is not None and v.is_constant() and not v.is_zero()
-
+    """(in_A, in_B, in_C) of a cell of the symmetric backend (s^m, t^n
+    nonzero): whether s^m/t^n, s^m/sigma(t^n) (only when [K(t^n):K] = 2)
+    and s^m*t^n are units of F_q[x, y], the nonzero constants: u/w is one
+    iff u and w have one monic form, and u*w iff both are constants."""
     stn = tn.swap()
-    in_b = not (tn - stn).is_zero() and unit(sm.divide_exact(stn))
-    return unit(sm.divide_exact(tn)), in_b, unit(sm * tn)
+    monic = sm.monic()
+    in_b = stn != tn and monic == stn.monic()
+    return monic == tn.monic(), in_b, sm.is_constant() and tn.is_constant()
 
 
-class SymPowerPair:
+class SymPowerPair(_PowerPair):
     """Oracle over the symmetric quadratic backend (sigma swaps x and y).
-
-    One number per power decides most cells: the total degree of
-    s^m - sigma(s^m) (and of t^n - sigma(t^n)), -1 when the power is
-    symmetric.  Different degrees reject the cell, and both -1 accept it
-    (both orders are O itself).  That is sound because these are exactly
-    the early answers of `sym_orders_equal`: mutual membership makes both
-    difference quotients (u - sigma u)/(w - sigma w) and its inverse
-    polynomials, which forces equal degrees, and O[u] = O for symmetric u
-    while O[w] = O needs w symmetric.  Only cells of equal nonnegative
-    degree run the membership test."""
+    The record of a power u is its index key `sym_index_key(u)`,
+    u - sigma(u) made monic, and equal keys decide a cell on their own:
+    O[s^m] = O[t^n] exactly when the two keys agree (`sym_orders_equal`)."""
 
     def __init__(self, s: BivarPoly, t: BivarPoly):
-        self.s = s
-        self.t = t
-        self.p = s.ctx.p
-        self._s_pows: List[BivarPoly] = []
-        self._t_pows: List[BivarPoly] = []
-        self._s_degs: Dict[int, int] = {}
-        self._t_degs: Dict[int, int] = {}
+        super().__init__(s, t, s.ctx.p, t == s)
 
-    def s_pow(self, m: int) -> BivarPoly:
-        return _power(self._s_pows, self.s, m)
-
-    def t_pow(self, n: int) -> BivarPoly:
-        return _power(self._t_pows, self.t, n)
-
-    @staticmethod
-    def _swap_degree(degs: Dict[int, int], power, n: int) -> int:
-        """Total degree of power(n) - sigma(power(n)), cached per n."""
-        if n not in degs:
-            u = power(n)
-            degs[n] = (u - u.swap()).total_degree()
-        return degs[n]
+    _record = staticmethod(sym_index_key)
+    s_key = _PowerPair.s_record
+    t_key = _PowerPair.t_record
 
     def equal(self, m: int, n: int) -> bool:
-        ds = self._swap_degree(self._s_degs, self.s_pow, m)
-        dt = self._swap_degree(self._t_degs, self.t_pow, n)
-        if ds != dt:
-            return False
-        if ds < 0:
-            return True  # both orders are O itself
-        return bool(sym_orders_equal(self.s_pow(m), self.t_pow(n)))
+        return self.s_key(m) == self.t_key(n)
 
     def flags(self, m: int, n: int):
         return sym_flags(self.s_pow(m), self.t_pow(n))
 
     def nondegenerate_witness(self, m: int, n: int) -> Optional[str]:
-        """For (m, n) in the searched set, check the three-term solution
-        (s^m/sig(s^m), -u t^n/sig(s^m), u sig(t^n)/sig(s^m)) for vanishing
-        proper subsums; returns the swap's name when nondegenerate."""
-        sm, tn = self.s_pow(m), self.t_pow(n)
-        dsm = sm - sm.swap()
-        dtn = tn - tn.swap()
-        if dsm.is_zero() or dtn.is_zero():
-            return None
-        u = dsm.divide_exact(dtn)
-        if u is None:
-            return None
-        a = sm - u * tn  # x + y = 0 iff A = 0
-        if a.is_zero():
-            return None
-        if (tn - tn.swap()).is_zero():  # y + z = 0 iff sigma fixes t^n
-            return None
-        if (sm + u * tn.swap()).is_zero():  # x + z = 0
-            return None
-        return "x<->y"
+        """For (m, n) in the searched set and in none of A, B, C: the swap
+        when the three-term solution (s^m/sig(s^m), -u t^n/sig(s^m),
+        u sig(t^n)/sig(s^m)), u = (s^m - sig s^m)/(t^n - sig t^n), has no
+        vanishing proper subsum.  Equal keys make u a nonzero constant, or
+        make both powers symmetric (no solution, None); then x + y = 0
+        would put s^m = u t^n in A, x + z = 0 would put s^m = -u sig(t^n)
+        in B, and y + z = 0 would need t^n symmetric."""
+        return None if self.s_key(m).is_zero() else "x<->y"
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +248,21 @@ def classify_degenerate(pair_oracle, m: int, n: int) -> PairFlags:
 
 
 def enumerate_M(pair_oracle, m_max: int, n_max: int) -> MSearchResult:
-    """Exact membership on the grid [1..m_max] x [1..n_max]."""
+    """Exact order equality on the grid [1..m_max] x [1..n_max], as a join:
+    equal orders have equal index keys, so the powers t^n are bucketed by
+    key and `equal` runs only on the cells of matching keys."""
     if m_max * n_max > 10_000:
         raise ValueError("grid larger than the supported desk scale")
     p = pair_oracle.p
-    pairs = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            if pair_oracle.equal(m, n):
-                pairs.append((m, n))
+    buckets: Dict[object, List[int]] = {}
+    for n in range(1, n_max + 1):
+        buckets.setdefault(pair_oracle.t_key(n), []).append(n)
+    pairs = [
+        (m, n)
+        for m in range(1, m_max + 1)
+        for n in buckets.get(pair_oracle.s_key(m), ())
+        if pair_oracle.equal(m, n)
+    ]
     pair_set = set(pairs)
     violations = [
         (m, n)

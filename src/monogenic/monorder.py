@@ -7,15 +7,15 @@ exact linear algebra: express t in the power basis and inspect coordinate
 denominators.
 
 Equality O[s] = O[t] is mutual membership, decided by one membership
-solve (t in O[s]) and a unit index, the ratio of the last pivots of the
-two power-basis spans; a non-integral t is reported with a
-distinguishable diagnostic rather than a silent False, since the
-underlying problem presumes integrality.
+solve (t in O[s]) and equal index keys (pivot columns, and last pivot up
+to a unit; the index [O[s]:O[t]] is the pivot ratio up to sign); a
+non-integral t is reported with a distinguishable diagnostic rather than
+a silent False, since the underlying problem presumes integrality.
 
 The quadratic symmetric backend (O = F_q[x+y, xy] inside F_q[x, y]) gets a
-dedicated membership routine: for u with the swap automorphism sigma, u is
-in O[w] iff B = (u - sigma(u))/(w - sigma(w)) divides exactly and both B
-and A = u - B*w rewrite in the elementary symmetric generators.
+dedicated membership routine: with the swap automorphism sigma, u is in
+O[w] iff B = (u - sigma(u))/(w - sigma(w)) divides exactly.  Its index key
+is u - sigma(u) made monic: O[u] = O[w] exactly when the keys agree.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ class RingTag:
             return a.is_constant()
         return is_T_unit(a, self.places)
 
+    def unit_class(self, a: RatFunc):
+        """Nonzero a up to a unit of the ring, as (monic numerator,
+        denominator) once the T-places are divided out: a / b is a unit
+        exactly when a and b have the same class."""
+        num, den = a.num, a.den
+        if self.places is not None:
+            for v in self.places.finite_places():
+                num = num.split_off(v.pi)[1]
+                den = den.split_off(v.pi)[1]
+        return num.monic(), den
+
     def __repr__(self):
         return "F_q[x]" if self.places is None else f"O_K,{self.places!r}"
 
@@ -65,16 +76,16 @@ class MonOrder:
     computed once.  `require_integral=False` keeps the record of a
     non-integral s instead of raising.
 
-    `index` is read off the span's Bareiss pivots: the set of pivot
-    columns, which depends on K(s) alone (they are the leading columns of
-    an echelon form of K(s) in the tower basis), and the last pivot, which
-    is +- the determinant of the power basis on those columns.  Two orders
-    with the same columns have index [O[s]:O[t]] = +- pv_t / pv_s.  On a
-    one-level tower a generator of full degree N has the whole basis as its
-    columns, so disc(s) = pv^2 * disc(f_1) (the determinant of a change of
-    basis squared, times the discriminant of the basis) and `disc` reads
-    it off the pivot; elsewhere it is `discriminant` of the minimal
-    polynomial."""
+    The index `key` is (pivot columns, `ring.unit_class(pivot)`) of the
+    span's Bareiss elimination.  The columns depend on K(s) alone (the
+    leading columns of an echelon form of K(s) in the tower basis), and the
+    last `pivot` is +- the determinant of the power basis on them, so two
+    orders on the same columns have index [O[s]:O[t]] = +- pv_t / pv_s and
+    their keys agree exactly when that index is a unit.  On a one-level
+    tower a generator of full degree N has the whole basis as its columns,
+    so disc(s) = pv^2 * disc(f_1) (the determinant of a change of basis
+    squared, times the discriminant of the basis) and `disc` reads it off
+    the pivot; elsewhere it is `discriminant` of the minimal polynomial."""
 
     def __init__(
         self, generator: AlgElem, ring: RingTag = POLY_RING, require_integral: bool = True
@@ -85,8 +96,8 @@ class MonOrder:
         ctx = generator.tower.base
         self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
         self.minpoly, self.d = minimal_polynomial(generator, self.span)
-        columns, pivot = self.span.pivots()
-        self.index = (frozenset(columns), pivot)
+        columns, self.pivot = self.span.pivots()
+        self.key = (frozenset(columns), ring.unit_class(self.pivot))
         bad = [c for c in self.minpoly if not ring.contains(c)]
         self.integral = not bad
         if bad and require_integral:
@@ -102,7 +113,7 @@ class MonOrder:
             return None
         levels = self.generator.tower.levels
         if len(levels) == 1 and self.d == levels[0].degree:
-            return self.index[1] ** 2 * levels[0].disc
+            return self.pivot ** 2 * levels[0].disc
         return discriminant(self.generator, (self.minpoly, self.d))
 
     def frobenius(self, e: int) -> AlgElem:
@@ -150,7 +161,7 @@ def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
     Once t is in O[s] and of the same degree, K(t) = K(s), so both records
     have the same pivot columns, and O[t] is a sub-order of index
     [O[s]:O[t]] = +- pv_t / pv_s (the ratio of their last pivots): s is in
-    O[t] exactly when that ratio is a unit of the ring."""
+    O[t] exactly when that ratio is a unit, that is when the keys agree."""
     if not isinstance(t, MonOrder):
         t = MonOrder(t, order.ring, require_integral=False)
     if t.d != order.d:
@@ -159,7 +170,7 @@ def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
         return OrdersEqual(False, "t is not integral over the tagged ring")
     if not in_order(t.generator, order):
         return OrdersEqual(False, "t is outside O[s]")
-    if not order.ring.is_unit(t.index[1] / order.index[1]):
+    if t.key != order.key:
         return OrdersEqual(False, "s is outside O[t]")
     return OrdersEqual(True, "mutual membership")
 
@@ -254,8 +265,8 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
 
     For nonsymmetric w (so [K(w):K] = 2) this solves u = A + B*w by applying
     sigma and eliminating: B = (u - sigma u)/(w - sigma w) must divide
-    exactly and both B and A = u - B*w must be symmetric polynomials, that
-    is polynomials in e1 and e2.
+    exactly.  B and A = u - B*w are then symmetric, that is in O:
+    sigma(B) = (-(u - sigma u))/(-(w - sigma w)) = B, and A - sigma(A) = 0.
     """
     sw = w.swap()
     dw = w - sw
@@ -272,27 +283,27 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
     b = du.divide_exact(dw)
     if b is None:
         return SymMembership(False, "(u - sigma u)/(w - sigma w) is not a polynomial")
-    if not b.is_symmetric():
-        return SymMembership(False, "B is not symmetric")
-    a = u - b * w
-    if not a.is_symmetric():
-        return SymMembership(False, "A = u - B*w is not symmetric")
-    return SymMembership(True, "u = A + B*w with A, B in O", b, a)
+    return SymMembership(True, "u = A + B*w with A, B in O", b, u - b * w)
+
+
+def sym_index_key(u: BivarPoly) -> BivarPoly:
+    """The index key of O[u] in the symmetric backend: u - sigma(u) made
+    monic, 0 when u is symmetric (then O[u] = O)."""
+    return (u - u.swap()).monic()
 
 
 def sym_orders_equal(u: BivarPoly, w: BivarPoly) -> OrdersEqual:
-    # mutual membership makes both difference quotients polynomial, which
-    # forces equal degrees of u - sigma(u) and w - sigma(w); cheap reject
-    du = u - u.swap()
-    dw = w - w.swap()
-    if du.is_zero() != dw.is_zero():
+    """O[u] = O[w] by the index keys.  By `sym_in_order`, mutual membership
+    holds iff u - sigma(u) and w - sigma(w) divide each other, that is
+    (F_q[x, y] being a domain) iff they differ by a nonzero constant
+    factor; for equal degrees that is already u in O[w]."""
+    ku, kw = sym_index_key(u), sym_index_key(w)
+    if ku.is_zero() != kw.is_zero():
         return OrdersEqual(False, "one side generates O, the other does not")
-    if not du.is_zero() and du.total_degree() != dw.total_degree():
+    if ku.total_degree() != kw.total_degree():
         return OrdersEqual(False, "conjugate-difference degree mismatch")
-    m1 = sym_in_order(u, w)
-    if not m1.contained:
-        return OrdersEqual(False, f"u outside O[w]: {m1.reason}")
-    m2 = sym_in_order(w, u)
-    if not m2.contained:
-        return OrdersEqual(False, f"w outside O[u]: {m2.reason}")
+    if ku != kw:
+        return OrdersEqual(
+            False, "u outside O[w]: (u - sigma u)/(w - sigma w) is not a polynomial"
+        )
     return OrdersEqual(True, "mutual membership")

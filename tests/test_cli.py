@@ -116,6 +116,29 @@ def test_cli_subprocess_json():
     assert "elapsed" in out.stderr  # timing stays out of the report
 
 
+@pytest.mark.parametrize("target", [
+    "closed-pipe",
+    pytest.param("full-device", marks=pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs the /dev/full device")),
+])
+def test_unwritable_report_exits_2(target):
+    # a report written to a closed pipe or a full device ended in a
+    # traceback with exit 1, the code of failed checks
+    cmd = [sys.executable, "-m", "monogenic.cli", str(SCENARIOS / "verify_b.json")]
+    if target == "closed-pipe":
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT)
+        proc.stdout.close()  # long before the child has a report to write
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    else:
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, cwd=ROOT)
+        err, code = out.stderr, out.returncode
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("output error: cannot write the report")
+
+
 def _write(tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
@@ -285,7 +308,11 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
       "params": {"s": ["s"]}}, "scenario does not define element ['s']"),
     ({"task": "verify-33", "params": {"m_max": 7}}, "keep m_max <= 6"),
     ({"task": "search", "backend": "symmetric", "base": {"p": 3},
-      "elements": {"s": "x+y", "t": "0"}}, "division by zero"),
+      "elements": {"s": "x+y", "t": "0"}}, "search elements s and t must be nonzero"),
+    ({"task": "search", "backend": "symmetric", "base": {"p": 3},
+      "elements": {"s": "x-x", "t": "x+y"}}, "search elements s and t must be nonzero"),
+    ({"task": "search", "tower": _QUARTIC, "elements": {"s": "s", "t": "s-s"},
+      "params": {"m_max": 2, "n_max": 2}}, "search elements s and t must be nonzero"),
     ({"task": "disc", "tower": {"levels": [{"poly": "s^2+x"}]}, "elements": {"s": "s"}},
      "a tower level needs a string label and a poly"),
     ({"task": "disc", "tower": {"levels": [{"label": ["s"], "poly": "s^2+x"}]},
@@ -294,7 +321,8 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
         "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
         "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "list-element-name",
-        "verify-33-m_max", "zero-element", "level-without-label",
+        "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
+        "level-without-label",
         "list-label"])
 def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
     # each of these ended in a traceback (exit 1) or in a silent answer

@@ -232,10 +232,10 @@ _ETAS = [Poly(F2, c) for c in _ETA_COEFFS if eta_conditions_hold(Poly(F2, c)) is
     b=st.lists(st.integers(0, 1), max_size=4),
 )
 def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
-    # the search prunes a cell when the pivot columns of the two records
-    # differ or their last pivots have a ratio that is not a unit; that is
-    # sound only if equal orders always agree on both, as they do on the
-    # discriminant ratio
+    # the search prunes a cell when the index keys of the two records
+    # differ (pivot columns, or last pivots whose ratio is not a unit);
+    # that is sound only if equal orders always agree on both, as they do
+    # on the discriminant ratio
     tw = shifted_tower(eta)
     s = tw.gen(0)
     x = RatFunc.gen(F2)
@@ -244,8 +244,9 @@ def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
     equal = orders_equal(t, order_s)
     assert equal or form == "sq"  # s + b and x*s^2 + s + b generate O[s]
     if equal:
-        (cols_s, pv_s), (cols_t, pv_t) = order_s.index, MonOrder(t).index
-        assert cols_s == cols_t and POLY_RING.is_unit(pv_s / pv_t)
+        order_t = MonOrder(t)
+        assert order_s.key == order_t.key
+        assert POLY_RING.is_unit(order_s.pivot / order_t.pivot)
         assert POLY_RING.is_unit(discriminant(t) / order_s.disc)
 
 

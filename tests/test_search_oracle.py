@@ -14,12 +14,18 @@ coordinates instead and must give the same flags on every cell.
 
 Each record's discriminant must equal the resultant oracle of
 `test_tower_oracle`.  The search now decides a cell by the records'
-`index` (pivot columns and last pivot); on every pair of records of equal
-degree the pivot columns must agree exactly when the two powers span one
-field, and then disc(s^m) * pv_t^2 = disc(t^n) * pv_s^2.
+index `key` (pivot columns, and last pivot up to a unit); on every pair of
+records of equal degree the pivot columns must agree exactly when the two
+powers span one field, the unit classes exactly when the pivot ratio is a
+unit, and then disc(s^m) * pv_t^2 = disc(t^n) * pv_s^2.
+
+`enumerate_M` joins the powers on their keys: its pairs must be the
+every-cell set, in the same (m, n) order, and it must call `equal` exactly
+on the cells whose two keys agree (`joined_cells`, shared with the
+symmetric backend's test).
 """
 
-from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair
+from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair, enumerate_M
 from monogenic.monorder import MonOrder, RingTag, POLY_RING, orders_equal
 from monogenic.tower import Tower, discriminant, minimal_polynomial
 from monogenic.verify import shifted_tower
@@ -82,10 +88,29 @@ def oracle_flags(sm, tn, ring):
     return unit_in_K(sm / tn), in_b, unit_in_K(sm * tn)
 
 
+def joined_cells(pair, box):
+    """`enumerate_M` on pair over the box, and the cells it called `equal`
+    on, which must be exactly those of equal keys (so sum |S_b| * |T_b|
+    calls over the key buckets b), in (m, n) order."""
+    cells = []
+    equal = pair.equal
+
+    def counted(m, n):
+        cells.append((m, n))
+        return equal(m, n)
+
+    pair.equal = counted
+    result = enumerate_M(pair, box, box)
+    assert cells == [(m, n) for m in range(1, box + 1) for n in range(1, box + 1)
+                     if pair.s_key(m) == pair.t_key(n)]
+    return result, cells
+
+
 def check_grid(s, t, ring=POLY_RING):
     pair = TowerPowerPair(s, t, ring)
     equal_cells = 0
     flagged = 0
+    want = []
     for m in range(1, BOX + 1):
         for n in range(1, BOX + 1):
             sm, tn = s ** m, t ** n
@@ -94,13 +119,15 @@ def check_grid(s, t, ring=POLY_RING):
             flagged += any(flags)
             expected = oracle_orders_equal(sm, tn, ring)
             assert pair.equal(m, n) == bool(expected and expected[0]), (m, n)
+            if expected and expected[0]:
+                want.append((m, n))
             if expected is not None:
                 res = orders_equal(sm, MonOrder(tn, ring))
                 assert (res.equal, res.reason) == expected, (m, n)
                 equal_cells += res.equal
     # every record the search built: its span expresses each oracle column
     # s^i as the i-th unit vector, and the discriminant is as before
-    for orders in (pair._s_orders, pair._t_orders):
+    for orders in (pair._s_records, pair._t_records):
         for rec in orders.values():
             ctx = rec.generator.tower.base
             for i, col in enumerate(oracle_columns(rec.generator)):
@@ -112,20 +139,26 @@ def check_grid(s, t, ring=POLY_RING):
             else:
                 assert rec.disc is None
     check_pivot_identity(pair)
+    result, _ = joined_cells(TowerPowerPair(s, t, ring), BOX)
+    assert result.pairs == want
+    assert all(pair.flags(*mn) == (f.in_a, f.in_b, f.in_c) for mn, f in result.flags.items())
     return equal_cells, flagged
 
 
 def check_pivot_identity(pair):
-    records = [pair.s_order(m) for m in range(1, BOX + 1)]
-    records += [pair.t_order(n) for n in range(1, BOX + 1)]
+    records = [pair.s_record(m) for m in range(1, BOX + 1)]
+    records += [pair.t_record(n) for n in range(1, BOX + 1)]
     for a in records:
         for b in records:
             if a.d != b.d:
                 continue
-            (cols_a, pv_a), (cols_b, pv_b) = a.index, b.index
+            (cols_a, _), (cols_b, _) = a.key, b.key
+            pv_a, pv_b = a.pivot, b.pivot
             one_field = (a.span.express(b.generator.coords()) is not None
                          and b.span.express(a.generator.coords()) is not None)
             assert (cols_a == cols_b) == one_field
+            # the key's unit class agrees exactly when the pivot ratio is a unit
+            assert (a.key[1] == b.key[1]) == a.ring.is_unit(pv_a / pv_b)
             if one_field and a.d >= 2:
                 assert a.disc * pv_b ** 2 == b.disc * pv_a ** 2
     return {rec.d for rec in records}
