@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh
 #
-# 1. no unused import in src/monogenic (scripts/check_imports.py);
+# 1. no unused import in src/monogenic, tests or scripts (scripts/check_imports.py);
 # 2. the tier-1 test suite;
 # 3. every bundled scenario report against tests/golden;
 # 4. the benchmark self-test;

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Fail on an unused import in the library modules.
+"""Fail on an unused import in the library, its tests and its scripts.
 
 Usage: python3 scripts/check_imports.py
 
 Reads every src/monogenic/*.py except __init__.py, whose imports are the
-package's re-exports.  A name an import binds counts as used when the
+package's re-exports, and every tests/*.py and scripts/*.py.  The
+benchmark's own modules under perfbench/ are left out: they change only
+with the benchmark.  A name an import binds counts as used when the
 module reads it anywhere, including inside a string annotation such as
 `-> "Poly"`; `from __future__` imports are exempt.  Each unused import is
 printed as path:line: name, and any makes the exit code 1.
@@ -64,11 +66,18 @@ def unused_imports(path: Path) -> list:
     return out
 
 
+# (directory, file names to skip) of the checked modules
+CHECKED = [("src/monogenic", {"__init__.py"}), ("tests", set()), ("scripts", set())]
+
+
+def checked_paths() -> list:
+    return [path for folder, skip in CHECKED
+            for path in sorted((ROOT / folder).glob("*.py")) if path.name not in skip]
+
+
 def main() -> int:
     failed = False
-    for path in sorted((ROOT / "src" / "monogenic").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in checked_paths():
         for lineno, name in unused_imports(path):
             print(f"{path.relative_to(ROOT)}:{lineno}: unused import {name}")
             failed = True

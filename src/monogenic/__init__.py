@@ -16,7 +16,9 @@ from .funcfield import (
     is_T_integer,
     is_T_unit,
     product_formula_sum,
+    split_over,
     support,
+    unit_class,
     unit_group_rank,
     valuation,
 )
@@ -37,7 +39,6 @@ from .monorder import (
     MonOrder,
     OrdersEqual,
     POLY_RING,
-    RingTag,
     disc_form_predicate,
     express_in_power_basis,
     fit_generator_relation,

@@ -45,7 +45,7 @@ from .funcfield import Place, PlaceSet, Poly, RatFunc
 from .gf import FqCtx
 from .monorder import MonOrder, POLY_RING, disc_form_predicate, orders_equal, sym_orders_equal
 from .parse import ParseError, SymbolPoly, parse_element
-from .tower import Tower, discriminant
+from .tower import Tower
 from .unitgrp import build_group, solve_xy1
 from .verify import (
     verify_quartic_twist_family,
@@ -265,12 +265,16 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
         _check_keys(params, {"element", "places"}, "params")
         env, one = elements_env()
         t = named(params.get("element", "s"), env, one)
-        d = discriminant(t)
-        report["discriminant"] = repr(d)
+        # one record of t; the places are read after its discriminant, so
+        # a degree or separability fault is reported before a place fault
+        rec = MonOrder(t, require_integral=False)
+        if rec.d < 2:
+            raise ConfigError("discriminant needs degree >= 2 over K")
+        report["discriminant"] = repr(rec.disc)
         if "places" in params:
             T = _parse_places(ctx, params["places"])
             report["places"] = [repr(v) for v in T]
-            report["disc_form_predicate"] = disc_form_predicate(t, T)
+            report["disc_form_predicate"] = disc_form_predicate(rec, T)
 
     elif task == "order-eq":
         _check_keys(params, {"s", "t"}, "params")

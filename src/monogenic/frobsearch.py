@@ -8,8 +8,8 @@ record per power (minimal polynomial, degree, power-basis span, key).
 Equal orders span one field K(s^m) = K(t^n), so their pivot columns
 agree, and the change of basis between the two power bases is invertible
 over the ring, so the index [O[s^m]:O[t^n]], its determinant, is the
-ratio pv_t/pv_s of the last pivots up to sign and a unit of the tagged
-ring (a nonzero constant of F_q[x], a T-unit of O_{K,T}); this is
+ratio pv_t/pv_s of the last pivots up to sign and a unit of the ring
+O_{K,T} (a T-unit; a nonzero constant when O = F_q[x]); this is
 disc(t^n) = [O[s^m]:O[t^n]]^2 disc(s^m) without the discriminants.  The
 key is the pivot columns and the last pivot up to a unit, and a cell of
 equal keys goes to `orders_equal`, which decides it by the one membership
@@ -36,11 +36,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
-from .funcfield import RatFunc, support
+from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, support
 from .monorder import (
     MonOrder,
     POLY_RING,
-    RingTag,
     express_in_power_basis,
     orders_equal,
     sym_index_key,
@@ -93,11 +92,12 @@ class _PowerPair:
 
 
 class TowerPowerPair(_PowerPair):
-    """Oracle over a tower: s, t integral over the tagged ring.  The record
-    of a power is its `MonOrder`, whose `key` is the power's index key, and
-    `equal` makes one membership solve on a cell of equal keys."""
+    """Oracle over a tower: s, t integral over the ring O_{K,T} of the
+    place set `ring` (F_q[x] by default).  The record of a power is its
+    `MonOrder`, whose `key` is the power's index key, and `equal` makes
+    one membership solve on a cell of equal keys."""
 
-    def __init__(self, s: AlgElem, t: AlgElem, ring: RingTag = POLY_RING):
+    def __init__(self, s: AlgElem, t: AlgElem, ring: PlaceSet = POLY_RING):
         self.ring = ring
         super().__init__(s, t, s.tower.base.p, t.tower is s.tower and t == s)
         # the m = n = 1 records double as the integrality check of the inputs
@@ -122,7 +122,7 @@ class TowerPowerPair(_PowerPair):
 
     def _unit_in_K(self, v: AlgElem) -> bool:
         r = v.in_base()
-        return r is not None and not r.is_zero() and self.ring.is_unit(r)
+        return r is not None and not r.is_zero() and is_T_unit(r, self.ring)
 
     def _unit_quotient(self, u: AlgElem, w: AlgElem) -> bool:
         # u/w is the unit r of the ring iff u = r*w coordinate-wise over K,
@@ -135,7 +135,7 @@ class TowerPowerPair(_PowerPair):
         return (
             not r.is_zero()
             and all(a == r * b for a, b in zip(u_coords, w_coords))
-            and self.ring.is_unit(r)
+            and is_T_unit(r, self.ring)
         )
 
     def flags(self, m: int, n: int):
@@ -604,17 +604,17 @@ class AddendumReport:
         }
 
 
-def addendum_report(s: RatFunc, t: RatFunc, ring: RingTag = POLY_RING) -> AddendumReport:
+def addendum_report(s: RatFunc, t: RatFunc, ring: PlaceSet = POLY_RING) -> AddendumReport:
     """The branch where the searched elements have a power inside O; here
     both inputs are already rational, so e = f = 1 and everything reduces
-    to divisor proportionality."""
+    to divisor proportionality at the places outside T."""
     e = f = 1
-    s_in = ring.contains(s)
-    t_in = ring.contains(t)
+    s_in = is_T_integer(s, ring)
+    t_in = is_T_integer(t, ring)
     if not (s_in or t_in):
         raise ValueError("hypothesis violated: route back to the grid search")
-    s_unit = ring.is_unit(s) if s_in else False
-    t_unit = ring.is_unit(t) if t_in else False
+    s_unit = s_in and not s.is_zero() and is_T_unit(s, ring)
+    t_unit = t_in and not t.is_zero() and is_T_unit(t, ring)
     if s_in and t_in:
         if s_unit and t_unit:
             return AddendumReport(e, f, True, True, True, True, None,
@@ -623,9 +623,9 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: RingTag = POLY_RING) -> Addend
             return AddendumReport(e, f, True, True, s_unit, t_unit, None,
                                   "empty: exactly one side is a unit")
         # neither unit: minimal (M, N) with s^{eM}/t^{fN} a unit, by
-        # proportionality of finite-place valuation vectors
-        sup_s = {v: m for v, m in support(s).items() if not v.is_infinite}
-        sup_t = {v: m for v, m in support(t).items() if not v.is_infinite}
+        # proportionality of the valuation vectors at the places outside T
+        sup_s = {v: m for v, m in support(s).items() if v not in ring}
+        sup_t = {v: m for v, m in support(t).items() if v not in ring}
         if set(sup_s) != set(sup_t):
             return AddendumReport(e, f, True, True, False, False, None,
                                   "empty: divisors are not proportional")
@@ -641,7 +641,7 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: RingTag = POLY_RING) -> Addend
         if M <= 0 or N <= 0:
             return AddendumReport(e, f, True, True, False, False, None,
                                   "empty: opposite-sign divisors")
-        if not ring.is_unit(s ** (e * M) / t ** (f * N)):
+        if not is_T_unit(s ** (e * M) / t ** (f * N), ring):
             raise AssertionError("the minimal pair's ratio s^M/t^N is not a unit")
         return AddendumReport(e, f, True, True, False, False, (M, N),
                               "progression structure with the minimal unit-ratio pair")

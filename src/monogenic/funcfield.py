@@ -36,9 +36,12 @@ and gcd(num, den) = 1.
 Places of K are the monic irreducible polynomials (degree n_v = deg pi)
 together with the place at infinity (n_v = 1).  The valuation at a finite
 place is the multiplicity of pi in num minus in den; at infinity it is
-deg(den) - deg(num).  Place sets always contain infinity: for O = F_q[x]
-the excluded-divisor set is exactly {inf}, and every T used for T-integers
-must contain it.
+deg(den) - deg(num).  A place set T is the ring O_{K,T} of T-integers;
+it always contains infinity, and `PlaceSet()` = {inf} is F_q[x].  Every
+question about T's places is one `split_over` of the finite places of T,
+which divides them out of num and den without factoring anything: a is a
+T-integer when no denominator is left, a T-unit when a constant alone is
+left, and `unit_class` is what is left, up to a unit.
 
 Factorization is squarefree decomposition (with p-th-power descent for the
 derivative-zero parts, which are common in characteristic p), followed by
@@ -48,7 +51,7 @@ distinct-degree and Cantor-Zassenhaus equal-degree splitting.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf import FqCtx, FqElem, _fp_poly_mul, power
 
@@ -1274,9 +1277,11 @@ INFINITY = Place.infinity()
 
 
 class PlaceSet:
-    """A finite set of places; infinity is always included (S = {inf})."""
+    """A finite set T of places, infinity always included, and the ring
+    O_{K,T} of T-integers; `finite_pis` is the coprime monic basis of
+    polynomials of its finite places, over which `split_over` splits."""
 
-    __slots__ = ("places",)
+    __slots__ = ("places", "finite_pis")
 
     def __init__(self, places: Iterable[Place] = ()):
         s = {INFINITY}
@@ -1285,6 +1290,7 @@ class PlaceSet:
                 raise TypeError("PlaceSet takes Place values")
             s.add(v)
         self.places = tuple(sorted(s, key=Place.sort_key))
+        self.finite_pis = tuple(v.pi for v in self.places if not v.is_infinite)
 
     @classmethod
     def of(cls, *finite_pis: Poly) -> "PlaceSet":
@@ -1298,9 +1304,6 @@ class PlaceSet:
 
     def __len__(self):
         return len(self.places)
-
-    def finite_places(self):
-        return [v for v in self.places if not v.is_infinite]
 
     def __repr__(self):
         return "{" + ", ".join(repr(v) for v in self.places) + "}"
@@ -1340,13 +1343,24 @@ def product_formula_sum(a: RatFunc) -> int:
     return sum(v.degree * m for v, m in support(a).items())
 
 
+def split_over(basis: Sequence[Poly], a: RatFunc) -> Tuple[Tuple[int, ...], Poly, Poly]:
+    """(e, num, den) with a = num/den * prod basis_i^{e_i}, for nonzero a
+    and a coprime monic basis: each basis element divides at most one of
+    a.num and a.den, and is split off it as often as it divides it."""
+    num, den = a.num, a.den
+    vec = []
+    for b in basis:
+        e, num = num.split_off(b)
+        if not e:
+            e, den = den.split_off(b)
+            e = -e
+        vec.append(e)
+    return tuple(vec), num, den
+
+
 def is_T_integer(a: RatFunc, T: PlaceSet) -> bool:
     """v(a) >= 0 at every place outside T."""
-    if a.is_zero():
-        return True
-    allowed = {v.pi for v in T.finite_places()}
-    _, df = a.den.factor()
-    return all(pi in allowed for pi, _ in df)
+    return a.is_zero() or split_over(T.finite_pis, a)[2].is_one()
 
 
 def is_T_unit(a: RatFunc, T: PlaceSet) -> bool:
@@ -1354,17 +1368,20 @@ def is_T_unit(a: RatFunc, T: PlaceSet) -> bool:
     exactly the nonzero constants."""
     if a.is_zero():
         raise ValueError("zero is not a unit")
-    allowed = {v.pi for v in T.finite_places()}
-    _, nf = a.num.factor()
-    if any(pi not in allowed for pi, _ in nf):
-        return False
-    _, df = a.den.factor()
-    return all(pi in allowed for pi, _ in df)
+    _, num, den = split_over(T.finite_pis, a)
+    return num.is_constant() and den.is_one()
+
+
+def unit_class(a: RatFunc, T: PlaceSet) -> Tuple[Poly, Poly]:
+    """Nonzero a up to a unit of O_{K,T}, as (monic numerator, denominator)
+    once the places of T are split off: a / b is a T-unit exactly when a
+    and b have the same class."""
+    _, num, den = split_over(T.finite_pis, a)
+    return num.monic(), den
 
 
 def unit_group_rank(T: PlaceSet):
     """Rank of O_{K,T}^* for K = F_q(x): exactly |T| - 1, attained on the
     projective line (class number one).  Returns (rank, generators), the
     generators being the finite-place monic irreducibles of T."""
-    gens = [v.pi for v in T.finite_places()]
-    return len(T) - 1, gens
+    return len(T) - 1, list(T.finite_pis)

@@ -1,10 +1,10 @@
 """Monogenic orders O[s] and their membership/equality machinery.
 
 An order is the O-span of the power basis 1, s, ..., s^{d-1} of an element
-s that is integral over the tagged ring (O = F_q[x], or the T-integers
-O_{K,T}) and separable of degree d over K.  Membership of t in O[s] is
-exact linear algebra: express t in the power basis and inspect coordinate
-denominators.
+s that is integral over the ring O = O_{K,T} of T-integers, held as its
+place set T (`POLY_RING` = {inf}, that is O = F_q[x]), and separable of
+degree d over K.  Membership of t in O[s] is exact linear algebra: express
+t in the power basis and inspect coordinate denominators.
 
 Equality O[s] = O[t] is mutual membership, decided by one membership
 solve (t in O[s]) and equal index keys (pivot columns, and last pivot up
@@ -25,58 +25,24 @@ from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from .bivar import BivarPoly
-from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit
+from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, unit_class
 from .linalg import SpanTracker, solve_in_span
 from .tower import AlgElem, discriminant, frobenius_power, minimal_polynomial
 
 
-class RingTag:
-    """The coefficient ring: O = F_q[x] (places = None) or O_{K,T}."""
-
-    __slots__ = ("places",)
-
-    def __init__(self, places: Optional[PlaceSet] = None):
-        self.places = places
-
-    def contains(self, a: RatFunc) -> bool:
-        if self.places is None:
-            return a.is_polynomial()
-        return is_T_integer(a, self.places)
-
-    def is_unit(self, a: RatFunc) -> bool:
-        if a.is_zero():
-            return False
-        if self.places is None:
-            return a.is_constant()
-        return is_T_unit(a, self.places)
-
-    def unit_class(self, a: RatFunc):
-        """Nonzero a up to a unit of the ring, as (monic numerator,
-        denominator) once the T-places are divided out: a / b is a unit
-        exactly when a and b have the same class."""
-        num, den = a.num, a.den
-        if self.places is not None:
-            for v in self.places.finite_places():
-                num = num.split_off(v.pi)[1]
-                den = den.split_off(v.pi)[1]
-        return num.monic(), den
-
-    def __repr__(self):
-        return "F_q[x]" if self.places is None else f"O_K,{self.places!r}"
-
-
-POLY_RING = RingTag()
+# F_q[x] = O_{K,{inf}}
+POLY_RING = PlaceSet()
 
 
 class MonOrder:
     """O[s] for an integral separable generator s, and the record of s:
-    its minimal polynomial, degree d, integrality over the tagged ring,
+    its minimal polynomial, degree d, integrality over the ring O_{K,T},
     the span of its power basis 1, s, ..., s^{d-1} (the SpanTracker that
     found the minimal polynomial) and (on first use) its discriminant, each
     computed once.  `require_integral=False` keeps the record of a
     non-integral s instead of raising.
 
-    The index `key` is (pivot columns, `ring.unit_class(pivot)`) of the
+    The index `key` is (pivot columns, `unit_class(pivot, ring)`) of the
     span's Bareiss elimination.  The columns depend on K(s) alone (the
     leading columns of an echelon form of K(s) in the tower basis), and the
     last `pivot` is +- the determinant of the power basis on them, so two
@@ -88,7 +54,7 @@ class MonOrder:
     the pivot; elsewhere it is `discriminant` of the minimal polynomial."""
 
     def __init__(
-        self, generator: AlgElem, ring: RingTag = POLY_RING, require_integral: bool = True
+        self, generator: AlgElem, ring: PlaceSet = POLY_RING, require_integral: bool = True
     ):
         self.generator = generator
         self.ring = ring
@@ -97,8 +63,8 @@ class MonOrder:
         self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
         self.minpoly, self.d = minimal_polynomial(generator, self.span)
         columns, self.pivot = self.span.pivots()
-        self.key = (frozenset(columns), ring.unit_class(self.pivot))
-        bad = [c for c in self.minpoly if not ring.contains(c)]
+        self.key = (frozenset(columns), unit_class(self.pivot, ring))
+        bad = [c for c in self.minpoly if not is_T_integer(c, ring)]
         self.integral = not bad
         if bad and require_integral:
             raise ValueError(
@@ -142,7 +108,7 @@ def in_order(t: AlgElem, order: MonOrder) -> bool:
     coords = express_in_power_basis(t, order)
     if coords is None:
         return False
-    return all(order.ring.contains(c) for c in coords)
+    return all(is_T_integer(c, order.ring) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -175,12 +141,14 @@ def orders_equal(t: Union[AlgElem, MonOrder], order: MonOrder) -> OrdersEqual:
     return OrdersEqual(True, "mutual membership")
 
 
-def disc_form_predicate(t: AlgElem, T: PlaceSet) -> bool:
-    """t integral over O_{K,T} with discr_K(t) a T-unit."""
-    rec = MonOrder(t, RingTag(T), require_integral=False)
+def disc_form_predicate(t: Union[AlgElem, MonOrder], T: PlaceSet) -> bool:
+    """t integral over O_{K,T} with discr_K(t) a T-unit.  A caller holding
+    the record of t (over any ring: integrality is judged here, over T)
+    passes it for t."""
+    rec = t if isinstance(t, MonOrder) else MonOrder(t, T, require_integral=False)
     if rec.d < 2:
         raise ValueError("predicate needs degree >= 2")
-    return rec.integral and is_T_unit(rec.disc, T)
+    return all(is_T_integer(c, T) for c in rec.minpoly) and is_T_unit(rec.disc, T)
 
 
 @dataclass(frozen=True)
@@ -191,7 +159,7 @@ class GeneratorRelation:
     b: RatFunc
     q: int
     e: int
-    disc_unit_ok: bool  # a^{d(d-1)} * D^{q-1} is a unit of the tagged ring
+    disc_unit_ok: bool  # a^{d(d-1)} * D^{q-1} is a unit of the record's ring
     b_in_ring: bool
 
 
@@ -221,8 +189,8 @@ def fit_generator_relation(
             q = ctx.p ** e
             ok = False
             if disc_i is not None:
-                ok = rec.ring.is_unit((a ** (d * (d - 1))) * (disc_i ** (q - 1)))
-            return GeneratorRelation(a, b, q, e, ok, rec.ring.contains(b))
+                ok = is_T_unit((a ** (d * (d - 1))) * (disc_i ** (q - 1)), rec.ring)
+            return GeneratorRelation(a, b, q, e, ok, is_T_integer(b, rec.ring))
     return None
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from typing import List, Optional, Sequence, Tuple
 
-from .funcfield import Poly, RatFunc
+from .funcfield import Poly, RatFunc, split_over
 from .gf import FqCtx, FqElem
 
 # the most torsion candidates (q - 2) or cosets of H/H^p (p^rank) that
@@ -177,17 +177,9 @@ class GroupCtx:
 
 def _factor_over(basis: Sequence[Poly], a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
     """(tau, e) with a = tau * prod basis_i^{e_i} (a != 0, a coprime monic
-    basis), or None.  Each basis element divides at most one of num and den,
-    as often as its exponent says; a factors when a constant is left."""
-    num, den = a.num, a.den
-    vec = []
-    for b in basis:
-        e, num = num.split_off(b)
-        if not e:
-            e, den = den.split_off(b)
-            e = -e
-        vec.append(e)
-    return (num.coeff(0), tuple(vec)) if num.is_constant() and den.is_constant() else None
+    basis), or None: a factors when `split_over` leaves a constant."""
+    vec, num, den = split_over(basis, a)
+    return (num.coeff(0), vec) if num.is_constant() and den.is_one() else None
 
 
 @dataclass(frozen=True)

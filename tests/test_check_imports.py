@@ -25,3 +25,11 @@ def test_flags_only_unused_imports(tmp_path):
 
 def test_library_has_no_unused_import():
     assert check_imports.main() == 0
+
+
+def test_checks_library_tests_and_scripts():
+    paths = check_imports.checked_paths()
+    folders = {path.parent.relative_to(check_imports.ROOT).as_posix() for path in paths}
+    assert folders == {"src/monogenic", "tests", "scripts"}
+    assert Path(__file__).resolve() in paths and SCRIPT in paths
+    assert all(path.name != "__init__.py" for path in paths)

@@ -6,6 +6,7 @@ from monogenic import (
     FrobPattern,
     MSearchResult,
     PeriodPair,
+    PlaceSet,
     Poly,
     RatFunc,
     SymPowerPair,
@@ -65,15 +66,11 @@ def test_enumerate_product_unit_flag():
 def test_degenerate_families_inside_M():
     # with T = {inf, x} and y^2 = x, the pair (y, 1/y) has s^m t^n = y^{m-n},
     # a T-unit whenever m = n mod 2: every flagged cell must lie in M
-    from monogenic import PlaceSet
-    from monogenic.monorder import RingTag
-
     F3 = FqCtx(3)
     x = RatFunc.gen(F3)
     tw = Tower(F3).extend("y", [-x, RatFunc.of(0, F3), RatFunc.of(1, F3)])
     y = tw.gen(0)
-    ring = RingTag(PlaceSet.of(Poly.x(F3)))
-    pair = TowerPowerPair(y, 1 / y, ring)
+    pair = TowerPowerPair(y, 1 / y, PlaceSet.of(Poly.x(F3)))
     res = enumerate_M(pair, 5, 5)
     assert res.closure_violations == []
     member = set(res.pairs)
@@ -231,6 +228,16 @@ def test_addendum_unit_mismatch_empty():
     rep = addendum_report(RatFunc.of(1, F2), x)
     assert rep.minimal_MN is None
     assert "unit" in rep.verdict
+
+
+def test_addendum_leaves_out_the_places_of_T():
+    # over O_{K,T} with T = {inf, x}, s = x(x+1) and t = (x+1)^2 differ at
+    # x only, a place of T: s^2/t = x^2 is a T-unit
+    x = RatFunc.gen(F2)
+    rep = addendum_report(x * (x + 1), (x + 1) ** 2, PlaceSet.of(Poly.x(F2)))
+    assert rep.minimal_MN == (2, 1)
+    assert rep.verdict == "progression structure with the minimal unit-ratio pair"
+    assert addendum_report(x * (x + 1), (x + 1) ** 2).minimal_MN is None
 
 
 def test_addendum_hypothesis_guard():

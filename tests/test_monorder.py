@@ -17,13 +17,14 @@ from monogenic import (
     fit_generator_relation,
     frobenius_power,
     in_order,
+    is_T_unit,
     orders_equal,
     sym_in_order,
     sym_orders_equal,
 )
 from monogenic.tower import Tower
 from test_bivar import expand_sym
-from monogenic.monorder import POLY_RING, RingTag
+from monogenic.monorder import POLY_RING
 from monogenic.verify import (
     EtaSequence,
     eta_conditions_hold,
@@ -149,7 +150,7 @@ def test_fit_generator_relation_judges_in_the_record_ring():
     tw = shifted_tower(Poly(F2, [1, 1]))
     s = tw.gen(0)
     x = RatFunc.gen(F2)
-    rec = MonOrder(s, RingTag(PlaceSet.of(Poly.x(F2))))
+    rec = MonOrder(s, PlaceSet.of(Poly.x(F2)))
     rel = fit_generator_relation(x * s + 1 / x, rec)
     assert (rel.a, rel.b, rel.q) == (x, 1 / x, 1)
     assert rel.disc_unit_ok and rel.b_in_ring
@@ -246,8 +247,8 @@ def test_orders_equal_implies_unit_disc_ratio_random(eta, form, b):
     if equal:
         order_t = MonOrder(t)
         assert order_s.key == order_t.key
-        assert POLY_RING.is_unit(order_s.pivot / order_t.pivot)
-        assert POLY_RING.is_unit(discriminant(t) / order_s.disc)
+        assert is_T_unit(order_s.pivot / order_t.pivot, POLY_RING)
+        assert is_T_unit(discriminant(t) / order_s.disc, POLY_RING)
 
 
 # ---- symmetric backend ----------------------------------------------------

@@ -19,6 +19,9 @@ records of equal degree the pivot columns must agree exactly when the two
 powers span one field, the unit classes exactly when the pivot ratio is a
 unit, and then disc(s^m) * pv_t^2 = disc(t^n) * pv_s^2.
 
+The oracle judges integrality and units over O_{K,T} by the
+factorization-based predicates of `test_place_oracle`.
+
 `enumerate_M` joins the powers on their keys: its pairs must be the
 every-cell set, in the same (m, n) order, and it must call `equal` exactly
 on the cells whose two keys agree (`joined_cells`, shared with the
@@ -26,10 +29,11 @@ symmetric backend's test).
 """
 
 from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair, enumerate_M
-from monogenic.monorder import MonOrder, RingTag, POLY_RING, orders_equal
+from monogenic.monorder import MonOrder, POLY_RING, orders_equal
 from monogenic.tower import Tower, discriminant, minimal_polynomial
 from monogenic.verify import shifted_tower
 from test_linalg_oracle import gauss_jordan_solve
+from test_place_oracle import oracle_is_T_integer, oracle_is_T_unit
 from test_tower_oracle import resultant_discriminant
 
 F2 = FqCtx(2)
@@ -52,18 +56,18 @@ def oracle_in_order(t, gen, ring):
     ctx = t.tower.base
     zero, one = RatFunc.of(0, ctx), RatFunc.of(1, ctx)
     sol = gauss_jordan_solve(oracle_columns(gen), t.coords(), zero, one)
-    return sol is not None and all(ring.contains(c) for c in sol)
+    return sol is not None and all(oracle_is_T_integer(c, ring) for c in sol)
 
 
 def oracle_orders_equal(t, s, ring):
     """(equal, reason) of O[t] = O[s]; None where O[s] is not an order."""
     g_s, d_s = minimal_polynomial(s)
-    if not all(ring.contains(c) for c in g_s):
+    if not all(oracle_is_T_integer(c, ring) for c in g_s):
         return None
     g, d = minimal_polynomial(t)
     if d != d_s:
         return False, f"degree mismatch: [K(t):K]={d} != {d_s}"
-    if not all(ring.contains(c) for c in g):
+    if not all(oracle_is_T_integer(c, ring) for c in g):
         return False, "t is not integral over the tagged ring"
     if not oracle_in_order(t, s, ring):
         return False, "t is outside O[s]"
@@ -77,7 +81,7 @@ def oracle_flags(sm, tn, ring):
 
     def unit_in_K(v):
         r = v.in_base()
-        return r is not None and not r.is_zero() and ring.is_unit(r)
+        return r is not None and not r.is_zero() and oracle_is_T_unit(r, ring)
 
     in_b = False
     g, d = minimal_polynomial(tn)
@@ -158,7 +162,7 @@ def check_pivot_identity(pair):
                          and b.span.express(a.generator.coords()) is not None)
             assert (cols_a == cols_b) == one_field
             # the key's unit class agrees exactly when the pivot ratio is a unit
-            assert (a.key[1] == b.key[1]) == a.ring.is_unit(pv_a / pv_b)
+            assert (a.key[1] == b.key[1]) == oracle_is_T_unit(pv_a / pv_b, a.ring)
             if one_field and a.d >= 2:
                 assert a.disc * pv_b ** 2 == b.disc * pv_a ** 2
     return {rec.d for rec in records}
@@ -214,6 +218,6 @@ def test_t_unit_branch():
     x = RatFunc.gen(F3)
     tw = Tower(F3).extend("y", [-x, RatFunc.of(0, F3), RatFunc.of(1, F3)])
     y = tw.gen(0)
-    ring = RingTag(PlaceSet.of(Poly.x(F3)))
+    ring = PlaceSet.of(Poly.x(F3))
     equal_cells, flagged = check_grid(y, 1 / y, ring)
     assert equal_cells > 0 and flagged > 0

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from monogenic import FqCtx, SymPowerPair, enumerate_M, frobsearch, monorder, sym_orders_equal
 from monogenic.bivar import BivarPoly
-from monogenic.frobsearch import sym_flags
 from monogenic.monorder import sym_in_order
 from test_search_oracle import joined_cells
 
