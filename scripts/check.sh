@@ -7,9 +7,10 @@
 # 2. the tier-1 test suite;
 # 3. every bundled scenario report against tests/golden;
 # 4. the benchmark self-test;
-# 5. a 5 s default-seed run of the search, verify and sym_unit workloads:
-#    run.py compares their report digests with perfbench/digests.json and
-#    prints "correct": false on any difference or failed task.
+# 5. a 5 s default-seed run of the search, verify, sym_unit and fit
+#    workloads, the four that perfbench/digests.json records: run.py
+#    compares their report digests with it and prints "correct": false on
+#    any difference or failed task.
 # It ends by printing the line total of src/, the size figure each change
 # reports.
 set -euo pipefail
@@ -24,7 +25,7 @@ echo "== scenario reports against tests/golden"
 python3 scripts/run_all_scenarios.py --check tests/golden
 echo "== perfbench self-test"
 python3 perfbench/selftest.py
-for workload in search verify sym_unit; do
+for workload in search verify sym_unit fit; do
     echo "== perfbench $workload, seed 0"
     python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 5 --trace 0 \
         | tail -n 1 \

@@ -1,18 +1,24 @@
 """The base ring O = F_q[x] and its fraction field K = F_q(x).
 
-A polynomial has one representation, chosen by its field:
+A polynomial has one representation, chosen by its field, and every
+representation holds its value in one slot, `code`:
 
-- over F_2, an `F2Poly`: one int whose bit i is the coefficient of x^i;
+- over F_2, an `F2Poly`: `code` is one int whose bit i is the coefficient
+  of x^i;
 - over F_p for an odd prime p < 128, an `FpPoly`, and over F_{2^k} for
-  2 <= k <= 4, an `F2kPoly`: one bytes string `code` whose byte i is the
-  code of the coefficient of x^i (over F_p the residue itself, so `coeffs`
-  is that bytes string; over F_{2^k} the k coordinates of the element as
-  the bits of a byte, so `coeffs` is a tuple of raw coordinate tuples,
-  built only when it is read);
+  2 <= k <= 4, an `F2kPoly`: `code` is one bytes string whose byte i is the
+  code of the coefficient of x^i (over F_p the residue itself; over
+  F_{2^k} the k coordinates of the element as the bits of a byte);
 - over every other field (p >= 128, odd p with k > 1, 2^k with k > 4), the
-  fallback: a `Poly` holding a tuple of raw coefficients from `gf`, on
-  which the operations loop coefficient by coefficient.  The tests keep
-  this tuple path as the oracle of the packed kernels.
+  fallback: a `Poly` whose `code` is the tuple of raw coefficients from
+  `gf`, on which the operations loop coefficient by coefficient.  The
+  tests keep this tuple path as the oracle of the packed kernels.
+
+`coeffs`, the little-endian raw coefficients, is read off `code`: it is
+`code` itself on the fallback and over F_p, and is built when it is read
+over F_2 and F_{2^k}.  `Poly` implements what the representations share
+(construction, pickling, equality, hashing, the zero test); a
+representation says how it encodes raw coefficients and runs its kernels.
 
 The packed kernels let CPython's int and bytes operations do the work per
 coefficient (Kronecker substitution; Harvey, arXiv:0712.4046).  Over F_p a
@@ -312,48 +318,56 @@ class Poly:
 
     `Poly(ctx, coeffs)` returns the representation of the field (see the
     module docstring): an `F2Poly`, `FpPoly` or `F2kPoly`, or over the
-    fallback fields a `Poly` whose `coeffs` is the tuple of little-endian
+    fallback fields a `Poly` whose `code` is the tuple of little-endian
     raw coefficients with trailing zeros stripped.
 
-    The ring operations that `perfbench/tracer.py` wraps (`*`, `divmod`,
-    `gcd`, `factor`) have one entry point here for every representation.
-    It runs the `F2Poly` kernels itself and calls `_mul`, `_divmod` or
-    `_gcd` of every other representation.
+    Every representation holds `ctx` and `code`.  What they share is
+    defined here once: construction through the class's `_encode`,
+    pickling, equality (same class, field and `code`), hashing and the
+    zero test.  The ring operations that `perfbench/tracer.py` wraps (`*`,
+    `divmod`, `gcd`, `factor`) have one entry point here for every
+    representation.  It runs the `F2Poly` kernels itself and calls `_mul`,
+    `_divmod` or `_gcd` of every other representation.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code")
 
-    def __new__(cls, ctx: Optional[FqCtx] = None, coeffs: Iterable = ()):
-        # ctx is None when copy or pickle rebuilds a tuple-held polynomial
-        return object.__new__(cls if ctx is None else _poly_class(ctx))
+    def __new__(cls, ctx: FqCtx, coeffs: Iterable = ()):
+        return object.__new__(_poly_class(ctx))
 
     def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
-        raw = _read_raw(ctx, coeffs)
+        self.ctx = ctx
+        self.code = self._encode(ctx, _read_raw(ctx, coeffs))
+
+    @staticmethod
+    def _encode(ctx: FqCtx, raw_list) -> tuple:
+        raw = list(raw_list)
         while raw and ctx.ris_zero(raw[-1]):
             raw.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(raw)
+        return tuple(raw)
+
+    @classmethod
+    def _from_raw(cls, ctx: FqCtx, raw_list) -> "Poly":
+        return _wrap(cls, ctx, cls._encode(ctx, raw_list))
+
+    # `Poly._tuple` is a tuple-held polynomial.  The library builds these
+    # over the fallback fields only; over the packed fields they run the
+    # coefficient loops, which the tests keep as the oracle of the packed
+    # kernels.
+    _tuple = _from_raw
 
     @staticmethod
     def _make(ctx: FqCtx, raw_list) -> "Poly":
         """The polynomial of a list of raw coefficients, over any field."""
         return _poly_class(ctx)._from_raw(ctx, raw_list)
 
-    @staticmethod
-    def _tuple(ctx: FqCtx, raw_list) -> "Poly":
-        """A tuple-held polynomial.  The library builds these over the
-        fallback fields only; over the packed fields they run the
-        coefficient loops, which the tests keep as the oracle of the packed
-        kernels."""
-        p = object.__new__(Poly)
-        raw = list(raw_list)
-        while raw and ctx.ris_zero(raw[-1]):
-            raw.pop()
-        p.ctx = ctx
-        p.coeffs = tuple(raw)
-        return p
+    def __reduce__(self):
+        return _wrap, (type(self), self.ctx, self.code)
 
-    _from_raw = _tuple
+    @property
+    def coeffs(self):
+        """The little-endian raw coefficients, here `code` itself."""
+        return self.code
 
     def _like(self, raw_list) -> "Poly":
         """A polynomial over the same field, in the same representation."""
@@ -387,29 +401,29 @@ class Poly:
     # ---- basic queries
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INF
+        return len(self.code) - 1 if self.code else MINUS_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.code
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.code) <= 1
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.ctx.rone
+        return len(self.code) == 1 and self.code[0] == self.ctx.rone
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.rone
+        return bool(self.code) and self.code[-1] == self.ctx.rone
 
     def coeff(self, i: int) -> FqElem:
-        if 0 <= i < len(self.coeffs):
-            return FqElem(self.ctx, self.coeffs[i])
+        if 0 <= i < len(self.code):
+            return FqElem(self.ctx, self.code[i])
         return self.ctx.zero
 
     def lc(self) -> FqElem:
-        if not self.coeffs:
+        if not self.code:
             return self.ctx.zero
-        return FqElem(self.ctx, self.coeffs[-1])
+        return FqElem(self.ctx, self.code[-1])
 
     def constant_value(self) -> FqElem:
         if not self.is_constant():
@@ -417,17 +431,17 @@ class Poly:
         return self.coeff(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.code)
 
     def __eq__(self, other):
         return (
-            type(other) is Poly
+            type(other) is type(self)
+            and self.code == other.code
             and (self.ctx is other.ctx or self.ctx == other.ctx)
-            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash(self.code)
 
     def sort_key(self):
         coeffs = self.coeffs
@@ -440,7 +454,7 @@ class Poly:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
+        a, b = self.code, other.code
         if len(a) < len(b):
             a, b = b, a
         raw = list(a)
@@ -466,21 +480,21 @@ class Poly:
         ctx = self.ctx
         if ctx.p == 2:
             return self
-        return Poly._tuple(ctx, [ctx.rneg(c) for c in self.coeffs])
+        return Poly._tuple(ctx, [ctx.rneg(c) for c in self.code])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if type(self) is F2Poly:  # the hottest case, without a second call
-            return _f2(self.ctx, _b2_mul(self.bits, other.bits))
+            return _wrap(F2Poly, self.ctx, _b2_mul(self.code, other.code))
         return self._mul(other)
 
     __rmul__ = __mul__
 
     def _mul(self, other: "Poly") -> "Poly":
         ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
+        a, b = self.code, other.code
         if not a or not b:
             return Poly._tuple(ctx, ())
         if ctx.k == 1:
@@ -504,24 +518,24 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if type(self) is F2Poly:
-            q, r = _b2_divmod(self.bits, other.bits)
-            return _f2(self.ctx, q), _f2(self.ctx, r)
+            q, r = _b2_divmod(self.code, other.code)
+            return _wrap(F2Poly, self.ctx, q), _wrap(F2Poly, self.ctx, r)
         return self._divmod(other)
 
     def _divmod(self, other: "Poly"):
         ctx = self.ctx
-        da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
+        da, db = len(self.code) - 1, len(other.code) - 1
         if da < db:
             return Poly._tuple(ctx, ()), self
-        inv_lc = ctx.rinv(other.coeffs[-1])
-        rem = list(self.coeffs)
+        inv_lc = ctx.rinv(other.code[-1])
+        rem = list(self.code)
         quo = [ctx.rzero] * (da - db + 1)
         for i in range(da - db, -1, -1):
             c = ctx.rmul(rem[i + db], inv_lc)
             if ctx.ris_zero(c):
                 continue
             quo[i] = c
-            for j, m in enumerate(other.coeffs):
+            for j, m in enumerate(other.code):
                 rem[i + j] = ctx.rsub(rem[i + j], ctx.rmul(c, m))
         return Poly._tuple(ctx, quo), Poly._tuple(ctx, rem[:db])
 
@@ -546,24 +560,24 @@ class Poly:
         if self.is_zero():
             return self
         ctx = self.ctx
-        lead = self.coeffs[-1]
+        lead = self.code[-1]
         if lead == ctx.rone:
             return self
         inv = ctx.rinv(lead)
-        return Poly._tuple(ctx, [ctx.rmul(c, inv) for c in self.coeffs])
+        return Poly._tuple(ctx, [ctx.rmul(c, inv) for c in self.code])
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
         raw = []
-        for i in range(1, len(self.coeffs)):
-            raw.append(ctx.rmul(self.coeffs[i], ctx.rfrom_int(i)))
+        for i in range(1, len(self.code)):
+            raw.append(ctx.rmul(self.code[i], ctx.rfrom_int(i)))
         return Poly._tuple(ctx, raw)
 
     def shift(self, n: int) -> "Poly":
         """Multiply by x^n."""
         if self.is_zero():
             return self
-        return Poly._tuple(self.ctx, [self.ctx.rzero] * n + list(self.coeffs))
+        return Poly._tuple(self.ctx, [self.ctx.rzero] * n + list(self.code))
 
     def evaluate(self, a: FqElem) -> FqElem:
         """The value at a point a of F_q or, over a prime field F_p, of an
@@ -597,7 +611,7 @@ class Poly:
         ctx = self.ctx
         p = ctx.p
         return [
-            self._like([ctx.rpth_root(c) for c in self.coeffs[m::p]]) for m in range(p)
+            self._like([ctx.rpth_root(c) for c in self.code[m::p]]) for m in range(p)
         ]
 
     def pth_root_poly(self) -> "Poly":
@@ -613,7 +627,7 @@ class Poly:
         if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("polynomials over different fields")
         if type(self) is F2Poly:
-            return _f2(self.ctx, _b2_gcd(self.bits, other.bits))
+            return _wrap(F2Poly, self.ctx, _b2_gcd(self.code, other.code))
         return self._gcd(other)
 
     def _gcd(self, other: "Poly") -> "Poly":
@@ -762,67 +776,44 @@ class Poly:
 
 
 class F2Poly(Poly):
-    """A polynomial over F_2, held as one int `bits` whose bit i is the
+    """A polynomial over F_2: `code` is one int whose bit i is the
     coefficient of x^i.  Every operation acts on the int; `coeffs`, the
     coefficient tuple, is built only when it is read.  `Poly` runs its
     product, division and gcd."""
 
-    __slots__ = ("bits",)
-
-    def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
-        self.ctx = ctx
-        self.bits = _b2_pack(_read_raw(ctx, coeffs))
+    __slots__ = ()
 
     @staticmethod
-    def _from_raw(ctx: FqCtx, raw_list) -> "F2Poly":
-        return _f2(ctx, _b2_pack(raw_list))
+    def _encode(ctx: FqCtx, raw_list) -> int:
+        return _b2_pack(raw_list)
 
     @property
-    def coeffs(self):
-        return _b2_unpack(self.bits)
-
-    def __reduce__(self):
-        return _f2, (self.ctx, self.bits)
+    def coeffs(self) -> tuple:
+        return _b2_unpack(self.code)
 
     def degree(self):
-        return self.bits.bit_length() - 1 if self.bits else MINUS_INF
-
-    def is_zero(self) -> bool:
-        return not self.bits
+        return self.code.bit_length() - 1 if self.code else MINUS_INF
 
     def is_constant(self) -> bool:
-        return self.bits < 2
+        return self.code < 2
 
     def is_one(self) -> bool:
-        return self.bits == 1
+        return self.code == 1
 
     def is_monic(self) -> bool:
-        return self.bits != 0
+        return self.code != 0
 
     def coeff(self, i: int) -> FqElem:
-        return FqElem(self.ctx, (self.bits >> i) & 1) if i >= 0 else self.ctx.zero
+        return FqElem(self.ctx, (self.code >> i) & 1) if i >= 0 else self.ctx.zero
 
     def lc(self) -> FqElem:
-        return FqElem(self.ctx, 1 if self.bits else 0)
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        return (
-            type(other) is F2Poly
-            and self.bits == other.bits
-            and (self.ctx is other.ctx or self.ctx == other.ctx)
-        )
-
-    def __hash__(self):
-        return hash(self.bits)
+        return FqElem(self.ctx, 1 if self.code else 0)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _f2(self.ctx, self.bits ^ other.bits)
+        return _wrap(F2Poly, self.ctx, self.code ^ other.code)
 
     __radd__ = __sub__ = __add__
 
@@ -830,56 +821,31 @@ class F2Poly(Poly):
         return self
 
     def derivative(self) -> "F2Poly":
-        odd = bin(self.bits)[:1:-1][1::2]  # coefficients of x, x^3, x^5, ...
-        return _f2(self.ctx, int(odd[::-1], 4) if odd else 0)
+        odd = bin(self.code)[:1:-1][1::2]  # coefficients of x, x^3, x^5, ...
+        return _wrap(F2Poly, self.ctx, int(odd[::-1], 4) if odd else 0)
 
     def shift(self, n: int) -> "F2Poly":
         """Multiply by x^n."""
-        return _f2(self.ctx, self.bits << n)
+        return _wrap(F2Poly, self.ctx, self.code << n)
 
     def pth_parts(self) -> list:
         """[g_0, g_1] with self = g_0^2 + g_1^2 x."""
-        digits = bin(self.bits)[:1:-1]
-        return [_f2(self.ctx, int(half[::-1] or "0", 2)) for half in (digits[::2], digits[1::2])]
-
-
-def _f2(ctx: FqCtx, bits: int) -> F2Poly:
-    p = object.__new__(F2Poly)
-    p.ctx = ctx
-    p.bits = bits
-    return p
+        digits = bin(self.code)[:1:-1]
+        halves = (digits[::2], digits[1::2])
+        return [_wrap(F2Poly, self.ctx, int(half[::-1] or "0", 2)) for half in halves]
 
 
 class _BytePoly(Poly):
-    """A polynomial held as `code`, one byte per coefficient (see the
-    byte-slot kernels above): the part `FpPoly` and `F2kPoly` share.  A
-    subclass says what `coeffs` is, how codes add, and in `_product` how
-    two polynomials of degree >= 1 multiply."""
+    """A polynomial whose `code` is a bytes string, one byte per
+    coefficient (see the byte-slot kernels above): the part `FpPoly` and
+    `F2kPoly` share.  A subclass says how raw coefficients encode, how
+    codes add, and in `_product` how two polynomials of degree >= 1
+    multiply."""
 
-    __slots__ = ("code",)
-
-    def __init__(self, ctx: FqCtx, coeffs: Iterable = ()):
-        self.ctx = ctx
-        self.code = self._encode(ctx, _read_raw(ctx, coeffs))
-
-    @classmethod
-    def _from_raw(cls, ctx: FqCtx, raw_list) -> "_BytePoly":
-        return _packed(cls, ctx, cls._encode(ctx, raw_list))
-
-    def __reduce__(self):
-        return _packed, (type(self), self.ctx, self.code)
+    __slots__ = ()
 
     def _new(self, code: bytes) -> "_BytePoly":
-        return _packed(type(self), self.ctx, code)
-
-    def degree(self):
-        return len(self.code) - 1 if self.code else MINUS_INF
-
-    def is_zero(self) -> bool:
-        return not self.code
-
-    def is_constant(self) -> bool:
-        return len(self.code) <= 1
+        return _wrap(type(self), self.ctx, code)
 
     def is_one(self) -> bool:
         return self.code == b"\x01"
@@ -894,19 +860,6 @@ class _BytePoly(Poly):
 
     def lc(self) -> FqElem:
         return self.coeff(len(self.code) - 1)
-
-    def __bool__(self):
-        return bool(self.code)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.code == other.code
-            and (self.ctx is other.ctx or self.ctx == other.ctx)
-        )
-
-    def __hash__(self):
-        return hash(self.code)
 
     def _mul(self, other: "_BytePoly") -> "_BytePoly":
         a, b = self.code, other.code
@@ -969,13 +922,6 @@ class FpPoly(_BytePoly):
     def _encode(ctx: FqCtx, raw_list) -> bytes:
         return bytes(raw_list).rstrip(b"\0")
 
-    @property
-    def coeffs(self) -> bytes:
-        return self.code
-
-    def sort_key(self):
-        return (len(self.code), self.code)
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -983,7 +929,7 @@ class FpPoly(_BytePoly):
         a, b = self.code, other.code
         F = self.ctx.packed or _tables(self.ctx)
         total = (_int(a) + _int(b)).to_bytes(max(len(a), len(b)), "little")
-        return _packed(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
+        return _wrap(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
 
     __radd__ = __add__
 
@@ -995,11 +941,11 @@ class FpPoly(_BytePoly):
         F = self.ctx.packed or _tables(self.ctx)
         minus_b = b.translate(F.mul[F.neg[1]])
         total = (_int(a) + _int(minus_b)).to_bytes(max(len(a), len(b)), "little")
-        return _packed(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
+        return _wrap(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
 
     def __neg__(self):
         F = self.ctx.packed or _tables(self.ctx)
-        return _packed(FpPoly, self.ctx, self.code.translate(F.mul[F.neg[1]]))
+        return _wrap(FpPoly, self.ctx, self.code.translate(F.mul[F.neg[1]]))
 
     _product = staticmethod(_fp_mul)
 
@@ -1028,12 +974,9 @@ class F2kPoly(_BytePoly):
             return NotImplemented
         a, b = self.code, other.code
         total = (_int(a) ^ _int(b)).to_bytes(max(len(a), len(b)), "little")
-        return _packed(F2kPoly, self.ctx, total.rstrip(b"\0"))
+        return _wrap(F2kPoly, self.ctx, total.rstrip(b"\0"))
 
     __radd__ = __sub__ = __add__
-
-    def __neg__(self):
-        return self
 
     _product = staticmethod(_f2k_mul)
 
@@ -1041,14 +984,13 @@ class F2kPoly(_BytePoly):
 def _monomial(ctx: FqCtx, n: int) -> Poly:
     """x^n over ctx."""
     cls = _poly_class(ctx)
-    if cls is F2Poly:
-        return _f2(ctx, 1 << n)
     if cls is Poly:
         return Poly._tuple(ctx, [ctx.rzero] * n + [ctx.rone])
-    return _packed(cls, ctx, bytes(n) + b"\x01")
+    return _wrap(cls, ctx, 1 << n if cls is F2Poly else bytes(n) + b"\x01")
 
 
-def _packed(cls, ctx: FqCtx, code: bytes) -> _BytePoly:
+def _wrap(cls, ctx: FqCtx, code) -> Poly:
+    """The polynomial of class cls holding `code` as it stands."""
     p = object.__new__(cls)
     p.ctx = ctx
     p.code = code

@@ -12,7 +12,7 @@ The solver turns the constructive finiteness proof into an algorithm:
 enumerate coset representatives eps of H/H^p; for each ordered pair
 (eps_i, eps_j) with both nontrivial and eps_j in L^p + L^p eps_i, the
 directness of that sum pins the unique candidate solution, which is kept
-when it lands in H and descends into G after finitely many Frobenius
+when it lands in H and descends into G after at most v_p([H:G]) Frobenius
 twists.  Write eps = sum d_m^p x^m over the p-basis.  Then eps_j = a + b
 eps_i with a, b in L^p exactly when the tails (d_1..d_{p-1}) of the two
 cosets are proportional, and the factor b is never 0 because a nontrivial
@@ -31,6 +31,7 @@ enumerable and nothing here claims completeness beyond the box.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from typing import List, Optional, Sequence, Tuple
@@ -115,6 +116,10 @@ def _saturate(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[
     if not ker:
         return [], identity
     return ker, _hnf_rows(_int_kernel(ker, ncols))
+
+
+def _pivot_product(hnf: List[List[int]]) -> int:
+    return math.prod(next(c for c in row if c) for row in hnf)
 
 
 def _in_lattice(hnf: List[List[int]], v: Sequence[int]) -> bool:
@@ -330,6 +335,16 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
         families.append(SolutionFamily(
             GroupElem(gctx, rep[0], zvec), GroupElem(gctx, rep[1], zvec), True))
 
+    # the descent: p^k v lies in L for some k only when the order of v + L
+    # in Sat/L is a power of p; it divides the index [Sat:L], so the least
+    # such k is at most v_p([Sat:L]).  The two HNFs span the same Q-space,
+    # so they share their pivot columns and the index is the pivot ratio.
+    index = _pivot_product(gctx.lattice) // _pivot_product(sat)
+    descent = 0
+    while index % p == 0 and descent < height_bound:
+        index //= p
+        descent += 1
+
     # nontorsion families via H/H^p cosets, bucketed by the projective class
     # of the p-basis tail (d_1..d_{p-1}) of each coset's value
     rho = len(sat)
@@ -373,7 +388,7 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
                 if not (gctx.in_saturation(ex) and gctx.in_saturation(ey)):
                     continue
                 # descend: least p-power twist landing inside G
-                n = next((k for k in range(height_bound + 1)
+                n = next((k for k in range(descent + 1)
                           if gctx.in_lattice([e * p ** k for e in ex])
                           and gctx.in_lattice([e * p ** k for e in ey])), None)
                 if n is None:

@@ -117,6 +117,8 @@ def test_eq_and_hash_across_construction(ra, rb):
     prod = a * b
     built = Poly(F2, list(prod.coeffs) + [0, 0])
     assert built == prod and hash(built) == hash(prod)
+    made = Poly._make(F2, list(prod.coeffs))
+    assert made == prod and hash(made) == hash(prod)
     assert {built: 1}[prod] == 1
     assert (a + b + b) == a and hash(a + b + b) == hash(a)
     assert (prod == a) == (prod.coeffs == a.coeffs)
@@ -135,5 +137,12 @@ def test_constructors_are_packed():
     with pytest.raises(ValueError):
         x * Poly.x(FqCtx(3))
     f = x ** 5 + 1
-    for back in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert type(back) is F2Poly and back == f and hash(back) == hash(f)
+    # the oracle's tuple-held value round-trips as well
+    tf = Poly._tuple(F2, [1, 0, 0, 0, 0, 1])
+    assert type(tf.code) is tuple and tf.coeffs == f.coeffs
+    for back in (copy.copy(tf), copy.deepcopy(tf), pickle.loads(pickle.dumps(tf))):
+        assert type(back) is Poly and back == tf and hash(back) == hash(tf)
+    assert tf * tf == Poly._tuple(F2, (f * f).coeffs)
+    assert hash(tf * tf) == hash(Poly._tuple(F2, (f * f).coeffs))

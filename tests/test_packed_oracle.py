@@ -243,12 +243,39 @@ def test_sort_key_eq_and_hash_across_construction(case):
     prod = a * b
     built = Poly(ctx, list(prod.coeffs) + [_raw(ctx, 0)] * 2)
     assert built == prod and hash(built) == hash(prod)
+    made = Poly._make(ctx, list(prod.coeffs))
+    assert made == prod and hash(made) == hash(prod)
     assert {built: 1}[prod] == 1
     assert (a + b - b) == a and hash(a + b - b) == hash(a)
     assert (prod == a) == (tuple(prod.coeffs) == tuple(a.coeffs))
     for back in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(back) is type(a) and back == a and hash(back) == hash(a)
         same(back, ta)
+    # the tuple path, too, is rebuilt from its `code` alone
+    tprod = ta * tb
+    tbuilt = Poly._tuple(ctx, list(tprod.coeffs) + [_raw(ctx, 0)] * 2)
+    assert tbuilt == tprod and hash(tbuilt) == hash(tprod)
+    for back in (copy.copy(ta), copy.deepcopy(ta), pickle.loads(pickle.dumps(ta))):
+        assert type(back) is Poly and back == ta and hash(back) == hash(ta)
+        same(a, back)
+
+
+@pytest.mark.parametrize("ctx", [FqCtx(3, 2), FqCtx(131)], ids=["F9", "F131"])
+def test_fallback_fields_round_trip(ctx):
+    # the fallback fields hold the raw coefficient tuple: copy and pickle
+    # rebuild it, and equal values hash alike however they were made
+    x = Poly.x(ctx)
+    f = (x + 2) ** 5 * (x - ctx.gen if ctx.k > 1 else x - 7)
+    assert type(f) is Poly and f.coeffs is f.code and type(f.code) is tuple
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(back) is Poly and back == f and hash(back) == hash(f)
+        assert back.coeffs == f.coeffs and repr(back) == repr(f)
+    built = Poly(ctx, [ctx.elem(c) for c in f.coeffs] + [0, 0])
+    made = Poly._make(ctx, list(f.coeffs) + [ctx.rzero])
+    for g in (built, made, f * 1 + 0, divmod(f * x, x)[0], (f * f) // f):
+        assert type(g) is Poly and g == f and hash(g) == hash(f)
+    assert {built: 1}[f] == 1
+    assert f != f + 1 and Poly.zero(ctx) == f - f and not (f - f)
 
 
 def test_constructors_are_packed():

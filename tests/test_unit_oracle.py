@@ -13,6 +13,7 @@ return the same family list, with the same printed families, and agree with
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -246,3 +247,43 @@ def test_group_basis_must_be_monic():
     F7 = FqCtx(7)
     with pytest.raises(ValueError):
         GroupCtx(F7, [Poly(F7, [1, 2])], [[1]], [F7.one])
+
+
+def _solve_counting_lattice_calls(gctx, monkeypatch):
+    calls = []
+    real = GroupCtx.in_lattice
+    monkeypatch.setattr(GroupCtx, "in_lattice",
+                        lambda self, v: calls.append(v) or real(self, v))
+    fams = solve_xy1(gctx)
+    monkeypatch.undo()
+    return fams, len(calls)
+
+
+def test_descent_stops_at_the_index_valuation(monkeypatch):
+    # x^2+2x+1 = (x+1)^2, so [Sat:L] = 2 and v_3([Sat:L]) = 0: a candidate
+    # lands in G untwisted or never, and one or two lattice tests decide it.
+    # The scan of every k up to the height bound made 10,096 of them.
+    F3 = FqCtx(3)
+    x = Poly.x(F3)
+    gctx = build_group([x, 2 * x + 1, x ** 2 + x + 2, x ** 2 + 2 * x + 1], F3)
+    fams, calls = _solve_counting_lattice_calls(gctx, monkeypatch)
+    assert calls <= 444
+    assert fams == oracle_solve(gctx)
+    assert len(fams) == 109
+
+
+@pytest.mark.parametrize("power", [3, 9])
+def test_descent_reaches_the_index_valuation(power):
+    # G = <x, (1 - x)^power> over F_3 has [Sat:L] = power: x + (1 - x) = 1
+    # lands in G only after v_3(power) Frobenius twists
+    F3 = FqCtx(3)
+    x = Poly.x(F3)
+    gctx = build_group([x, (1 - x) ** power], F3)
+    lattice_pivots = math.prod(next(c for c in row if c) for row in gctx.lattice)
+    sat_pivots = math.prod(next(c for c in row if c) for row in gctx.sat_basis)
+    assert lattice_pivots // sat_pivots == power
+    fams = solve_xy1(gctx)
+    assert fams == oracle_solve(gctx)
+    assert any(f.x0.value() == RatFunc(x) ** power for f in fams)
+    # a height bound below v_3(index) cuts the twist off, as the scan did
+    assert solve_xy1(gctx, 0) == oracle_solve(gctx, 0)
