@@ -4,7 +4,8 @@
 #   scripts/check.sh
 #
 # 1. no unused import in src/monogenic, tests or scripts (scripts/check_imports.py);
-# 2. the tier-1 test suite;
+# 2. the tier-1 test suite, listing its five slowest tests (the suite's
+#    end-to-end time is tracked, and this shows where it goes);
 # 3. every bundled scenario report against tests/golden;
 # 4. the benchmark self-test;
 # 5. a 5 s default-seed run of the search, verify, sym_unit and fit
@@ -20,7 +21,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== unused imports"
 python3 scripts/check_imports.py
 echo "== tier-1 tests"
-python3 -m pytest -q
+python3 -m pytest -q --durations=5
 echo "== scenario reports against tests/golden"
 python3 scripts/run_all_scenarios.py --check tests/golden
 echo "== perfbench self-test"

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .gf import FqCtx, FqElem, power
+from .gf import FqCtx, FqElem, RingElement, power
 
 
-class BivarPoly:
+class BivarPoly(RingElement):
     """Bivariate polynomial as a sparse exponent map {(i, j): coeff}."""
 
     __slots__ = ("ctx", "terms", "names")
@@ -79,7 +79,7 @@ class BivarPoly:
                 raise ValueError("polynomials over different fields")
             return other
         if isinstance(other, (int, FqElem)):
-            return BivarPoly.constant(self.ctx, other, self.names)
+            return BivarPoly.constant(self.ctx, self.ctx.elem(other), self.names)
         return None
 
     def __add__(self, other):
@@ -98,8 +98,6 @@ class BivarPoly:
         r.ctx, r.terms, r.names = ctx, out, self.names
         return r
 
-    __radd__ = __add__
-
     def __neg__(self):
         ctx = self.ctx
         r = BivarPoly.__new__(BivarPoly)
@@ -107,18 +105,6 @@ class BivarPoly:
         r.terms = {e: ctx.rneg(c) for e, c in self.terms.items()}
         r.names = self.names
         return r
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -137,8 +123,6 @@ class BivarPoly:
         r = BivarPoly.__new__(BivarPoly)
         r.ctx, r.terms, r.names = ctx, out, self.names
         return r
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -241,6 +225,8 @@ class BivarPoly:
         for (i, j) in sorted(self.terms, reverse=True):
             c = self.terms[(i, j)]
             cs = self.ctx._raw_str(c)
+            if self.ctx.k > 1 and ("+" in cs or "-" in cs) and (parts or i or j):
+                cs = f"({cs})"  # as in Poly.__repr__: all but a lone constant
             factors = []
             if i:
                 factors.append(nx if i == 1 else f"{nx}^{i}")

@@ -198,7 +198,9 @@ def _tower_env(tw: Tower) -> Dict[str, object]:
 
 def _sym_env(ctx: FqCtx) -> Dict[str, object]:
     x, y = BivarPoly.gens(ctx)
-    return {"x": x, "y": y}
+    env = _base_env(ctx, x)
+    env["y"] = y
+    return env
 
 
 def _parse_places(ctx: FqCtx, names) -> PlaceSet:

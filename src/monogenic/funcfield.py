@@ -59,7 +59,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .gf import FqCtx, FqElem, _fp_poly_mul, power
+from .gf import FqCtx, FqElem, RingElement, _fp_poly_mul, power
 
 MINUS_INF = float("-inf")
 
@@ -313,7 +313,7 @@ def _read_raw(ctx: FqCtx, coeffs: Iterable) -> list:
     return raw
 
 
-class Poly:
+class Poly(RingElement):
     """Univariate polynomial over F_q.
 
     `Poly(ctx, coeffs)` returns the representation of the field (see the
@@ -462,20 +462,6 @@ class Poly:
             raw[i] = ctx.radd(raw[i], c)
         return Poly._tuple(ctx, raw)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         ctx = self.ctx
         if ctx.p == 2:
@@ -489,8 +475,6 @@ class Poly:
         if type(self) is F2Poly:  # the hottest case, without a second call
             return _wrap(F2Poly, self.ctx, _b2_mul(self.code, other.code))
         return self._mul(other)
-
-    __rmul__ = __mul__
 
     def _mul(self, other: "Poly") -> "Poly":
         ctx = self.ctx
@@ -815,7 +799,7 @@ class F2Poly(Poly):
             return NotImplemented
         return _wrap(F2Poly, self.ctx, self.code ^ other.code)
 
-    __radd__ = __sub__ = __add__
+    __sub__ = __add__
 
     def monic(self) -> "F2Poly":
         return self
@@ -931,8 +915,6 @@ class FpPoly(_BytePoly):
         total = (_int(a) + _int(b)).to_bytes(max(len(a), len(b)), "little")
         return _wrap(FpPoly, self.ctx, total.translate(F.mod).rstrip(b"\0"))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -976,7 +958,7 @@ class F2kPoly(_BytePoly):
         total = (_int(a) ^ _int(b)).to_bytes(max(len(a), len(b)), "little")
         return _wrap(F2kPoly, self.ctx, total.rstrip(b"\0"))
 
-    __radd__ = __sub__ = __add__
+    __sub__ = __add__
 
     _product = staticmethod(_f2k_mul)
 
@@ -1001,7 +983,7 @@ def _wrap(cls, ctx: FqCtx, code) -> Poly:
 # rational functions
 # ---------------------------------------------------------------------------
 
-class RatFunc:
+class RatFunc(RingElement):
     """Element of K = F_q(x) in canonical form (monic denominator, coprime);
     +, -, * and exact / of two polynomials are canonical without a gcd."""
 
@@ -1094,8 +1076,6 @@ class RatFunc:
             return RatFunc._coprime(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -1103,12 +1083,6 @@ class RatFunc:
         if self.den.is_one() and o.den.is_one():
             return RatFunc._coprime(self.num - o.num, self.den)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return RatFunc._coprime(-self.num, self.den)
@@ -1121,8 +1095,6 @@ class RatFunc:
             return RatFunc._coprime(self.num * o.num, self.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -1134,12 +1106,6 @@ class RatFunc:
             if not r:  # an exact quotient, as in fraction-free elimination
                 return RatFunc._coprime(q, self.den)
         return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -19,6 +19,10 @@ extension elements as polynomials in z with descending exponents
 (`z^2+z+1`), omitting zero terms and unit coefficients, as does the
 modulus in a context's repr.  `power` is the one square-and-multiply of
 the package, for every type that raises to a power.
+
+`RingElement` is the one operator protocol of the exact element types: a
+type writes `_coerce`, `+`, unary `-`, `*` and, where it divides, `/`, and
+the base derives `-` and the reflected `+`, `-`, `*` and `/`.
 """
 
 from __future__ import annotations
@@ -61,6 +65,42 @@ def power(base, n: int, mul=operator.mul):
         if not n:
             return out
         base = mul(base, base)
+
+
+class RingElement:
+    """Base of `FqElem`, `Poly`, `RatFunc`, `AlgElem`, `BivarPoly` and
+    `SymbolPoly`.  A subclass writes `_coerce` (the operand in its ring, or
+    None), `__add__`, `__neg__`, `__mul__` and, where it divides,
+    `__truediv__`; it keeps its own `__sub__` only where that is faster.
+    Every ring here is commutative, so the reflected `+` and `*` call the
+    subclass's; an operand that does not coerce gives NotImplemented.
+    `__pow__` and `__bool__` stay each type's own."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
 
 def _fp_poly_mul(a, b, p):
@@ -298,7 +338,7 @@ class FqCtx:
         return "+".join(terms) if terms else "0"
 
 
-class FqElem:
+class FqElem(RingElement):
     """A value of F_{p^k} tied to its context."""
 
     __slots__ = ("ctx", "raw")
@@ -311,50 +351,34 @@ class FqElem:
         if isinstance(other, FqElem):
             if other.ctx != self.ctx:
                 raise ValueError("field context mismatch")
-            return other.raw
+            return other
         if isinstance(other, int):
-            return self.ctx.rfrom_int(other)
+            return FqElem(self.ctx, self.ctx.rfrom_int(other))
         return None
 
     def __add__(self, other):
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.radd(self.raw, r))
-
-    __radd__ = __add__
+        return FqElem(self.ctx, self.ctx.radd(self.raw, o.raw))
 
     def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.rsub(self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return FqElem(self.ctx, self.ctx.rsub(r, self.raw))
+        return FqElem(self.ctx, self.ctx.rsub(self.raw, o.raw))
 
     def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.rmul(self.raw, r))
-
-    __rmul__ = __mul__
+        return FqElem(self.ctx, self.ctx.rmul(self.raw, o.raw))
 
     def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return FqElem(self.ctx, self.ctx.rdiv(self.raw, r))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return FqElem(self.ctx, self.ctx.rdiv(r, self.raw))
+        return FqElem(self.ctx, self.ctx.rdiv(self.raw, o.raw))
 
     def __neg__(self):
         return FqElem(self.ctx, self.ctx.rneg(self.raw))

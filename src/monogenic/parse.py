@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
-from .gf import power
+from .gf import RingElement, power
 
 MAX_DEGREE = 1000
 
@@ -138,7 +138,7 @@ def parse_element(text: str, env: Dict[str, object], one):
     return node
 
 
-class SymbolPoly:
+class SymbolPoly(RingElement):
     """Polynomial in one formal symbol with coefficients in any commutative
     ring the operators understand; used to read defining polynomials whose
     generator does not exist yet."""
@@ -159,7 +159,8 @@ class SymbolPoly:
     def _coerce(self, other):
         if isinstance(other, SymbolPoly):
             return other
-        return SymbolPoly([other], self.zero)
+        # a constant joins the coefficient ring, whose operators reject a str
+        return SymbolPoly([self.zero + other], self.zero)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -171,16 +172,8 @@ class SymbolPoly:
             out.append(a + b)
         return SymbolPoly(out, self.zero)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SymbolPoly([-c for c in self.coeffs], self.zero)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -192,8 +185,6 @@ class SymbolPoly:
                 out[i + j] = out[i + j] + a * b
         return SymbolPoly(out, self.zero)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
             raise ParseError("negative power of the formal symbol")
@@ -202,5 +193,6 @@ class SymbolPoly:
     def __truediv__(self, other):
         if isinstance(other, SymbolPoly):
             raise ParseError("division by the formal symbol is not allowed")
-        return SymbolPoly([c / other for c in self.coeffs], self.zero)
+        d = self.zero + other
+        return SymbolPoly([c / d for c in self.coeffs], self.zero)
 

@@ -40,7 +40,7 @@ from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
-from .gf import FqCtx, FqElem, power
+from .gf import FqCtx, FqElem, RingElement, power
 from .linalg import SpanTracker, solve_in_span
 
 # specialization points x -> c tried before a level-1 polynomial is assumed
@@ -307,7 +307,7 @@ class Tower:
         return " < ".join(parts)
 
 
-class AlgElem:
+class AlgElem(RingElement):
     """Element of the top level of a tower; `val` is its coordinate tuple."""
 
     __slots__ = ("tower", "val")
@@ -331,19 +331,11 @@ class AlgElem:
             return NotImplemented
         return AlgElem(self.tower, _add(self.val, o.val))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return AlgElem(self.tower, _sub(self.val, o.val))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return AlgElem(self.tower, tuple(-c for c in self.val))
@@ -353,8 +345,6 @@ class AlgElem:
         if o is None:
             return NotImplemented
         return AlgElem(self.tower, self.tower._mul(self.tower.top, self.val, o.val))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, FqElem, Poly, RatFunc)):
@@ -366,12 +356,6 @@ class AlgElem:
             return NotImplemented
         inv = self.tower._inv(o.val)
         return AlgElem(self.tower, self.tower._mul(self.tower.top, self.val, inv))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from monogenic import BivarPoly, FqCtx, FqElem, pth_power_decompose_bivar
 
 F7 = FqCtx(7)
@@ -97,3 +99,11 @@ def test_pth_power_decompose_bivar():
     for (a, b), c in pth_power_decompose_bivar(f).items():
         back = back + c ** 7 * BivarPoly(F7, {(a, b): 1})
     assert back == f
+
+
+def test_constant_of_another_field_rejected():
+    # an F_5 constant used to be read as its residue in F_7
+    x, _ = gens()
+    for expr in (lambda c: x + c, lambda c: c - x, lambda c: c * x):
+        with pytest.raises(ValueError):
+            expr(FqCtx(5).elem(3))

@@ -317,19 +317,37 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
      "a tower level needs a string label and a poly"),
     ({"task": "disc", "tower": {"levels": [{"label": ["s"], "poly": "s^2+x"}]},
       "elements": {"s": "s"}}, "a tower level needs a string label and a poly"),
+    ({"task": "disc", "tower": {"levels": [{"label": "s", "poly": "s^2+1/s"}]},
+      "elements": {"s": "s"}}, "division by the formal symbol is not allowed"),
+    ({"task": "disc", "tower": {"levels": [{"label": "s", "poly": "s^2+s+x"},
+                                           {"label": "u", "poly": "u^2+u+s/u"}],
+                                "assume_irreducible": True},
+      "elements": {"s": "u"}}, "division by the formal symbol is not allowed"),
+    ({"task": "disc", "base": {"p": 2, "k": 2},
+      "tower": {"levels": [{"label": "s", "poly": "s^2+s+z/s"}]}, "elements": {"s": "s"}},
+     "division by the formal symbol is not allowed"),
+    ({"task": "search", "backend": "symmetric", "base": {"p": 2, "k": 2},
+      "elements": {"s": "z/x", "t": "x+y"}}, "inexact bivariate division"),
 ], ids=["disc-no-tower", "order-eq-no-tower", "search-no-tower", "ef-no-tower",
         "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
         "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "list-element-name",
         "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
         "level-without-label",
-        "list-label"])
+        "list-label", "symbol-divisor", "symbol-divisor-level-2", "symbol-divisor-F4",
+        "symmetric-inexact-z"])
 def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
     # each of these ended in a traceback (exit 1) or in a silent answer
     assert main([_write(tmp_path, scenario)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_symmetric_search_names_the_field_generator(tmp_path):
+    scenario = {"task": "search", "backend": "symmetric", "base": {"p": 2, "k": 2},
+                "elements": {"s": "z*x+y", "t": "x+y"}, "params": {"m_max": 2, "n_max": 2}}
+    assert main([_write(tmp_path, scenario)]) == 0
 
 
 def test_polynomial_places_and_eta_accepted(tmp_path):

@@ -33,7 +33,7 @@ _JUNK = st.recursive(
 _TEXTS = st.sampled_from([
     "x", "s", "t", "y", "z", "u", "1", "0", "x+1", "x^2+x", "s^2+x", "s+1", "x*s",
     "2*x+3*y", "x*y+x", "x+y", "1/x", "s/0", "(x", "", "x^-1", "s^4+x^4*s^2+x^3*s+x+1",
-    "s^2-x", "s^2+s+x", "z*x+1", "x^3+x+1",
+    "s^2-x", "s^2+s+x", "z*x+1", "x^3+x+1", "s^2+1/s", "z/x",
 ]) | st.text(alphabet="xyzs0123+-*/^() ", max_size=10)
 
 # (base, tower) pairs that build: levels of degree 2 to 4 over F_2, F_3, F_4 and F_7

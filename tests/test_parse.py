@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenic import FqCtx, Poly, RatFunc, Tower
+from monogenic import BivarPoly, FqCtx, Poly, RatFunc, Tower
 from monogenic.parse import MAX_DEGREE, ParseError, parse_element
 from monogenic.tower import AlgElem
 from monogenic.verify import shifted_tower
@@ -44,6 +44,20 @@ def test_ratfunc_repr_parses_back(ctx, dn, dd, seed):
         parse_element(repr(a), _env(ctx, RatFunc.gen(ctx)), RatFunc.of(1, ctx)), ctx
     )
     assert back == a and hash(back) == hash(a)
+
+
+@given(st.sampled_from([FqCtx(7), FqCtx(2, 2), FqCtx(3, 2)]), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_bivar_repr_parses_back(ctx, seed):
+    rng = random.Random(seed)
+    f = BivarPoly(ctx, {(rng.randint(0, 4), rng.randint(0, 4)): ctx.random_elem(rng)
+                        for _ in range(rng.randint(0, 6))})
+    x, y = BivarPoly.gens(ctx)
+    env = dict(_env(ctx, x), y=y)
+    back = parse_element(repr(f), env, BivarPoly.constant(ctx, 1))
+    if not isinstance(back, BivarPoly):  # a constant such as `z+1` reads as a field element
+        back = BivarPoly.constant(ctx, back)
+    assert back == f and hash(back) == hash(f)
 
 
 def test_degree_limit():
