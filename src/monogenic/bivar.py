@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .gf import FqCtx, FqElem, RingElement, power
+from .gf import FqCtx, FqElem, RingElement, format_terms, power
 
 
 class BivarPoly(RingElement):
@@ -218,27 +218,16 @@ class BivarPoly(RingElement):
         return g
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
+        ctx, terms = self.ctx, self.terms
         nx, ny = self.names
         parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            cs = self.ctx._raw_str(c)
-            if self.ctx.k > 1 and ("+" in cs or "-" in cs) and (parts or i or j):
-                cs = f"({cs})"  # as in Poly.__repr__: all but a lone constant
-            factors = []
-            if i:
-                factors.append(nx if i == 1 else f"{nx}^{i}")
-            if j:
-                factors.append(ny if j == 1 else f"{ny}^{j}")
-            if not factors:
-                parts.append(cs)
-            elif c == self.ctx.rone:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([cs] + factors))
-        return "+".join(parts)
+        for (i, j) in sorted(terms, reverse=True):
+            c = terms[(i, j)]
+            xs = f"{nx}^{i}" if i > 1 else nx if i else ""
+            ys = f"{ny}^{j}" if j > 1 else ny if j else ""
+            mono = f"{xs}*{ys}" if xs and ys else xs or ys
+            parts.append((None if c == ctx.rone and mono else ctx._raw_str(c), mono))
+        return format_terms(parts)
 
 
 def pth_power_decompose_bivar(f: BivarPoly):

@@ -95,8 +95,7 @@ def _check_keys(d: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _build_base(cfg: Optional[dict]) -> FqCtx:
-    cfg = cfg or {"p": 2}
+def _build_base(cfg: dict) -> FqCtx:
     _check_keys(cfg, {"p", "k", "modulus"}, "base")
     p = cfg.get("p", 2)
     k = cfg.get("k", 1)
@@ -111,7 +110,9 @@ def _build_base(cfg: Optional[dict]) -> FqCtx:
 
 def _build_tower(ctx: FqCtx, cfg: dict) -> Tower:
     _check_keys(cfg, {"levels", "assume_irreducible"}, "tower")
-    assume = bool(cfg.get("assume_irreducible", False))
+    assume = cfg.get("assume_irreducible", False)
+    if not isinstance(assume, bool):
+        raise ConfigError(f"assume_irreducible must be a JSON boolean, got {_json_type(assume)}")
     tw = Tower(ctx)
     for lvl in _list(cfg.get("levels", []), "tower levels"):
         _check_keys(lvl, {"label", "poly"}, "tower level")
@@ -233,7 +234,7 @@ def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
     for key, val in overrides.items():
         if val is not None:
             params[key] = val
-    ctx = _build_base(scenario.get("base"))
+    ctx = _build_base(scenario.get("base", {}))
     if task in _FIXED_BASE and "base" in scenario:
         fixed = _FIXED_BASE[task]
         if fixed is None:

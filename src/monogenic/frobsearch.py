@@ -537,6 +537,8 @@ def compute_ef(s: AlgElem, search_bound: int = 24) -> StableExponent:
     """Smallest e with K(s^e) inside K(s^n) for all n <= search_bound,
     with membership decided by power-basis linear algebra.  The result is
     box-verified only; gcd(e, p) = 1 is asserted on success."""
+    if search_bound > 64:
+        raise ValueError("a record is built for every power up to the bound; keep bound <= 64")
     p = s.tower.base.p
     if s.in_base() is not None:
         return StableExponent(1, True, [(1, 1)])

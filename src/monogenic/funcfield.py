@@ -59,7 +59,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .gf import FqCtx, FqElem, RingElement, _fp_poly_mul, power
+from .gf import FqCtx, FqElem, RingElement, _fp_poly_mul, format_terms, power
 
 MINUS_INF = float("-inf")
 
@@ -735,28 +735,17 @@ class Poly(RingElement):
     # ---- text form
 
     def __repr__(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
         ctx = self.ctx
+        text = str if ctx.k == 1 else ctx._raw_str
+        rzero, rone = ctx.rzero, ctx.rone
+        coeffs = self.coeffs
         terms = []
         for i in range(len(coeffs) - 1, -1, -1):
             c = coeffs[i]
-            if ctx.ris_zero(c):
-                continue
-            cs = ctx._raw_str(c)
-            need_parens = ctx.k > 1 and ("+" in cs or "-" in cs)
-            if i == 0:
-                terms.append(f"({cs})" if need_parens and terms else cs)
-                continue
-            var = "x" if i == 1 else f"x^{i}"
-            if c == ctx.rone:
-                terms.append(var)
-            elif need_parens:
-                terms.append(f"({cs})*{var}")
-            else:
-                terms.append(f"{cs}*{var}")
-        return "+".join(terms)
+            if c != rzero:
+                terms.append((None if c == rone and i else text(c),
+                              f"x^{i}" if i > 1 else "x" if i else ""))
+        return format_terms(terms)
 
 
 class F2Poly(Poly):

@@ -15,10 +15,15 @@ often built), and elements never mutate, so values can be shared freely
 between concurrent tasks.
 
 Canonical text form: prime-field elements print as decimal residues,
-extension elements as polynomials in z with descending exponents
-(`z^2+z+1`), omitting zero terms and unit coefficients, as does the
-modulus in a context's repr.  `power` is the one square-and-multiply of
-the package, for every type that raises to a power.
+extension elements as polynomials in z (`z^2+z+1`), and so do the modulus
+in a context's repr, polynomials in x, bivariate polynomials and tower
+elements, whose coefficients are the texts of the ring below.  Each lists
+its nonzero terms, highest first, and `format_terms` writes them: a unit
+coefficient before a monomial is left out, `*` joins a coefficient to its
+monomial and `+` joins terms; a sum coefficient is bracketed before a
+monomial or after another term, a quotient `(a)/(b)` before a monomial;
+no terms is `0`.  `power` is the one square-and-multiply of the package,
+for every type that raises to a power.
 
 `RingElement` is the one operator protocol of the exact element types: a
 type writes `_coerce`, `+`, unary `-`, `*` and, where it divides, `/`, and
@@ -103,6 +108,28 @@ class RingElement:
         return o / self
 
 
+def format_terms(terms) -> str:
+    """The canonical text (see the module docstring) of the nonzero terms,
+    listed highest first.  A term is (coefficient text, monomial text): the
+    coefficient is None for a 1 before a monomial, the monomial "" when
+    there is none.  A coefficient is a sum when it has a `+`, or a `-`
+    after its first character, and a quotient when it has a `/`."""
+    out = []
+    for c, m in terms:
+        if c is None:
+            out.append(m)
+        elif m:
+            if "+" in c or "/" in c or "-" in c[1:]:
+                out.append(f"({c})*{m}")
+            else:
+                out.append(f"{c}*{m}")
+        elif out and ("+" in c or "-" in c[1:]):
+            out.append(f"({c})")
+        else:
+            out.append(c)
+    return "+".join(out) or "0"
+
+
 def _fp_poly_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -150,9 +177,9 @@ def _fp_is_irreducible(m, p) -> bool:
 class FqCtx:
     """Context of a finite field F_{p^k}: prime, extension degree, modulus."""
 
-    # `packed`: the byte tables of the packed polynomial kernels, set by
-    # `funcfield` on their first use
-    __slots__ = ("p", "k", "q", "modulus", "packed")
+    # `rzero`, `rone`: the raw zero and one; `packed`: the byte tables of
+    # the packed polynomial kernels, set by `funcfield` on their first use
+    __slots__ = ("p", "k", "q", "modulus", "rzero", "rone", "packed")
 
     gen_label = "z"  # the name of the extension generator in text forms
 
@@ -161,9 +188,10 @@ class FqCtx:
             raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p ** k
-        if q >= 2 ** 64:
+        # p >= 2, so k >= 64 fails without the power, whose cost grows with k
+        if k >= 64 or p ** k >= 2 ** 64:
             raise ValueError("field cardinality must fit in 64 bits")
+        q = p ** k
         if modulus is None:
             if k == 1:
                 modulus = (0, 1)
@@ -180,6 +208,8 @@ class FqCtx:
         self.k = k
         self.q = q
         self.modulus = modulus
+        self.rzero = 0 if k == 1 else (0,) * k
+        self.rone = 1 if k == 1 else (1,) + (0,) * (k - 1)
         self.packed = None
 
     # contexts compare by value so fields built twice interoperate
@@ -198,14 +228,6 @@ class FqCtx:
         return f"F{self.q}=F{self.p}[{self.gen_label}]/({self._raw_str(self.modulus)})"
 
     # ---- raw-scalar arithmetic -------------------------------------------
-
-    @property
-    def rzero(self):
-        return 0 if self.k == 1 else (0,) * self.k
-
-    @property
-    def rone(self):
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
 
     def rgen(self):
         if self.k == 1:
@@ -325,17 +347,14 @@ class FqCtx:
         """The text form of a raw value, or of the modulus (k + 1 coordinates)."""
         if self.k == 1:
             return str(a)
+        z = self.gen_label
         terms = []
         for i in range(len(a) - 1, -1, -1):
             c = a[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = self.gen_label if i == 1 else f"{self.gen_label}^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+            if c:
+                terms.append((None if c == 1 and i else str(c),
+                              f"{z}^{i}" if i > 1 else z if i else ""))
+        return format_terms(terms)
 
 
 class FqElem(RingElement):

@@ -40,7 +40,7 @@ from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
-from .gf import FqCtx, FqElem, RingElement, power
+from .gf import FqCtx, FqElem, RingElement, format_terms, power
 from .linalg import SpanTracker, solve_in_span
 
 # specialization points x -> c tried before a level-1 polynomial is assumed
@@ -297,9 +297,6 @@ class Tower:
     def x(self) -> "AlgElem":
         return self.from_base(RatFunc.gen(self.base))
 
-    def gen_labels(self) -> List[str]:
-        return [lv.label for lv in self.levels]
-
     def describe(self) -> str:
         parts = [f"F{self.base.q}(x)"]
         for lv in self.levels:
@@ -389,34 +386,22 @@ class AlgElem(RingElement):
 
     def __repr__(self):
         tower = self.tower
-        labels = tower.gen_labels()
 
         def render(lvl, v):
+            # v as a polynomial in the level-`lvl` generator over the level below
             if lvl == 0:
-                return repr(v), v.is_zero(), v.is_one()
-            label = labels[lvl - 1]
-            parts = []
+                return repr(v)
+            label = tower.levels[lvl - 1].label
             blocks = tower._blocks(lvl, v)
+            terms = []
             for i in range(len(blocks) - 1, -1, -1):
-                s, zero, one = render(lvl - 1, blocks[i])
-                if zero:
-                    continue
-                if i == 0:
-                    parts.append(f"({s})" if "+" in s or "-" in s[1:] else s)
-                    continue
-                var = label if i == 1 else f"{label}^{i}"
-                if one:
-                    parts.append(var)
-                elif "+" in s or "/" in s or "-" in s[1:]:
-                    parts.append(f"({s})*{var}")
-                else:
-                    parts.append(f"{s}*{var}")
-            if not parts:
-                return "0", True, False
-            joined = "+".join(parts)
-            return joined, False, joined == "1"
+                text = render(lvl - 1, blocks[i])
+                if text != "0":
+                    terms.append((None if text == "1" and i else text,
+                                  f"{label}^{i}" if i > 1 else label if i else ""))
+            return format_terms(terms)
 
-        return render(tower.top, self.val)[0]
+        return render(tower.top, self.val)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ def verify_quartic_twist_family(m_max: int = 3, relation_box: int = 8) -> Verifi
     the unit group being trivial here)."""
     if m_max > 4:
         raise ValueError("coordinate sizes grow as 4^m; keep m_max <= 4")
+    if relation_box > 10:
+        raise ValueError("check (v) squares each s_j relation_box times; keep relation_box <= 10")
     rep = VerificationReport(
         "twisted quartic family over F_2",
         {"m_max": m_max, "relation_box": relation_box},

@@ -154,6 +154,8 @@ def test_box_sets_the_task_keys(capsys):
 
 
 _QUARTIC = {"levels": [{"label": "s", "poly": "s^4+x^4*s^2+x^3*s+x+1"}]}
+# over F_3 both levels are reducible (u = +-s), so only assume_irreducible lets them build
+_REDUCIBLE_F3 = {"levels": [{"label": "s", "poly": "s^2-x"}, {"label": "u", "poly": "u^2-x"}]}
 
 
 @pytest.mark.parametrize("scenario", [
@@ -220,8 +222,17 @@ def test_smallest_verify_sizes_accepted(tmp_path):
     ({"task": "verify-b", "params": {"i_max": 1.9}}, "i_max must be an integer, got 1.9"),
     ({"task": "verify-b", "params": {"j_max": True}}, "j_max must be an integer, got True"),
     ({"task": "verify-b", "params": {"j_max": float("inf")}}, "j_max must be an integer"),
+    ({"task": "disc", "base": [], "tower": _QUARTIC, "elements": {"s": "s"}},
+     "base must be a JSON object, got array"),
+    ({"task": "disc", "base": None, "tower": _QUARTIC, "elements": {"s": "s"}},
+     "base must be a JSON object, got null"),
+    ({"task": "disc", "base": {"p": 3}, "tower": _REDUCIBLE_F3 | {"assume_irreducible": "false"},
+      "elements": {"s": "u+s"}}, "assume_irreducible must be a JSON boolean, got string"),
+    ({"task": "order-eq", "base": {"p": 3}, "tower": _REDUCIBLE_F3 | {"assume_irreducible": 1},
+      "elements": {"s": "u", "t": "u+s"}}, "assume_irreducible must be a JSON boolean, got number"),
 ], ids=["array-scenario", "list-param", "string-param", "array-params", "number-element",
-        "list-base", "string-generators", "fraction-param", "boolean-param", "infinite-param"])
+        "list-base", "string-generators", "fraction-param", "boolean-param", "infinite-param",
+        "array-base", "null-base", "string-assume", "number-assume"])
 def test_wrong_json_types_exit_2(tmp_path, capsys, scenario, message):
     assert main([_write(tmp_path, scenario)]) == 2
     err = capsys.readouterr().err
@@ -259,12 +270,20 @@ def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
     ({"task": "disc", "base": {"p": 65521},
       "tower": {"levels": [{"label": "s", "poly": "s^2-x^2"}]}, "elements": {"s": "s"}},
      "irreducibility of level 's' did not certify"),
-], ids=["unit-solve-cosets", "unit-solve-torsion", "certification-scan"])
+    ({"task": "disc", "base": {"p": 3, "k": 30000000}}, "field cardinality must fit in 64 bits"),
+    ({"task": "verify-a1", "params": {"m_max": 4, "relation_box": 13}},
+     "keep relation_box <= 10"),
+    ({"task": "ef", "tower": _QUARTIC, "elements": {"s": "s^3"}, "params": {"bound": 128}},
+     "keep bound <= 64"),
+], ids=["unit-solve-cosets", "unit-solve-torsion", "certification-scan", "field-degree",
+        "a1-relation_box", "ef-bound"])
 def test_unbounded_enumeration_rejected(tmp_path, capsys, scenario, message):
     # uncapped, the coset enumeration over F_131 and the certification scan
     # over every point of F_65521 (the level is reducible, so no point
     # certifies it) ran past 30 s, and the torsion enumeration reported
-    # 65519 families; capped, each exits in about 0.2 s.  The time bound
+    # 65519 families; the power p^k of the field check took 20 s at
+    # k = 3*10^7, verify-a1 at relation_box 13 took 20 s, and ef at bound
+    # 128 took 3.5 s.  Capped, each exits in about 0.2 s.  The time bound
     # only has to catch a return of the uncapped loops, so it leaves room
     # for a loaded machine.
     path = _write(tmp_path, scenario)

@@ -3,8 +3,9 @@
 Whatever the scenario holds, `run_scenario` either returns a report with
 exit code 0 or 1, or raises `ConfigError` (exit 2); any other exception is
 a fault.  Scenarios mix well-formed parts (fields, towers, element texts,
-sizes up to 6) with values of the wrong JSON type, unknown keys and
-malformed text, and each one must finish in about a second.
+sizes up to 6) with values of the wrong JSON type, unknown keys, malformed
+text and sizes of 10^9, and each one must finish in about a second: a size
+or field degree that reaches a loop without a cap runs far longer.
 """
 
 import copy
@@ -50,13 +51,14 @@ _FIELDS_AND_TOWERS = [
 _BASES = st.sampled_from([
     {"p": 2}, {"p": 3}, {"p": 5}, {"p": 7}, {"p": 2, "k": 2}, {"p": 3, "k": 2},
     {"p": 4}, {"p": 2, "k": 9}, {"p": 2, "modulus": "111"}, {"p": 2, "k": 2, "modulus": [1, 0, 1]},
+    {"p": 3, "k": 10 ** 9},
 ])
 
 _TOWERS = st.sampled_from([t for _, t in _FIELDS_AND_TOWERS] + [{"levels": []}]) \
     | st.fixed_dictionaries({"levels": st.lists(
         st.fixed_dictionaries({"label": _TEXTS, "poly": _TEXTS}), max_size=2)})
 
-_SIZES = st.integers(0, 6)
+_SIZES = st.integers(0, 6) | st.just(10 ** 9)
 
 _PARAM_VALUES = {
     "m_max": _SIZES, "n_max": _SIZES, "bound": _SIZES, "relation_box": _SIZES,

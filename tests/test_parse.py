@@ -11,7 +11,7 @@ from monogenic.parse import MAX_DEGREE, ParseError, parse_element
 from monogenic.tower import AlgElem
 from monogenic.verify import shifted_tower
 
-FIELDS = [FqCtx(2), FqCtx(3), FqCtx(7), FqCtx(2, 2)]
+FIELDS = [FqCtx(2), FqCtx(3), FqCtx(7), FqCtx(131), FqCtx(2, 2), FqCtx(3, 2)]
 
 
 def _env(ctx, x):
@@ -117,3 +117,44 @@ def test_algelem_repr_parses_back(make):
     for a in elems:
         back = parse_element(repr(a), env, one)
         assert isinstance(back, AlgElem) and back == a, repr(a)
+
+
+def _f4_level():
+    ctx = FqCtx(2, 2)
+    return Tower(ctx).extend("s", [RatFunc.gen(ctx), 1, 1])  # s^2 + s + x
+
+
+def _in(make_tower, build):
+    """A maker of build(x, g_1, ..., g_r) in a tower that is built on demand."""
+    def make():
+        tw = make_tower()
+        return build(tw.x(), *(tw.gen(i) for i in range(len(tw.levels))))
+    return make
+
+
+_Z4 = FqCtx(2, 2).gen
+
+
+@pytest.mark.parametrize("make, text", [
+    # a lone compound constant of a tower is not bracketed, as in Poly
+    (_in(_shifted_quartic, lambda x, s: x + 1), "x+1"),
+    (_in(_shifted_quartic, lambda x, s: (x + 1) / x), "(x+1)/(x)"),
+    (_in(_shifted_quartic, lambda x, s: s + 1 / x), "s+(1)/(x)"),
+    (_in(_shifted_quartic, lambda x, s: s / x), "((1)/(x))*s"),
+    # a coefficient rendered at one level is bracketed once at the next
+    (_in(_two_level_degree_8, lambda x, s, u: u + x + 1), "u+(x+1)"),
+    (_in(_two_level_degree_8, lambda x, s, u: x + 1), "x+1"),
+    (_in(_two_level_degree_8, lambda x, s, u: (x + 1) * u), "(x+1)*u"),
+    (_in(_two_level_degree_8, lambda x, s, u: s * u + s + 1), "s*u+(s+1)"),
+    (_in(_f4_level, lambda x, s: (_Z4 * x + 1) * s + x + _Z4), "(z*x+1)*s+(x+z)"),
+    (lambda: Poly(FqCtx(2, 2), [(0, 1), (1, 1)]), "(z+1)*x+z"),
+    (lambda: BivarPoly(FqCtx(2, 2), {(1, 1): 1, (0, 0): (1, 1)}), "x*y+(z+1)"),
+    (lambda: BivarPoly(FqCtx(2, 2), {(0, 0): (1, 1)}), "z+1"),
+    (lambda: FqCtx(3, 2).elem((1, 2)), "2*z+1"),
+    (lambda: FqCtx(2, 3), "F8=F2[z]/(z^3+z+1)"),
+    (lambda: RatFunc(Poly(FqCtx(3), [1, 0, 2]), Poly(FqCtx(3), [0, 1])), "(2*x^2+1)/(x)"),
+], ids=["constant", "quotient", "plus-quotient", "quotient-coefficient", "second-level",
+        "second-level-constant", "second-level-coefficient", "second-level-sum", "f4-tower",
+        "f4-poly", "f4-bivar", "f4-bivar-constant", "f9-element", "f8-modulus", "ratfunc"])
+def test_text_forms(make, text):
+    assert repr(make()) == text
