@@ -25,11 +25,7 @@ from .funcfield import (
 from .bivar import BivarPoly, pth_power_decompose_bivar
 from .tower import (
     AlgElem,
-    ConjugateSet,
-    GaloisMap,
     Tower,
-    conjugate_difference_unit,
-    conjugates,
     discriminant,
     frobenius_power,
     minimal_polynomial,

@@ -4,7 +4,8 @@ The grid search is exact order equality, run through either the tower
 backend or the quadratic symmetric backend, as a join: each power s^m
 and t^n gets one index key, equal for equal orders, and `equal` runs only
 on the cells whose two keys agree.  The tower backend keeps one order
-record per power (minimal polynomial, degree, power-basis span, key).
+record per power (degree, power-basis span, key), fed s^{m*i} from one
+cache of the powers of s; its minimal polynomial is built only when read.
 Equal orders span one field K(s^m) = K(t^n), so their pivot columns
 agree, and the change of basis between the two power bases is invertible
 over the ring, so the index [O[s^m]:O[t^n]], its determinant, is the
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
@@ -44,7 +46,7 @@ from .monorder import (
     orders_equal,
     sym_index_key,
 )
-from .tower import AlgElem
+from .tower import AlgElem, power_of
 
 
 # ---------------------------------------------------------------------------
@@ -52,50 +54,45 @@ from .tower import AlgElem
 # ---------------------------------------------------------------------------
 
 class _PowerPair:
-    """The powers of s and of t, each computed once, and one record per
-    power (`_record`), built on first use and serving every cell of its row
-    or column; when t is s, both sides share one cache of powers and
-    records.  `s_key(m)` and `t_key(n)` are the index keys of the powers,
-    equal for equal orders, on which `enumerate_M` joins."""
+    """The powers of s and of t, each computed once and kept by exponent,
+    and one record per power (`_record`), built on first use and serving
+    every cell of its row or column; when t is s, both sides share one
+    cache of powers and records.  `s_key(m)` and `t_key(n)` are the index
+    keys of the powers, equal for equal orders, on which `enumerate_M`
+    joins."""
 
     def __init__(self, s, t, p: int, shared: bool):
         if s.is_zero() or t.is_zero():
             raise ValueError("search elements s and t must be nonzero")
         self.s, self.t, self.p = s, t, p
-        self._s_pows, self._s_records = [], {}
-        self._t_pows = self._s_pows if shared else []
+        self._s_pows, self._s_records = {1: s}, {}
+        self._t_pows = self._s_pows if shared else {1: t}
         self._t_records = self._s_records if shared else {}
 
-    @staticmethod
-    def _power(pows: list, base, n: int):
-        # pows[k - 1] holds base^k; missing powers by repeated multiplication
-        while len(pows) < n:
-            pows.append(pows[-1] * base if pows else base)
-        return pows[n - 1]
-
     def s_pow(self, m: int):
-        return self._power(self._s_pows, self.s, m)
+        return power_of(self._s_pows, 1, m)
 
     def t_pow(self, n: int):
-        return self._power(self._t_pows, self.t, n)
+        return power_of(self._t_pows, 1, n)
 
-    def _cached(self, records: dict, power, n: int):
+    def _cached(self, records: dict, pows: dict, n: int):
         if n not in records:
-            records[n] = self._record(power(n))
+            records[n] = self._record(pows, n)
         return records[n]
 
     def s_record(self, m: int):
-        return self._cached(self._s_records, self.s_pow, m)
+        return self._cached(self._s_records, self._s_pows, m)
 
     def t_record(self, n: int):
-        return self._cached(self._t_records, self.t_pow, n)
+        return self._cached(self._t_records, self._t_pows, n)
 
 
 class TowerPowerPair(_PowerPair):
     """Oracle over a tower: s, t integral over the ring O_{K,T} of the
     place set `ring` (F_q[x] by default).  The record of a power is its
     `MonOrder`, whose `key` is the power's index key, and `equal` makes
-    one membership solve on a cell of equal keys."""
+    one membership solve on a cell of equal keys.  The record of s^m
+    takes its power basis s^{m*i} from the shared cache of powers."""
 
     def __init__(self, s: AlgElem, t: AlgElem, ring: PlaceSet = POLY_RING):
         self.ring = ring
@@ -104,8 +101,8 @@ class TowerPowerPair(_PowerPair):
         self.s_record(1)
         self.t_record(1)
 
-    def _record(self, power: AlgElem) -> MonOrder:
-        return MonOrder(power, self.ring)
+    def _record(self, pows: dict, n: int) -> MonOrder:
+        return MonOrder(power_of(pows, 1, n), self.ring, power=partial(power_of, pows, n))
 
     def s_key(self, m: int):
         return self.s_record(m).key
@@ -175,7 +172,9 @@ class SymPowerPair(_PowerPair):
     def __init__(self, s: BivarPoly, t: BivarPoly):
         super().__init__(s, t, s.ctx.p, t == s)
 
-    _record = staticmethod(sym_index_key)
+    def _record(self, pows: dict, n: int) -> BivarPoly:
+        return sym_index_key(power_of(pows, 1, n))
+
     s_key = _PowerPair.s_record
     t_key = _PowerPair.t_record
 
@@ -542,11 +541,13 @@ def compute_ef(s: AlgElem, search_bound: int = 24) -> StableExponent:
     p = s.tower.base.p
     if s.in_base() is not None:
         return StableExponent(1, True, [(1, 1)])
+    # s need not be integral: a record only needs its degree and its span,
+    # fed from one cache of the powers of s
     pows = {1: s}
-    for n in range(2, search_bound + 1):
-        pows[n] = pows[n - 1] * s
-    # s need not be integral: a record only needs its degree and its span
-    records = {n: MonOrder(pows[n], require_integral=False) for n in pows}
+    records = {
+        n: MonOrder(power_of(pows, 1, n), require_integral=False, power=partial(power_of, pows, n))
+        for n in range(1, search_bound + 1)
+    }
     degrees = [(n, rec.d) for n, rec in records.items()]
 
     def contained(a: int, b: int) -> bool:

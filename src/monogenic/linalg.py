@@ -45,7 +45,9 @@ class SpanTracker:
     A row keeps the multipliers c it was reduced with, and its expression
     over the fed vectors is built from them when a combination first needs
     it: the same steps run on [0, ..., 0, 1] against the rows' expressions.
-    A caller that only reads pivots (a determinant) never pays for them.
+    A caller that only reads pivots (a determinant) never pays for them,
+    and `feed` builds no combination at a dependence until `relation` is
+    asked for it.
     """
 
     def __init__(self, zero, one):
@@ -53,6 +55,7 @@ class SpanTracker:
         self.one = one
         self.rows = []  # (pivot, reduced vector, its multipliers, vectors fed before it)
         self._exprs = []  # the rows' expressions over the fed vectors, in order
+        self._dependent = None  # (multipliers, vectors fed before) of the last dependent one
         self.count = 0
 
     def _step(self, cur: List, row: Sequence, pv, c, prev) -> List:
@@ -105,11 +108,23 @@ class SpanTracker:
         pivot, row, _, _ = self.rows[-1]
         return [p for p, _, _, _ in self.rows], row[pivot]
 
-    def add(self, vec: Sequence) -> Optional[List]:
+    def feed(self, vec: Sequence) -> bool:
+        """Feed vec; True when it depends on the vectors fed before it.
+        The multipliers of a dependent vector are kept, and `relation`
+        builds its combination on request."""
         cur, cs = self._reduce(vec)
         count, self.count = self.count, self.count + 1
         pivot = next((i for i, c in enumerate(cur) if c), None)
         if pivot is None:
-            return self._combination(cs, count)
+            self._dependent = (cs, count)
+            return True
         self.rows.append((pivot, cur, cs, count))
-        return None
+        return False
+
+    def relation(self) -> List:
+        """Coefficients c_i with v = sum c_i v_i over the vectors fed
+        before v, the dependent vector fed last."""
+        return self._combination(*self._dependent)
+
+    def add(self, vec: Sequence) -> Optional[List]:
+        return self.relation() if self.feed(vec) else None

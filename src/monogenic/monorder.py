@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, unit_class
-from .linalg import SpanTracker, solve_in_span
-from .tower import AlgElem, discriminant, frobenius_power, minimal_polynomial
+from .linalg import solve_in_span
+from .tower import AlgElem, discriminant, frobenius_power, power_span
 
 
 # F_q[x] = O_{K,{inf}}
@@ -35,12 +35,14 @@ POLY_RING = PlaceSet()
 
 
 class MonOrder:
-    """O[s] for an integral separable generator s, and the record of s:
-    its minimal polynomial, degree d, integrality over the ring O_{K,T},
-    the span of its power basis 1, s, ..., s^{d-1} (the SpanTracker that
-    found the minimal polynomial) and (on first use) its discriminant, each
-    computed once.  `require_integral=False` keeps the record of a
-    non-integral s instead of raising.
+    """O[s] for an integral separable generator s, and the record of s.
+    Built, it holds the degree d, the span of the power basis 1, s, ...,
+    s^{d-1} (the SpanTracker fed the powers up to s^d) and the index
+    `key`; its minimal polynomial, integrality over the ring O_{K,T} and
+    discriminant are computed when first read.  `power(i)` gives s^i when
+    the caller keeps the powers of s (see `power_span`).
+    `require_integral=False` keeps the record of a non-integral s instead
+    of raising.
 
     The index `key` is (pivot columns, `unit_class(pivot, ring)`) of the
     span's Bareiss elimination.  The columns depend on K(s) alone (the
@@ -54,23 +56,41 @@ class MonOrder:
     the pivot; elsewhere it is `discriminant` of the minimal polynomial."""
 
     def __init__(
-        self, generator: AlgElem, ring: PlaceSet = POLY_RING, require_integral: bool = True
+        self, generator: AlgElem, ring: PlaceSet = POLY_RING, require_integral: bool = True,
+        power: Optional[Callable[[int], AlgElem]] = None,
     ):
         self.generator = generator
         self.ring = ring
         self._frobenius = [generator]  # generator^(p^e) at index e
-        ctx = generator.tower.base
-        self.span = SpanTracker(RatFunc.of(0, ctx), RatFunc.of(1, ctx))
-        self.minpoly, self.d = minimal_polynomial(generator, self.span)
+        self.span = power_span(generator, power)
+        self.d = len(self.span.rows)
         columns, self.pivot = self.span.pivots()
         self.key = (frozenset(columns), unit_class(self.pivot, ring))
-        bad = [c for c in self.minpoly if not is_T_integer(c, ring)]
-        self.integral = not bad
-        if bad and require_integral:
+        if require_integral and not self.integral:
+            bad = next(c for c in self.minpoly if not is_T_integer(c, ring))
             raise ValueError(
                 "generator is not integral over the tagged ring "
-                f"(minimal polynomial coefficient {bad[0]!r})"
+                f"(minimal polynomial coefficient {bad!r})"
             )
+
+    @cached_property
+    def minpoly(self) -> List[RatFunc]:
+        """The monic minimal polynomial of the generator, little-endian:
+        s^d in the power basis, from the span's relation."""
+        return [-c for c in self.span.relation()] + [self.span.one]
+
+    @cached_property
+    def integral(self) -> bool:
+        """The generator is integral over O_{K,T}.  It is when its
+        coordinates and those of every level's coefficients are T-integers
+        (sums and products of integral elements are integral); otherwise
+        the minimal polynomial decides, since O_{K,T} is integrally closed."""
+        vals = [self.generator.val] + [
+            c if isinstance(c, tuple) else (c,)
+            for level in self.generator.tower.levels for c in level.coeffs
+        ]
+        return (all(is_T_integer(c, self.ring) for v in vals for c in v)
+                or all(is_T_integer(c, self.ring) for c in self.minpoly))
 
     @cached_property
     def disc(self) -> Optional[RatFunc]:

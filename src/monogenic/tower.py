@@ -15,14 +15,12 @@ of a generator of a tower with polynomial coefficients) and normalizes
 each output coordinate once.
 
 There is one exact elimination over K, the Bareiss `SpanTracker`.  It
-finds minimal polynomials (fed the powers of an element) and gives every
-discriminant as a Hankel determinant of power sums (`kp_discriminant`);
-no resultant or remainder sequence over K is computed.  Each level keeps
-disc(f_i), which `extend` computes to check that f_i is separable.
-
-Galois action is by declared generator images only: automatic splitting
-fields are out of scope, and every caller-declared map is verified to send
-each generator to a root of its (mapped) defining polynomial.
+finds minimal polynomials (`power_span` feeds it the powers of an element,
+which a caller may take from a cache it shares, `power_of`) and gives
+every discriminant as a Hankel determinant of power sums
+(`kp_discriminant`); no resultant or remainder sequence over K is
+computed.  Each level keeps disc(f_i), which `extend` computes to check
+that f_i is separable.
 
 Irreducibility of a level-1 defining polynomial is certified by
 specialization: clear denominators to F_q[x][Y], then scan x -> c over
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
 from .gf import FqCtx, FqElem, RingElement, format_terms, power
@@ -405,29 +403,48 @@ class AlgElem(RingElement):
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomials, discriminants, Galois maps
+# powers, minimal polynomials, discriminants
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(
-    t: AlgElem, span: Optional[SpanTracker] = None
-) -> Tuple[List[RatFunc], int]:
-    """Monic minimal polynomial of t over K (little-endian RatFunc list)
-    and its degree d = [K(t):K], by exact linear algebra on powers of t.
-    An empty SpanTracker given as `span` is left holding the power basis
-    1, t, ..., t^{d-1}, so that its `express` gives coordinates in it."""
+def power_of(pows: dict, step: int, i: int):
+    """(b^step)^i for the b whose powers pows holds by exponent, b^step
+    among them: a missing one is computed as b^(step*(i-1)) * b^step and
+    kept, as is every power on the way."""
+    k = step * i
+    while k not in pows:
+        k -= step
+    while k < step * i:
+        pows[k + step] = pows[k] * pows[step]
+        k += step
+    return pows[step * i]
+
+
+def power_span(t: AlgElem, power: Optional[Callable[[int], AlgElem]] = None) -> SpanTracker:
+    """A SpanTracker fed 1, t, t^2, ... up to t^d, the first power that
+    depends on the ones before it: its rows span the power basis 1, t,
+    ..., t^{d-1}, and its `relation()` is t^d in that basis.  `power(i)`
+    gives t^i for i >= 1, from a cache the caller keeps; by default each
+    power is t times the one before."""
+    power = power or partial(power_of, {1: t}, 1)
     tower = t.tower
     if tower.degree_total() > 64:
         raise ValueError("tower degree exceeds the supported desk scale")
     ctx = tower.base
     one = RatFunc.of(1, ctx)
-    if span is None:
-        span = SpanTracker(RatFunc.of(0, ctx), one)
-    power = tower.from_base(one)
-    while True:
-        combo = span.add(power.coords())
-        if combo is not None:
-            return [-c for c in combo] + [one], len(combo)
-        power = power * t
+    span = SpanTracker(RatFunc.of(0, ctx), one)
+    vec, i = tower.from_base(one).coords(), 0
+    while not span.feed(vec):
+        i += 1
+        vec = power(i).coords()
+    return span
+
+
+def minimal_polynomial(t: AlgElem) -> Tuple[List[RatFunc], int]:
+    """Monic minimal polynomial of t over K (little-endian RatFunc list)
+    and its degree d = [K(t):K], by exact linear algebra on powers of t."""
+    span = power_span(t)
+    g = [-c for c in span.relation()] + [span.one]
+    return g, len(g) - 1
 
 
 def discriminant(t: AlgElem, minpoly: Optional[Tuple[List[RatFunc], int]] = None) -> RatFunc:
@@ -450,89 +467,3 @@ def frobenius_power(t: AlgElem, e: int) -> AlgElem:
     if e < 0:
         raise ValueError("Frobenius exponent must be non-negative")
     return t ** (t.tower.base.p ** e)
-
-
-class GaloisMap:
-    """Automorphism of the tower over K, declared by generator images."""
-
-    def __init__(self, tower: Tower, images: dict, name: str = "sigma"):
-        self.tower = tower
-        self.name = name
-        self.images = {}
-        for lv in tower.levels:
-            if lv.label not in images:
-                raise ValueError(f"missing image for generator {lv.label!r}")
-            img = images[lv.label]
-            if not isinstance(img, AlgElem) or img.tower is not tower:
-                raise ValueError("images must be elements of the same tower")
-            self.images[lv.label] = img
-        self._verify()
-
-    def _verify(self):
-        # each image must be a root of the sigma-mapped defining polynomial
-        for lv in self.tower.levels:
-            coeffs = [self.apply(self.tower._embed(c)) for c in lv.coeffs]
-            if not kp_eval(coeffs, self.images[lv.label]).is_zero():
-                raise ValueError(
-                    f"image of {lv.label!r} is not a root of its defining polynomial"
-                )
-
-    def apply(self, t: AlgElem) -> AlgElem:
-        tower = self.tower
-        if t.tower is not tower:
-            raise ValueError("element of a different tower")
-
-        def walk(lvl, v):
-            if lvl == 0:
-                return tower.from_base(v)
-            img = self.images[tower.levels[lvl - 1].label]
-            return kp_eval([walk(lvl - 1, c) for c in tower._blocks(lvl, v)], img)
-
-        return walk(tower.top, t.val)
-
-    def __repr__(self):
-        ims = ", ".join(f"{k} -> {v!r}" for k, v in self.images.items())
-        return f"{self.name}: {ims}"
-
-
-class ConjugateSet:
-    """An element together with its d distinct conjugates over K."""
-
-    __slots__ = ("element", "conjugates")
-
-    def __init__(self, element: AlgElem, conjugates: Sequence[AlgElem]):
-        self.element = element
-        self.conjugates = tuple(conjugates)
-
-    def __len__(self):
-        return len(self.conjugates)
-
-
-def conjugates(t: AlgElem, maps: Sequence[GaloisMap]) -> ConjugateSet:
-    """Images of t under the given maps; they must be exactly the d distinct
-    roots of the minimal polynomial of t."""
-    g, d = minimal_polynomial(t)
-    images = []
-    for m in maps:
-        img = m.apply(t)
-        if all(not (img == u) for u in images):
-            images.append(img)
-    if len(images) != d:
-        raise ValueError(
-            f"maps induce {len(images)} distinct images, need d={d} (cosets not covered)"
-        )
-    for img in images:
-        if not kp_eval(g, img).is_zero():
-            raise ValueError("a declared conjugate is not a root of the minimal polynomial")
-    return ConjugateSet(t, images)
-
-
-def conjugate_difference_unit(s: ConjugateSet, t: ConjugateSet, i: int, j: int) -> AlgElem:
-    """(t_(i) - t_(j)) / (s_(i) - s_(j)) inside the ambient tower."""
-    if i == j:
-        raise ValueError("need distinct indices")
-    ds = s.conjugates[i] - s.conjugates[j]
-    if ds.is_zero():
-        raise ValueError("coincident conjugates")
-    dt = t.conjugates[i] - t.conjugates[j]
-    return dt / ds

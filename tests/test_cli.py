@@ -275,15 +275,20 @@ def test_huge_exponent_rejected(tmp_path, capsys, scenario, message):
      "keep relation_box <= 10"),
     ({"task": "ef", "tower": _QUARTIC, "elements": {"s": "s^3"}, "params": {"bound": 128}},
      "keep bound <= 64"),
+    ({"task": "disc", "base": {"p": 65521},
+      "tower": {"levels": [{"label": "s", "poly": "s^2-x"}], "assume_irreducible": True},
+      "elements": {"s": "s"}, "params": {"places": ["x^100+x+3"]}},
+     "keep place degrees <= 32"),
 ], ids=["unit-solve-cosets", "unit-solve-torsion", "certification-scan", "field-degree",
-        "a1-relation_box", "ef-bound"])
+        "a1-relation_box", "ef-bound", "place-degree"])
 def test_unbounded_enumeration_rejected(tmp_path, capsys, scenario, message):
     # uncapped, the coset enumeration over F_131 and the certification scan
     # over every point of F_65521 (the level is reducible, so no point
     # certifies it) ran past 30 s, and the torsion enumeration reported
     # 65519 families; the power p^k of the field check took 20 s at
     # k = 3*10^7, verify-a1 at relation_box 13 took 20 s, and ef at bound
-    # 128 took 3.5 s.  Capped, each exits in about 0.2 s.  The time bound
+    # 128 took 3.5 s, and factoring the reducible place x^100+x+3 over
+    # F_65521 took 3 s.  Capped, each exits in about 0.2 s.  The time bound
     # only has to catch a return of the uncapped loops, so it leaves room
     # for a loaded machine.
     path = _write(tmp_path, scenario)

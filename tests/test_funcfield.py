@@ -257,3 +257,31 @@ def test_arithmetic_matches_textbook_formulas(ctx, poly_a, poly_b, seed):
         want = RatFunc(num, den)
         assert (got.num, got.den) == (want.num, want.den)
         assert got.den.is_monic() and got.num.gcd(got.den).is_one()
+
+
+def loop_split_off(f, b):
+    """(k, f / b^k) by one division per unit of multiplicity, the loop
+    `Poly.split_off` runs for every b but x."""
+    k = 0
+    while True:
+        q, r = divmod(f, b)
+        if r:
+            return k, f
+        k, f = k + 1, q
+
+
+# one field per representation of x's split: packed int (F_2), byte slots
+# (F_3, F_4) and the tuple path (F_9, F_131)
+SPLIT_FIELDS = [F2, F3, F4, FqCtx(3, 2), FqCtx(131)]
+
+
+@given(st.sampled_from(SPLIT_FIELDS), st.integers(0, 2 ** 32), st.integers(0, 70))
+@settings(max_examples=80, deadline=None)
+def test_split_off_matches_division_loop(ctx, seed, k):
+    rng = random.Random(seed)
+    xp = x(ctx)
+    f = Poly.random(ctx, rng.randrange(12), rng) * xp ** k
+    for b in (xp, xp + 1, xp * xp, Poly.random(ctx, rng.randrange(1, 4), rng)):
+        got = f.split_off(b)
+        assert got == loop_split_off(f, b) and type(got[1]) is type(f)
+    assert f.split_off(xp)[0] >= k

@@ -26,9 +26,15 @@ factorization-based predicates of `test_place_oracle`.
 every-cell set, in the same (m, n) order, and it must call `equal` exactly
 on the cells whose two keys agree (`joined_cells`, shared with the
 symmetric backend's test).
+
+A record takes its power basis s^{m*i} from the pair's shared cache of
+powers and builds its minimal polynomial only when read: every record the
+search kept must equal the record of s^m built afresh, and a grid
+whose keys never agree must build no relation at all.
 """
 
 from monogenic import FqCtx, PlaceSet, Poly, RatFunc, TowerPowerPair, enumerate_M
+from monogenic.linalg import SpanTracker
 from monogenic.monorder import MonOrder, POLY_RING, orders_equal
 from monogenic.tower import Tower, discriminant, minimal_polynomial
 from monogenic.verify import shifted_tower
@@ -129,10 +135,15 @@ def check_grid(s, t, ring=POLY_RING):
                 res = orders_equal(sm, MonOrder(tn, ring))
                 assert (res.equal, res.reason) == expected, (m, n)
                 equal_cells += res.equal
-    # every record the search built: its span expresses each oracle column
-    # s^i as the i-th unit vector, and the discriminant is as before
-    for orders in (pair._s_records, pair._t_records):
-        for rec in orders.values():
+    # every record the search built, fed from the shared cache of powers,
+    # is the record built afresh; its span expresses each oracle
+    # column s^i as the i-th unit vector, and the discriminant is as before
+    for base, orders in ((s, pair._s_records), (t, pair._t_records)):
+        for n, rec in orders.items():
+            fresh = MonOrder(base ** n, ring)
+            assert rec.generator == fresh.generator and rec.span.rows == fresh.span.rows
+            assert (rec.d, rec.pivot, rec.key) == (fresh.d, fresh.pivot, fresh.key)
+            assert (rec.minpoly, rec.integral) == (fresh.minpoly, fresh.integral)
             ctx = rec.generator.tower.base
             for i, col in enumerate(oracle_columns(rec.generator)):
                 unit = [RatFunc.of(int(i == j), ctx) for j in range(rec.d)]
@@ -221,3 +232,17 @@ def test_t_unit_branch():
     ring = PlaceSet.of(Poly.x(F3))
     equal_cells, flagged = check_grid(y, 1 / y, ring)
     assert equal_cells > 0 and flagged > 0
+
+
+def test_unmatched_keys_build_no_relation(monkeypatch):
+    # no power of t = x*s^2 + s shares its key with a power of s in the box,
+    # so no cell is decided and no record reads its minimal polynomial
+    x = RatFunc.gen(F3)
+    s = f3_level(x * x + 1, x, 0, 1)
+    built = []
+    relation = SpanTracker.relation
+    monkeypatch.setattr(SpanTracker, "relation", lambda span: built.append(span) or relation(span))
+    pair = TowerPowerPair(s, x * s * s + s)
+    assert enumerate_M(pair, BOX, BOX).pairs == []
+    assert len(pair._s_records) == len(pair._t_records) == BOX
+    assert built == []

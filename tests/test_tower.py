@@ -4,16 +4,14 @@ import pytest
 
 from monogenic import (
     FqCtx,
-    GaloisMap,
     Poly,
     RatFunc,
     Tower,
-    conjugate_difference_unit,
-    conjugates,
     discriminant,
     frobenius_power,
     minimal_polynomial,
 )
+from monogenic.tower import AlgElem, kp_eval
 from monogenic.verify import quartic_twist_tower, shifted_tower
 from test_parse import _random_elem, _random_ratfunc
 
@@ -34,6 +32,88 @@ def product_discriminant(cs):
     r = acc.in_base()
     assert r is not None, "conjugate product did not land in K"
     return r
+
+
+# Galois action by declared generator images, checked to send each
+# generator to a root of its (mapped) defining polynomial; with the
+# conjugates it gives, `product_discriminant` above is a discriminant
+# computed without any elimination.
+
+class GaloisMap:
+    """Automorphism of the tower over K, declared by generator images."""
+
+    def __init__(self, tower, images, name="sigma"):
+        self.tower = tower
+        self.name = name
+        self.images = {}
+        for lv in tower.levels:
+            if lv.label not in images:
+                raise ValueError(f"missing image for generator {lv.label!r}")
+            img = images[lv.label]
+            if not isinstance(img, AlgElem) or img.tower is not tower:
+                raise ValueError("images must be elements of the same tower")
+            self.images[lv.label] = img
+        # each image must be a root of the sigma-mapped defining polynomial
+        for lv in tower.levels:
+            coeffs = [self.apply(tower._embed(c)) for c in lv.coeffs]
+            if not kp_eval(coeffs, self.images[lv.label]).is_zero():
+                raise ValueError(
+                    f"image of {lv.label!r} is not a root of its defining polynomial"
+                )
+
+    def apply(self, t):
+        tower = self.tower
+        if t.tower is not tower:
+            raise ValueError("element of a different tower")
+
+        def walk(lvl, v):
+            if lvl == 0:
+                return tower.from_base(v)
+            img = self.images[tower.levels[lvl - 1].label]
+            return kp_eval([walk(lvl - 1, c) for c in tower._blocks(lvl, v)], img)
+
+        return walk(tower.top, t.val)
+
+
+class ConjugateSet:
+    """An element together with its d distinct conjugates over K."""
+
+    def __init__(self, element, conjugates):
+        self.element = element
+        self.conjugates = tuple(conjugates)
+
+    def __len__(self):
+        return len(self.conjugates)
+
+
+def conjugates(t, maps):
+    """Images of t under the given maps; they must be exactly the d distinct
+    roots of the minimal polynomial of t."""
+    g, d = minimal_polynomial(t)
+    images = []
+    for m in maps:
+        img = m.apply(t)
+        if all(not (img == u) for u in images):
+            images.append(img)
+    if len(images) != d:
+        raise ValueError(
+            f"maps induce {len(images)} distinct images, need d={d} (cosets not covered)"
+        )
+    for img in images:
+        if not kp_eval(g, img).is_zero():
+            raise ValueError("a declared conjugate is not a root of the minimal polynomial")
+    return ConjugateSet(t, images)
+
+
+def conjugate_difference_unit(s, t, i, j):
+    """(t_(i) - t_(j)) / (s_(i) - s_(j)) inside the ambient tower."""
+    if i == j:
+        raise ValueError("need distinct indices")
+    ds = s.conjugates[i] - s.conjugates[j]
+    if ds.is_zero():
+        raise ValueError("coincident conjugates")
+    dt = t.conjugates[i] - t.conjugates[j]
+    return dt / ds
 
 
 def sqrt_x_tower():
