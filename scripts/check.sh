@@ -12,7 +12,8 @@
 #    workloads, the four that perfbench/digests.json records: run.py
 #    compares their report digests with it and prints "correct": false on
 #    any difference or failed task.
-# It ends by printing the line total of src/, the size figure each change
+# It ends by printing the lines of src/ added and removed against HEAD (in a
+# git checkout) and the line total of src/, the size figures each change
 # reports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,4 +39,8 @@ sys.exit(0 if result["correct"] and not result["failed"] else 1)
 '
 done
 echo "== all gates passed"
+if git rev-parse --verify -q HEAD >/dev/null 2>&1; then
+    git diff --numstat HEAD -- src \
+        | awk '{a += $1; r += $2} END {printf "== src/ against HEAD: +%d -%d (net %+d)\n", a, r, a - r}'
+fi
 echo "== src/ lines: $(find src -name "*.py" -exec cat {} + | wc -l)"

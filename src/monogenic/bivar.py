@@ -94,17 +94,11 @@ class BivarPoly(RingElement):
                 out.pop(e, None)
             else:
                 out[e] = s
-        r = BivarPoly.__new__(BivarPoly)
-        r.ctx, r.terms, r.names = ctx, out, self.names
-        return r
+        return _wrap(ctx, out, self.names)
 
     def __neg__(self):
         ctx = self.ctx
-        r = BivarPoly.__new__(BivarPoly)
-        r.ctx = ctx
-        r.terms = {e: ctx.rneg(c) for e, c in self.terms.items()}
-        r.names = self.names
-        return r
+        return _wrap(ctx, {e: ctx.rneg(c) for e, c in self.terms.items()}, self.names)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -120,9 +114,7 @@ class BivarPoly(RingElement):
                     out.pop(e, None)
                 else:
                     out[e] = s
-        r = BivarPoly.__new__(BivarPoly)
-        r.ctx, r.terms, r.names = ctx, out, self.names
-        return r
+        return _wrap(ctx, out, self.names)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -143,11 +135,7 @@ class BivarPoly(RingElement):
 
     def swap(self) -> "BivarPoly":
         """The automorphism x <-> y."""
-        r = BivarPoly.__new__(BivarPoly)
-        r.ctx = self.ctx
-        r.terms = {(j, i): c for (i, j), c in self.terms.items()}
-        r.names = self.names
-        return r
+        return _wrap(self.ctx, {(j, i): c for (i, j), c in self.terms.items()}, self.names)
 
     def is_symmetric(self) -> bool:
         for (i, j), c in self.terms.items():
@@ -180,12 +168,8 @@ class BivarPoly(RingElement):
                 return None
             c = ctx.rmul(r.terms[lr], cd_inv)
             out[e] = c
-            t = BivarPoly.__new__(BivarPoly)
-            t.ctx, t.terms, t.names = ctx, {e: c}, self.names
-            r = r - t * d
-        q = BivarPoly.__new__(BivarPoly)
-        q.ctx, q.terms, q.names = ctx, out, self.names
-        return q
+            r = r - _wrap(ctx, {e: c}, self.names) * d
+        return _wrap(ctx, out, self.names)
 
     def sym_decompose(self) -> Optional["BivarPoly"]:
         """Rewrite a symmetric polynomial in e1 = x+y, e2 = xy.
@@ -213,9 +197,7 @@ class BivarPoly(RingElement):
             c = r.terms[(i, j)]
             out[(i - j, j)] = c
             r = r - sym_power(i - j, j) * FqElem(ctx, c)
-        g = BivarPoly.__new__(BivarPoly)
-        g.ctx, g.terms, g.names = ctx, out, ("e1", "e2")
-        return g
+        return _wrap(ctx, out, ("e1", "e2"))
 
     def __repr__(self):
         ctx, terms = self.ctx, self.terms
@@ -228,6 +210,13 @@ class BivarPoly(RingElement):
             mono = f"{xs}*{ys}" if xs and ys else xs or ys
             parts.append((None if c == ctx.rone and mono else ctx._raw_str(c), mono))
         return format_terms(parts)
+
+
+def _wrap(ctx: FqCtx, terms: dict, names: Tuple[str, str]) -> BivarPoly:
+    """A BivarPoly over terms that are already raw and nonzero."""
+    r = BivarPoly.__new__(BivarPoly)
+    r.ctx, r.terms, r.names = ctx, terms, names
+    return r
 
 
 def pth_power_decompose_bivar(f: BivarPoly):

@@ -13,11 +13,15 @@ A scenario is a JSON file with a `task` plus the data it needs:
       "params": { ... }                                # task parameters
     }
 
-Unknown keys anywhere are rejected (exit 2), and so is a base the task
-does not read: verify-a1 and verify-33 run over F_2 only, verify-b over
-F_7 only, and bounds takes no base.  Exit codes: 0 success,
-1 a verify-style task had failing checks, 2 configuration error or a
-report that could not be written (a closed pipe, a full device).
+A task is declared once, in `_TASKS`: the top-level keys it reads, its
+params and their defaults, its fixed field, the params `--box` sets and its
+handler.  Unknown keys anywhere are rejected (exit 2), and so is every
+top-level key the task does not read (a base on bounds, a backend on
+unit-solve, a tower under the symmetric backend) and a base other than the
+task's fixed field (verify-a1 and verify-33 run over F_2, verify-b over F_7).
+Exit codes: 0 success, 1 failed verify checks or closure violations of a
+search, 2 configuration error or a report that could not be written (a
+closed pipe, a full device).
 `--json` selects machine output; reports are deterministic and re-runs are
 byte-identical (timing goes to stderr, never into the report).
 """
@@ -29,7 +33,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .bivar import BivarPoly
 from .frobsearch import (
@@ -58,18 +62,8 @@ class ConfigError(ValueError):
     pass
 
 
-_TASKS = (
-    "disc", "order-eq", "search", "unit-solve", "ef",
-    "verify-a1", "verify-33", "verify-b", "bounds", "addendum",
-)
-
-_TOP_KEYS = {"task", "base", "backend", "tower", "elements", "params"}
-
-# the params that --box sets, per task
-_BOX_KEYS = {"search": ("m_max", "n_max"), "ef": ("bound",)}
-
-# tasks whose field is fixed, as (p, k), or that read no field (None)
-_FIXED_BASE = {"verify-a1": (2, 1), "verify-33": (2, 1), "verify-b": (7, 1), "bounds": None}
+# the top-level keys a task may read, besides its task and params
+_READ_KEYS = ("base", "backend", "tower", "elements")
 
 
 def _json_type(value) -> str:
@@ -180,16 +174,6 @@ def _int(value, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _int_param(params: dict, key: str, default: int, minimum: Optional[int] = None) -> int:
-    """params[key] (or the default) as an int of at least `minimum`; sizes
-    below it would leave the task with nothing to compute or check."""
-    value = _int(params.get(key, default), key)
-    if minimum is not None and value < minimum:
-        need = {0: "non-negative", 1: "positive"}[minimum]
-        raise ConfigError(f"{key} must be {need}, got {value}")
-    return value
-
-
 def _tower_env(tw: Tower) -> Dict[str, object]:
     env = _base_env(tw.base, tw.x())
     for i, lvl in enumerate(tw.levels):
@@ -197,20 +181,162 @@ def _tower_env(tw: Tower) -> Dict[str, object]:
     return env
 
 
-def _sym_env(ctx: FqCtx) -> Dict[str, object]:
-    x, y = BivarPoly.gens(ctx)
-    env = _base_env(ctx, x)
-    env["y"] = y
-    return env
+def _ring(ctx: FqCtx, backend: Optional[str], tower):
+    """Parser names and the one of the ring the elements live in: the
+    tower's, F_q[x, y] under the symmetric backend, F_q(x) with no backend."""
+    if backend is None:
+        return _base_env(ctx, RatFunc.gen(ctx)), RatFunc.of(1, ctx)
+    if backend == "symmetric":
+        x, y = BivarPoly.gens(ctx)
+        return dict(_base_env(ctx, x), y=y), BivarPoly.constant(ctx, 1)
+    if tower is None:
+        raise ConfigError("the tower backend needs a tower")
+    tw = _build_tower(ctx, tower)
+    return _tower_env(tw), tw.from_base(1)
 
 
-def _parse_places(ctx: FqCtx, names) -> PlaceSet:
-    places = [
-        Place.finite(_parse_poly(ctx, name, f"place {name!r}"))
-        for name in _list(names, "places")
-        if name != "inf"
-    ]
-    return PlaceSet(places)
+class _Input(NamedTuple):
+    """The checked parts of a scenario that a handler reads: `params` with
+    every default filled in, and the element texts, parser names and one of
+    their ring when the task reads elements (else None)."""
+
+    ctx: FqCtx
+    backend: str
+    params: dict
+    texts: Optional[dict]
+    env: Optional[dict]
+    one: object
+
+    def element(self, key: str):
+        """The element that the param `key` names."""
+        name = self.params[key]
+        if not isinstance(name, str) or name not in self.texts:
+            raise ConfigError(f"scenario does not define element {name!r}")
+        return _parse(self.texts[name], self.env, self.one, f"element {name!r}")
+
+
+def _disc(inp: _Input) -> dict:
+    if inp.backend == "symmetric":
+        raise ConfigError("task 'disc' needs the tower backend")
+    # one record of t; the places are read after its discriminant, so
+    # a degree or separability fault is reported before a place fault
+    rec = MonOrder(inp.element("element"), require_integral=False)
+    if rec.d < 2:
+        raise ConfigError("discriminant needs degree >= 2 over K")
+    report = {"discriminant": repr(rec.disc)}
+    if "places" in inp.params:
+        T = PlaceSet([Place.finite(_parse_poly(inp.ctx, name, f"place {name!r}"))
+                      for name in _list(inp.params["places"], "places") if name != "inf"])
+        report["places"] = [repr(v) for v in T]
+        report["disc_form_predicate"] = disc_form_predicate(rec, T)
+    return report
+
+
+def _order_eq(inp: _Input) -> dict:
+    s, t = inp.element("s"), inp.element("t")
+    if inp.backend == "symmetric":
+        res = sym_orders_equal(t, s)
+    else:
+        res = orders_equal(t, MonOrder(s, POLY_RING))
+    return {"equal": bool(res), "reason": res.reason}
+
+
+def _search(inp: _Input) -> dict:
+    s, t = inp.element("s"), inp.element("t")
+    pair = SymPowerPair(s, t) if inp.backend == "symmetric" else TowerPowerPair(s, t)
+    result = enumerate_M(pair, inp.params["m_max"], inp.params["n_max"])
+    fit_patterns(result, inp.ctx.p)
+    return {"search": result.to_dict(),
+            "note": "patterns are box-relative descriptions, consistent with the data"}
+
+
+def _unit_solve(inp: _Input) -> dict:
+    ctx = inp.ctx
+    env = _base_env(ctx, RatFunc.gen(ctx))
+    gens = [_parse(text, env, RatFunc.of(1, ctx), f"generator {text!r}")
+            for text in _list(inp.params["generators"], "generators")]
+    if not gens:
+        raise ConfigError("unit-solve needs at least one generator")
+    gctx = build_group(gens, ctx)
+    fams = solve_xy1(gctx, inp.params["height_bound"])
+    return {"group": {"basis": [repr(b) for b in gctx.basis], "rank": gctx.rank},
+            "families": [f.describe() for f in fams], "family_count": len(fams)}
+
+
+def _ef(inp: _Input) -> dict:
+    if inp.backend == "symmetric":
+        raise ConfigError("task 'ef' needs the tower backend")
+    res = compute_ef(inp.element("element"), inp.params["bound"])
+    return {"stable_exponent": res.value, "verified_up_to_bound": res.verified,
+            "degrees": [[n, d] for n, d in res.degrees]}
+
+
+def _verify_a1(inp: _Input) -> dict:
+    rep = verify_quartic_twist_family(inp.params["m_max"], inp.params["relation_box"])
+    return {"verification": rep.to_dict()}
+
+
+def _verify_33(inp: _Input) -> dict:
+    eta = inp.params.get("eta")
+    if "eta" in inp.params:
+        eta = _parse_poly(inp.ctx, eta, f"eta seed {eta!r}")
+    # a seed that fails its conditions raises ValueError (exit 2)
+    return {"verification": verify_shifted_generator_family(eta, inp.params["m_max"]).to_dict()}
+
+
+def _verify_b(inp: _Input) -> dict:
+    rep = verify_symmetric_quadratic_powers(inp.params["i_max"], inp.params["j_max"])
+    return {"verification": rep.to_dict()}
+
+
+def _bounds(inp: _Input) -> dict:
+    params = inp.params
+    try:
+        required = [_int(params[k], k) for k in ("d", "p", "q_K", "S_size")]
+    except KeyError as exc:
+        raise ConfigError(f"bounds task needs parameter {exc}")
+    opt = {k: _int(params[k], k) for k in ("q_L", "r", "lambda") if k in params}
+    br = bound_calculator(*required, q_L=opt.get("q_L"), r=opt.get("r"), lam=opt.get("lambda"))
+    return {"bounds": br.to_dict()}
+
+
+def _addendum(inp: _Input) -> dict:
+    s, t = RatFunc.of(inp.element("s"), inp.ctx), RatFunc.of(inp.element("t"), inp.ctx)
+    return {"addendum": addendum_report(s, t).to_dict()}
+
+
+class _Task(NamedTuple):
+    """A task: the top-level keys it reads (of `_READ_KEYS`), its params
+    mapped to their defaults (a size to (default, least value); a param
+    mapped to None has none), its handler, which returns the report's
+    fields, its fixed field as (p, k), and the params that --box sets."""
+
+    reads: Tuple[str, ...]
+    params: Dict[str, object]
+    run: Callable[[_Input], dict]
+    base: Optional[Tuple[int, int]] = None
+    box: Tuple[str, ...] = ()
+
+
+_TASKS = {
+    "disc": _Task(_READ_KEYS, {"element": "s", "places": None}, _disc),
+    "order-eq": _Task(_READ_KEYS, {"s": "s", "t": "t"}, _order_eq),
+    "search": _Task(_READ_KEYS, {"s": "s", "t": "t", "m_max": (12, 1), "n_max": (12, 1)},
+                    _search, box=("m_max", "n_max")),
+    "unit-solve": _Task(("base",), {"generators": [], "height_bound": (64, 0)}, _unit_solve),
+    "ef": _Task(_READ_KEYS, {"element": "s", "bound": (12, 1)}, _ef, box=("bound",)),
+    "verify-a1": _Task(("base",), {"m_max": (3, 1), "relation_box": (8, 0)}, _verify_a1,
+                       base=(2, 1)),
+    "verify-33": _Task(("base",), {"m_max": (4, 1), "eta": None}, _verify_33, base=(2, 1)),
+    "verify-b": _Task(("base",), {"i_max": (2, 1), "j_max": (2, 1)}, _verify_b, base=(7, 1)),
+    "bounds": _Task((), dict.fromkeys(["d", "p", "q_K", "S_size", "q_L", "r", "lambda"]),
+                    _bounds),
+    "addendum": _Task(("base", "elements"), {"s": "s", "t": "t"}, _addendum),
+}
+
+
+def _task(name) -> Optional[_Task]:
+    return _TASKS.get(name) if isinstance(name, str) else None
 
 
 def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict, int]:
@@ -226,160 +352,42 @@ def run_scenario(scenario: dict, overrides: Optional[dict] = None) -> Tuple[dict
 
 
 def _run(scenario: dict, overrides: dict) -> Tuple[dict, int]:
-    _check_keys(scenario, _TOP_KEYS, "scenario")
-    task = scenario.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
+    _check_keys(scenario, ("task", "params") + _READ_KEYS, "scenario")
+    name = scenario.get("task")
+    task = _task(name)
+    if task is None:
+        raise ConfigError(f"unknown task {name!r}; expected one of {tuple(_TASKS)}")
     params = dict(_object(scenario.get("params", {}), "params"))
-    for key, val in overrides.items():
-        if val is not None:
-            params[key] = val
+    params.update((key, val) for key, val in overrides.items() if val is not None)
+    _check_keys(params, task.params, "params")
+    for key in _READ_KEYS:
+        if key in scenario and key not in task.reads:
+            raise ConfigError(f"{key}: task {name!r} takes no {key}")
     ctx = _build_base(scenario.get("base", {}))
-    if task in _FIXED_BASE and "base" in scenario:
-        fixed = _FIXED_BASE[task]
-        if fixed is None:
-            raise ConfigError(f"base: task {task!r} takes no base")
-        if (ctx.p, ctx.k) != fixed:
-            raise ConfigError(f"base: task {task!r} runs over F_{fixed[0]} only")
+    if task.base and "base" in scenario and (ctx.p, ctx.k) != task.base:
+        raise ConfigError(f"base: task {name!r} runs over F_{task.base[0]} only")
     backend = scenario.get("backend", "tower")
     if backend not in ("tower", "symmetric"):
         raise ConfigError(f"unknown backend {backend!r}")
-
-    report: dict = {"task": task}
-    code = 0
-
-    def elements_env():
-        if backend == "symmetric":
-            if task in ("disc", "ef"):
-                raise ConfigError(f"task {task!r} needs the tower backend")
-            return _sym_env(ctx), BivarPoly.constant(ctx, 1)
-        if "tower" not in scenario:
-            raise ConfigError("the tower backend needs a tower")
-        tw = _build_tower(ctx, scenario["tower"])
-        return _tower_env(tw), tw.from_base(1)
-
-    def named(name: str, env, one):
+    if backend == "symmetric" and "tower" in scenario:
+        raise ConfigError("tower: the symmetric backend takes no tower")
+    # every size is checked before a tower is built or a group factored; one
+    # below its least value would leave the task nothing to compute or check
+    for key, default in task.params.items():
+        if isinstance(default, tuple):
+            value = params[key] = _int(params.get(key, default[0]), key)
+            if value < default[1]:
+                need = "positive" if default[1] else "non-negative"
+                raise ConfigError(f"{key} must be {need}, got {value}")
+        elif default is not None:
+            params.setdefault(key, default)
+    texts = env = one = None
+    if "elements" in task.reads:
         texts = _object(scenario.get("elements", {}), "elements")
-        if not isinstance(name, str) or name not in texts:
-            raise ConfigError(f"scenario does not define element {name!r}")
-        return _parse(texts[name], env, one, f"element {name!r}")
-
-    if task == "disc":
-        _check_keys(params, {"element", "places"}, "params")
-        env, one = elements_env()
-        t = named(params.get("element", "s"), env, one)
-        # one record of t; the places are read after its discriminant, so
-        # a degree or separability fault is reported before a place fault
-        rec = MonOrder(t, require_integral=False)
-        if rec.d < 2:
-            raise ConfigError("discriminant needs degree >= 2 over K")
-        report["discriminant"] = repr(rec.disc)
-        if "places" in params:
-            T = _parse_places(ctx, params["places"])
-            report["places"] = [repr(v) for v in T]
-            report["disc_form_predicate"] = disc_form_predicate(rec, T)
-
-    elif task == "order-eq":
-        _check_keys(params, {"s", "t"}, "params")
-        env, one = elements_env()
-        s = named(params.get("s", "s"), env, one)
-        t = named(params.get("t", "t"), env, one)
-        if backend == "symmetric":
-            res = sym_orders_equal(t, s)
-        else:
-            res = orders_equal(t, MonOrder(s, POLY_RING))
-        report["equal"] = bool(res)
-        report["reason"] = res.reason
-
-    elif task == "search":
-        _check_keys(params, {"s", "t", "m_max", "n_max"}, "params")
-        env, one = elements_env()
-        s = named(params.get("s", "s"), env, one)
-        t = named(params.get("t", "t"), env, one)
-        m_max = _int_param(params, "m_max", 12, minimum=1)
-        n_max = _int_param(params, "n_max", 12, minimum=1)
-        pair = SymPowerPair(s, t) if backend == "symmetric" else TowerPowerPair(s, t)
-        result = enumerate_M(pair, m_max, n_max)
-        fit_patterns(result, ctx.p)
-        if result.closure_violations:
-            code = 1
-        report["search"] = result.to_dict()
-        report["note"] = "patterns are box-relative descriptions, consistent with the data"
-
-    elif task == "unit-solve":
-        _check_keys(params, {"generators", "height_bound"}, "params")
-        env = _base_env(ctx, RatFunc.gen(ctx))
-        gens = [
-            _parse(text, env, RatFunc.of(1, ctx), f"generator {text!r}")
-            for text in _list(params.get("generators", []), "generators")
-        ]
-        if not gens:
-            raise ConfigError("unit-solve needs at least one generator")
-        gctx = build_group(gens, ctx)
-        fams = solve_xy1(gctx, _int_param(params, "height_bound", 64, minimum=0))
-        report["group"] = {
-            "basis": [repr(b) for b in gctx.basis],
-            "rank": gctx.rank,
-        }
-        report["families"] = [f.describe() for f in fams]
-        report["family_count"] = len(fams)
-
-    elif task == "ef":
-        _check_keys(params, {"element", "bound"}, "params")
-        env, one = elements_env()
-        s = named(params.get("element", "s"), env, one)
-        res = compute_ef(s, _int_param(params, "bound", 12, minimum=1))
-        report["stable_exponent"] = res.value
-        report["verified_up_to_bound"] = res.verified
-        report["degrees"] = [[n, d] for n, d in res.degrees]
-
-    elif task == "verify-a1":
-        _check_keys(params, {"m_max", "relation_box"}, "params")
-        rep = verify_quartic_twist_family(
-            _int_param(params, "m_max", 3, minimum=1),
-            _int_param(params, "relation_box", 8, minimum=0),
-        )
-        report["verification"] = rep.to_dict()
-        code = 0 if rep.passed else 1
-
-    elif task == "verify-33":
-        _check_keys(params, {"m_max", "eta"}, "params")
-        eta = None
-        if "eta" in params:
-            eta = _parse_poly(ctx, params["eta"], f"eta seed {params['eta']!r}")
-        # a seed that fails its conditions raises ValueError (exit 2)
-        rep = verify_shifted_generator_family(eta, _int_param(params, "m_max", 4, minimum=1))
-        report["verification"] = rep.to_dict()
-        code = 0 if rep.passed else 1
-
-    elif task == "verify-b":
-        _check_keys(params, {"i_max", "j_max"}, "params")
-        rep = verify_symmetric_quadratic_powers(
-            _int_param(params, "i_max", 2, minimum=1),
-            _int_param(params, "j_max", 2, minimum=1),
-        )
-        report["verification"] = rep.to_dict()
-        code = 0 if rep.passed else 1
-
-    elif task == "bounds":
-        _check_keys(params, {"d", "p", "q_K", "S_size", "q_L", "r", "lambda"}, "params")
-        try:
-            required = [_int(params[k], k) for k in ("d", "p", "q_K", "S_size")]
-        except KeyError as exc:
-            raise ConfigError(f"bounds task needs parameter {exc}")
-        opt = {k: _int(params[k], k) for k in ("q_L", "r", "lambda") if k in params}
-        br = bound_calculator(*required, q_L=opt.get("q_L"), r=opt.get("r"), lam=opt.get("lambda"))
-        report["bounds"] = br.to_dict()
-
-    elif task == "addendum":
-        _check_keys(params, {"s", "t"}, "params")
-        env = _base_env(ctx, RatFunc.gen(ctx))
-        s = named(params.get("s", "s"), env, one=RatFunc.of(1, ctx))
-        t = named(params.get("t", "t"), env, one=RatFunc.of(1, ctx))
-        rep = addendum_report(RatFunc.of(s, ctx), RatFunc.of(t, ctx))
-        report["addendum"] = rep.to_dict()
-
-    return report, code
+        env, one = _ring(ctx, backend if "tower" in task.reads else None, scenario.get("tower"))
+    report = {"task": name, **task.run(_Input(ctx, backend, params, texts, env, one))}
+    failed = "verification" in report and not report["verification"]["passed"]
+    return report, int(failed or bool(report.get("search", {}).get("closure_violations")))
 
 
 def report_to_text(report: dict) -> str:
@@ -419,13 +427,12 @@ def main(argv=None) -> int:
 
     overrides = {}
     if args.box is not None:
-        task = scenario.get("task") if isinstance(scenario, dict) else None
-        if task not in _BOX_KEYS:
-            print("configuration error: --box applies to the search and ef tasks",
-                  file=sys.stderr)
+        task = _task(scenario.get("task")) if isinstance(scenario, dict) else None
+        if task is None or not task.box:
+            boxed = " and ".join(name for name, t in _TASKS.items() if t.box)
+            print(f"configuration error: --box applies to the {boxed} tasks", file=sys.stderr)
             return 2
-        for key in _BOX_KEYS[task]:
-            overrides[key] = args.box
+        overrides.update(dict.fromkeys(task.box, args.box))
     if args.mmax is not None:
         overrides["m_max"] = args.mmax
     if args.seed_eta is not None:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from monogenic import cli
 from monogenic.cli import ConfigError, main, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,12 +146,14 @@ def _write(tmp_path, scenario):
     return str(path)
 
 
-def test_box_sets_the_task_keys(capsys):
+def test_box_sets_the_task_keys(tmp_path, capsys):
     assert main([str(SCENARIOS / "search_diagonal.json"), "--json", "--box", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["search"]["box"] == [4, 4]
     assert main([str(SCENARIOS / "ef_shifted.json"), "--json", "--box", "4"]) == 0
     assert len(json.loads(capsys.readouterr().out)["degrees"]) == 4
     assert main([str(SCENARIOS / "disc_shifted.json"), "--box", "4"]) == 2
+    # a task name that is not a string ended in a traceback of the --box lookup
+    assert main([_write(tmp_path, {"task": ["search"]}), "--box", "4"]) == 2
 
 
 _QUARTIC = {"levels": [{"label": "s", "poly": "s^4+x^4*s^2+x^3*s+x+1"}]}
@@ -382,14 +385,62 @@ def test_polynomial_places_and_eta_accepted(tmp_path):
     assert main([_write(tmp_path, scenario)]) == 0
 
 
+_F7_SEARCH = {"task": "search", "backend": "symmetric", "base": {"p": 7},
+              "elements": {"s": "x", "t": "x+y"}, "params": {"m_max": 2, "n_max": 2}}
+
+
 @pytest.mark.parametrize("scenario, message", [
     ({"task": "verify-b", "base": {"p": 3}}, "base: task 'verify-b' runs over F_7 only"),
     ({"task": "verify-a1", "base": {"p": 5}}, "base: task 'verify-a1' runs over F_2 only"),
     ({"task": "verify-33", "base": {"p": 7}}, "base: task 'verify-33' runs over F_2 only"),
     ({"task": "bounds", "base": {"p": 3}, "params": _BOUNDS}, "base: task 'bounds' takes no base"),
-], ids=["verify-b", "verify-a1", "verify-33", "bounds"])
-def test_unread_base_rejected(tmp_path, capsys, scenario, message):
-    # each task fixes its own field, so another base was silently ignored
+    ({"task": "unit-solve", "backend": "symmetric", "base": {"p": 7},
+      "params": {"generators": ["x", "x+1"]}}, "backend: task 'unit-solve' takes no backend"),
+    ({"task": "addendum", "backend": "symmetric", "elements": {"s": "x", "t": "x^2"}},
+     "backend: task 'addendum' takes no backend"),
+    ({"task": "verify-a1", "backend": "symmetric"}, "backend: task 'verify-a1' takes no backend"),
+    ({"task": "bounds", "backend": "tower", "params": _BOUNDS},
+     "backend: task 'bounds' takes no backend"),
+    ({"task": "verify-a1", "tower": _QUARTIC}, "tower: task 'verify-a1' takes no tower"),
+    ({"task": "unit-solve", "tower": _QUARTIC, "params": {"generators": ["x"]}},
+     "tower: task 'unit-solve' takes no tower"),
+    (dict(_F7_SEARCH, tower=_QUARTIC), "tower: the symmetric backend takes no tower"),
+    ({"task": "bounds", "elements": {"s": "x"}, "params": _BOUNDS},
+     "elements: task 'bounds' takes no elements"),
+    ({"task": "verify-b", "elements": {"s": "x"}}, "elements: task 'verify-b' takes no elements"),
+], ids=["verify-b", "verify-a1", "verify-33", "bounds", "unit-solve-backend", "addendum-backend",
+        "verify-a1-backend", "bounds-backend", "verify-a1-tower", "unit-solve-tower",
+        "symmetric-search-tower", "bounds-elements", "verify-b-elements"])
+def test_unread_keys_rejected(tmp_path, capsys, scenario, message):
+    # a top-level key the task does not read, or a base other than its own
+    # field, was silently ignored
+    assert main([_write(tmp_path, scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unpicked_element_accepted(tmp_path):
+    # elements may name more than the params pick
+    scenario = {"task": "disc", "tower": _QUARTIC, "elements": {"s": "s", "t": "s+x"}}
+    assert main([_write(tmp_path, scenario)]) == 0
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"task": "search", "base": {"p": 131},
+      "tower": {"levels": [{"label": "s", "poly": "s^3-x"}]},
+      "elements": {"s": "s", "t": "s"}, "params": {"m_max": 0}}, "m_max must be positive"),
+    ({"task": "unit-solve", "base": {"p": 3}, "params": {"generators": ["x"], "height_bound": -1}},
+     "height_bound must be non-negative"),
+], ids=["search", "unit-solve"])
+def test_sizes_checked_before_any_work(tmp_path, capsys, monkeypatch, scenario, message):
+    # the F_131 level does not certify, and that fault was reported instead
+    # of the size, after the certification scan
+    def no_work(*args):
+        raise AssertionError("work began before the sizes were checked")
+
+    monkeypatch.setattr(cli, "_build_tower", no_work)
+    monkeypatch.setattr(cli, "build_group", no_work)
     assert main([_write(tmp_path, scenario)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err

@@ -2,20 +2,27 @@
 
 Whatever the scenario holds, `run_scenario` either returns a report with
 exit code 0 or 1, or raises `ConfigError` (exit 2); any other exception is
-a fault.  Scenarios mix well-formed parts (fields, towers, element texts,
-sizes up to 6) with values of the wrong JSON type, unknown keys, malformed
-text and sizes of 10^9, and each one must finish in about a second: a size
-or field degree that reaches a loop without a cap runs far longer.
+a fault.  The task table `cli._TASKS` says which top-level keys and params
+each task reads.  Scenarios mix well-formed parts (fields, towers, element
+texts, sizes from their least value up to their default) with values of
+the wrong JSON type, unknown keys, keys the task does not read, malformed
+text, sizes just past their default and sizes of 10^9, and each one must
+finish in about a second: a size or field degree that reaches a loop
+without a cap runs far longer.  Every size of every bundled scenario is
+also set to 10^9 once.
 """
 
 import copy
 import json
+import signal
 import time
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monogenic.cli import _TASKS, ConfigError, run_scenario
+from monogenic.cli import _READ_KEYS, _TASKS, ConfigError, run_scenario
 
 # a slow spell of a shared host can triple a one-second run
 MAX_SECONDS = 3.0
@@ -58,62 +65,89 @@ _TOWERS = st.sampled_from([t for _, t in _FIELDS_AND_TOWERS] + [{"levels": []}])
     | st.fixed_dictionaries({"levels": st.lists(
         st.fixed_dictionaries({"label": _TEXTS, "poly": _TEXTS}), max_size=2)})
 
-_SIZES = st.integers(0, 6) | st.just(10 ** 9)
+# values of the wrong kind or out of range, for any param
+_BAD_PARAMS = _JUNK | _TEXTS | st.sampled_from([0, -1, 10 ** 9])
 
+# values that fit the params taking text; a number is 10^9 about one time
+# in four, else a size (a param whose default is (default, least value))
+# draws from its least value up to its default, or on an odd draw one or two
+# past it (where a cap equals the default), and the other numbers from 2 to 5
+_NAMES = st.sampled_from(["s", "t"])
 _PARAM_VALUES = {
-    "m_max": _SIZES, "n_max": _SIZES, "bound": _SIZES, "relation_box": _SIZES,
-    "height_bound": _SIZES, "i_max": _SIZES, "j_max": _SIZES,
-    "d": _SIZES, "p": _SIZES, "q_K": _SIZES, "S_size": _SIZES, "q_L": _SIZES,
-    "r": _SIZES, "lambda": _SIZES,
-    "s": st.sampled_from(["s", "t"]), "t": st.sampled_from(["s", "t"]),
-    "element": st.sampled_from(["s", "t"]), "eta": st.sampled_from(["x+1", "x", "1"]) | _TEXTS,
-    "places": st.lists(st.sampled_from(["inf", "x", "x+1", "x^2+x+1", "1/x"]) | _TEXTS,
-                       max_size=3),
-    "generators": st.lists(st.sampled_from(["x", "x+1", "x^2+x+1", "2*x+1", "1-x"]) | _TEXTS,
-                           max_size=3),
+    "s": _NAMES, "t": _NAMES, "element": _NAMES,
+    "eta": st.sampled_from(["x+1", "x^2+x+1", "x^3+x+1"]),
+    "places": st.lists(st.sampled_from(["inf", "x", "x+1", "x^2+x+1"]), max_size=3),
+    "generators": st.lists(st.sampled_from(["x", "x+1", "x^2+x+1", "2*x+1", "1-x"]),
+                           min_size=1, max_size=3),
 }
 
-# the params each task reads
-_TASK_PARAMS = {
-    "disc": ["element", "places"], "order-eq": ["s", "t"],
-    "search": ["s", "t", "m_max", "n_max"], "unit-solve": ["generators", "height_bound"],
-    "ef": ["element", "bound"], "verify-a1": ["m_max", "relation_box"],
-    "verify-33": ["m_max", "eta"], "verify-b": ["i_max", "j_max"],
-    "bounds": ["d", "p", "q_K", "S_size", "q_L", "r", "lambda"], "addendum": ["s", "t"],
+_ELEMENT_TEXTS = {
+    "symmetric": st.sampled_from(["x", "2*x+3*y", "x*y+x", "x+y", "x-y"]),
+    "tower": st.sampled_from(["s", "s+x", "x*s", "s^2", "s+1", "u", "s^3"]),
+    "base": st.sampled_from(["x", "x^2", "x+1", "x^2+x", "x^3"]),
 }
 
 
 @st.composite
 def scenarios(draw):
-    """A scenario that mostly fits its task, with each part replaced now and
-    then by a value of another kind, dropped, or joined by an unknown key."""
+    """A scenario that mostly fits its task: it holds the top-level keys
+    the task reads (`cli._TASKS`) with values that fit them.  Now and then
+    a part is replaced by a value of another kind, dropped, or joined by a
+    key the task does not read or an unknown key."""
 
     def odd():  # true about one draw in eight
         return draw(st.sampled_from("abcdefgh")) == "h"
 
-    task = draw(_JUNK) if odd() else draw(st.sampled_from(_TASKS))
+    def huge():  # true about one draw in four
+        return draw(st.sampled_from("abcd")) == "d"
+
+    name = draw(_JUNK) if odd() else draw(st.sampled_from(tuple(_TASKS)))
+    task = _TASKS.get(name) if isinstance(name, str) else None
+    reads = task.reads if task else _READ_KEYS
     base, tower = copy.deepcopy(draw(st.sampled_from(_FIELDS_AND_TOWERS)))
-    symmetric = draw(st.booleans())
-    if symmetric:
-        base = {"p": draw(st.sampled_from([3, 5, 7]))}
-    scenario = {"task": task, "base": draw(_BASES) if odd() else base,
-                "backend": "symmetric" if symmetric else "tower", "tower": tower}
-    if odd():
-        scenario["tower"] = draw(_TOWERS)
-    texts = st.sampled_from(["x", "2*x+3*y", "x*y+x", "x+y", "x-y"]) if symmetric else \
-        st.sampled_from(["s", "s+x", "x*s", "s^2", "s+1", "u", "s^3"])
-    scenario["elements"] = {name: draw(_TEXTS) if odd() else draw(texts) for name in ("s", "t")}
-    keys = _TASK_PARAMS.get(task, []) if isinstance(task, str) else []
-    params = {k: draw(_PARAM_VALUES[k]) for k in keys}
-    if keys and draw(st.booleans()):
-        params = {k: params[k] for k in keys if not odd()}
-    scenario["params"] = params
-    for key in ("base", "backend", "tower", "elements", "params"):
+    ring = "tower" if "tower" in reads else "base"
+    if "backend" in reads and draw(st.booleans()):
+        ring, base = "symmetric", {"p": draw(st.sampled_from([3, 5, 7]))}
+    if task and task.base:
+        base = {"p": task.base[0]}
+    parts = {
+        "base": draw(_BASES) if odd() else base,
+        "backend": "symmetric" if ring == "symmetric" else "tower",
+        "tower": draw(_TOWERS) if odd() else tower,
+        "elements": {k: draw(_TEXTS) if odd() else draw(_ELEMENT_TEXTS[ring]) for k in "st"},
+    }
+    if ring == "symmetric":
+        reads = tuple(key for key in reads if key != "tower")
+    scenario = {"task": name, **{key: parts[key] for key in reads}}
+    unread = [key for key in _READ_KEYS if key not in reads]
+    if unread and odd():
+        key = draw(st.sampled_from(unread))
+        scenario[key] = parts[key]
+    params = {}
+    for key, default in (task.params if task else {}).items():
         if odd():
+            params[key] = draw(_BAD_PARAMS)
+        elif key in _PARAM_VALUES:
+            params[key] = draw(_PARAM_VALUES[key])
+        elif huge():
+            params[key] = 10 ** 9
+        elif isinstance(default, tuple):
+            least, most = (default[0] + 1, default[0] + 2) if odd() else (default[1], default[0])
+            params[key] = draw(st.integers(least, most))
+        else:
+            params[key] = draw(st.integers(2, 5))
+    if params and draw(st.booleans()):
+        params = {k: v for k, v in params.items() if not odd()}
+    scenario["params"] = params
+    for key in list(scenario)[1:]:
+        if not odd():
+            continue
+        fault = draw(st.sampled_from(["drop", "junk", "inner"]))
+        if fault == "drop":
             del scenario[key]
-        elif odd():
+        elif fault == "junk" or not (isinstance(scenario[key], dict) and scenario[key]):
             scenario[key] = draw(_JUNK)
-        elif odd() and isinstance(scenario[key], dict) and scenario[key]:
+        else:
             inner = draw(st.sampled_from(sorted(scenario[key])))
             scenario[key][inner] = draw(_JUNK)
     if odd():
@@ -124,6 +158,23 @@ def scenarios(draw):
 @given(scenarios())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_scenarios_keep_the_exit_contract(scenario):
+    _keeps_the_exit_contract(scenario)
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise _TooSlow(f"no answer within {MAX_SECONDS} s")
+
+
+def _keeps_the_exit_contract(scenario):
+    # the alarm makes a loop without a cap fail the test instead of hanging
+    # it; it rings again each second, as one that rings inside a garbage
+    # collector callback is ignored
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, MAX_SECONDS, 1.0)
     t0 = time.perf_counter()
     try:
         report, code = run_scenario(scenario)
@@ -132,4 +183,27 @@ def test_random_scenarios_keep_the_exit_contract(scenario):
     else:
         assert code in (0, 1)
         json.dumps(report, sort_keys=True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - t0 < MAX_SECONDS, scenario
+
+
+def _bundled_sizes():
+    scenarios_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(scenarios_dir.glob("*.json")):
+        scenario = json.loads(path.read_text(encoding="utf-8"))
+        params = scenario.get("params", {})
+        for key, default in _TASKS[scenario["task"]].params.items():
+            if isinstance(default, tuple) or isinstance(params.get(key), int):
+                yield pytest.param(scenario, key, id=f"{path.stem}-{key}")
+
+
+@pytest.mark.parametrize("scenario, key", list(_bundled_sizes()))
+def test_huge_sizes_answer_quickly(scenario, key):
+    # each cap on a size (the search grid, the verify exponents, ef's bound)
+    # answers 10^9 with exit 2 at once; a size without one (unit-solve's
+    # height bound, the bounds task) must still return quickly
+    scenario = copy.deepcopy(scenario)
+    scenario.setdefault("params", {})[key] = 10 ** 9
+    _keeps_the_exit_contract(scenario)
