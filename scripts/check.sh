@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh
 #
-# 1. no unused import in src/monogenic, tests or scripts (scripts/check_imports.py);
+# 1. no unused import in src/monogenic, tests or scripts, and no package
+#    export that only tests read (scripts/check_imports.py);
 # 2. the tier-1 test suite, listing its five slowest tests (the suite's
 #    end-to-end time is tracked, and this shows where it goes);
 # 3. every bundled scenario report against tests/golden;
@@ -19,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== unused imports"
+echo "== unused imports and test-only exports"
 python3 scripts/check_imports.py
 echo "== tier-1 tests"
 python3 -m pytest -q --durations=5

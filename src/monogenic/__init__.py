@@ -22,7 +22,7 @@ from .funcfield import (
     unit_group_rank,
     valuation,
 )
-from .bivar import BivarPoly, pth_power_decompose_bivar
+from .bivar import BivarPoly
 from .tower import (
     AlgElem,
     Tower,
@@ -48,9 +48,7 @@ from .unitgrp import (
     GroupElem,
     SolutionFamily,
     brute_force_xy1,
-    brute_force_xyz1,
     build_group,
-    ess_bound_log10,
     four_term_delta_set,
     pth_power_decompose,
     solve_xy1,
@@ -62,7 +60,6 @@ from .frobsearch import (
     BoundReport,
     FrobPattern,
     MSearchResult,
-    PeriodPair,
     StableExponent,
     SymPowerPair,
     TowerPowerPair,
@@ -71,7 +68,6 @@ from .frobsearch import (
     compute_ef,
     enumerate_M,
     fit_patterns,
-    sym_stable_exponent,
 )
 from .verify import (
     EtaSequence,

@@ -217,18 +217,3 @@ def _wrap(ctx: FqCtx, terms: dict, names: Tuple[str, str]) -> BivarPoly:
     r = BivarPoly.__new__(BivarPoly)
     r.ctx, r.terms, r.names = ctx, terms, names
     return r
-
-
-def pth_power_decompose_bivar(f: BivarPoly):
-    """Coordinates of f over the p-basis {x^a y^b : 0 <= a, b < p} of
-    F_q(x, y) over its subfield of p-th powers: f = sum c_m^p * m."""
-    ctx = f.ctx
-    p = ctx.p
-    buckets = {}
-    for (i, j), c in f.terms.items():
-        m = (i % p, j % p)
-        buckets.setdefault(m, {})[(i // p, j // p)] = ctx.rpth_root(c)
-    return {
-        m: BivarPoly(ctx, terms, f.names)
-        for m, terms in sorted(buckets.items())
-    }

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, support
+from .gf import check_characteristic
 from .monorder import (
     MonOrder,
     POLY_RING,
@@ -427,16 +428,11 @@ def _f_candidates(pairs: set, p: int, m_max: int, n_max: int):
 
 def _a_candidates(pairs: set, m_max: int, n_max: int):
     plist = sorted(pairs)
-    seen = set()
     for i, p1 in enumerate(plist):
         for p2 in plist[i + 1 :]:
             dm, dn = p2[0] - p1[0], p2[1] - p1[1]
             if dm < 0 or dn < 0 or (dm == 0 and dn == 0):
                 continue
-            key = (p1, dm, dn)
-            if key in seen:
-                continue
-            seen.add(key)
             pat = FrobPattern("A", None, (p1, (dm, dn)))
             gen = pat.generate(m_max, n_max)
             if len(gen) >= 3 and gen <= pairs:
@@ -510,19 +506,6 @@ def fit_patterns(result: MSearchResult, p: int) -> List[FrobPattern]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PeriodPair:
-    """Verified stable exponents (e, f); both are coprime to p."""
-
-    e: int
-    f: int
-    p: int
-
-    def __post_init__(self):
-        if math.gcd(self.e, self.p) != 1 or math.gcd(self.f, self.p) != 1:
-            raise ValueError("stable exponents must be coprime to p")
-
-
-@dataclass
 class StableExponent:
     value: Optional[int]
     verified: bool
@@ -560,23 +543,6 @@ def compute_ef(s: AlgElem, search_bound: int = 24) -> StableExponent:
         if all(contained(e, n) for n in range(1, search_bound + 1)):
             return StableExponent(e, True, degrees)
     return StableExponent(None, False, degrees)
-
-
-def sym_stable_exponent(t: BivarPoly, search_bound: int = 24) -> StableExponent:
-    """Quadratic backend variant: K(t^n) is the full quadratic extension
-    exactly when t^n is not symmetric, so within the box the stable
-    exponent is 1 when no power is symmetric and otherwise the first
-    symmetric exponent (whose field K sits inside every K(t^n))."""
-    degrees = []
-    first_sym = None
-    cur = BivarPoly.constant(t.ctx, 1)
-    for n in range(1, search_bound + 1):
-        cur = cur * t
-        d = 1 if cur.is_symmetric() else 2
-        degrees.append((n, d))
-        if d == 1 and first_sym is None:
-            first_sym = n
-    return StableExponent(first_sym or 1, True, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +606,9 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: PlaceSet = POLY_RING) -> Adden
             elif ratio != r:
                 return AddendumReport(e, f, True, True, False, False, None,
                                       "empty: divisors are not proportional")
+        # both supports hold positive valuations (s, t are T-integers), so
+        # the ratio is positive and M, N >= 1
         M, N = ratio.numerator, ratio.denominator
-        if M <= 0 or N <= 0:
-            return AddendumReport(e, f, True, True, False, False, None,
-                                  "empty: opposite-sign divisors")
         if not is_T_unit(s ** (e * M) / t ** (f * N), ring):
             raise AssertionError("the minimal pair's ratio s^M/t^N is not a unit")
         return AddendumReport(e, f, True, True, False, False, (M, N),
@@ -728,6 +693,12 @@ def bound_calculator(
     ):
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    check_characteristic(p)
+    rest = q_K
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise ValueError(f"q_K must be a power of p = {p}, got {q_K}")
     with localcontext() as ctx:
         ctx.prec = 60
         ln10 = Decimal(10).ln()

@@ -1227,7 +1227,7 @@ class PlaceSet:
         return cls([Place.finite(pi) for pi in finite_pis])
 
     def __contains__(self, v: Place) -> bool:
-        return v in set(self.places)
+        return v in self.places
 
     def __iter__(self):
         return iter(self.places)

@@ -59,6 +59,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> None:
+    """A characteristic is a prime in [2, 2^16]; the bound keeps the trial
+    division of `_is_prime` short."""
+    if not (2 <= p <= 2 ** 16) or not _is_prime(p):
+        raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
+
+
 def power(base, n: int, mul=operator.mul):
     """base^n for n >= 1 by square-and-multiply with `mul`.  It starts from
     base, so it never multiplies by one; each caller handles n <= 0."""
@@ -184,8 +191,7 @@ class FqCtx:
     gen_label = "z"  # the name of the extension generator in text forms
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        if not (2 <= p <= 2 ** 16) or not _is_prime(p):
-            raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
+        check_characteristic(p)
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         # p >= 2, so k >= 64 fails without the power, whose cost grows with k

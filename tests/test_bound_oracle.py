@@ -2,18 +2,27 @@
 
 The mpmath functions below are the evaluation `bound_calculator` and
 `ess_bound_log10` used before they moved to the standard `decimal`
-module; they stay here as the oracle.  Reports must agree as text,
-byte for byte, and the raw values to well below the printed digits.
+module; they stay here as the oracle.  Reports must agree as text, byte
+for byte, and the raw values to well below the printed digits.
+`ess_bound_log10` itself lives here: no task reads it.
 """
 
 import itertools
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import mpmath
 
-from monogenic import bound_calculator, ess_bound_log10
+from monogenic import bound_calculator
 from monogenic.frobsearch import _digits25
+
+
+def ess_bound_log10(n: int, r: int) -> Decimal:
+    """log10 of the characteristic-zero bound exp((6n)^{3n}(nr+1)) on
+    non-degenerate solution counts, evaluated to 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal((6 * n) ** (3 * n) * (n * r + 1)) / Decimal(10).ln()
 
 
 def _mp_log10_sum(a, b):
@@ -80,6 +89,14 @@ def test_ess_bound_matches_mpmath():
             ref = _mp_ess(n, r)
             assert abs(mpmath.mpf(str(v)) - ref) <= abs(ref) * mpmath.mpf(10) ** -45
         assert mpmath.nstr(ref, 25) == _digits25(v)
+
+
+def test_ess_bound_value():
+    # log10 exp((6n)^{3n}(nr+1)) = (6n)^{3n}(nr+1)/ln 10
+    v = ess_bound_log10(2, 3)
+    with mpmath.workdps(30):
+        expected = mpmath.mpf(12 ** 6 * 7) / mpmath.log(10)
+    assert abs(mpmath.mpf(str(v)) - expected) < 1e-6
 
 
 def test_digits25_matches_nstr():

@@ -33,3 +33,32 @@ def test_checks_library_tests_and_scripts():
     assert folders == {"src/monogenic", "tests", "scripts"}
     assert Path(__file__).resolve() in paths and SCRIPT in paths
     assert all(path.name != "__init__.py" for path in paths)
+
+
+def test_flags_an_export_only_tests_read(tmp_path):
+    package = tmp_path / "src" / "monogenic"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import (\n"
+        "    helper,\n"
+        "    planted,\n"
+        "    run,\n"
+        ")\n"
+    )
+    (package / "mod.py").write_text(
+        "def helper():\n"
+        "    return 1\n"
+        "def planted():\n"
+        "    return 2\n"
+        "def run():\n"
+        "    return helper()\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "go.py").write_text("from monogenic import run\nrun()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("from monogenic import planted\n")
+    assert check_imports.unread_exports(tmp_path) == [(3, "planted")]
+
+
+def test_library_exports_only_what_runs_reads():
+    assert check_imports.unread_exports() == []

@@ -331,6 +331,10 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
     ({"task": "bounds", "params": dict(_BOUNDS, **{"lambda": 0})}, "lambda must be at least 1"),
     ({"task": "bounds", "params": dict(_BOUNDS, S_size=-1)}, "S_size must be at least 0"),
     ({"task": "bounds", "params": dict(_BOUNDS, r=-1)}, "r must be at least 0"),
+    ({"task": "bounds", "params": dict(_BOUNDS, p=4)}, "p must be a prime in [2, 2^16], got 4"),
+    ({"task": "bounds", "params": dict(_BOUNDS, p=65537)}, "p must be a prime in [2, 2^16]"),
+    ({"task": "bounds", "params": dict(_BOUNDS, p=3)}, "q_K must be a power of p = 3, got 4"),
+    ({"task": "bounds", "params": dict(_BOUNDS, q_K=6)}, "q_K must be a power of p = 2, got 6"),
     ({"task": "order-eq", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
       "params": {"s": ["s"]}}, "scenario does not define element ['s']"),
     ({"task": "verify-33", "params": {"m_max": 7}}, "keep m_max <= 6"),
@@ -358,7 +362,9 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
 ], ids=["disc-no-tower", "order-eq-no-tower", "search-no-tower", "ef-no-tower",
         "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
-        "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "list-element-name",
+        "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "bounds-p-composite",
+        "bounds-p-past-2^16", "bounds-q_K-other-prime", "bounds-q_K-not-a-power",
+        "list-element-name",
         "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
         "level-without-label",
         "list-label", "symbol-divisor", "symbol-divisor-level-2", "symbol-divisor-F4",

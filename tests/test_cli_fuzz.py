@@ -68,10 +68,13 @@ _TOWERS = st.sampled_from([t for _, t in _FIELDS_AND_TOWERS] + [{"levels": []}])
 # values of the wrong kind or out of range, for any param
 _BAD_PARAMS = _JUNK | _TEXTS | st.sampled_from([0, -1, 10 ** 9])
 
-# values that fit the params taking text; a number is 10^9 about one time
-# in four, else a size (a param whose default is (default, least value))
-# draws from its least value up to its default, or on an odd draw one or two
-# past it (where a cap equals the default), and the other numbers from 2 to 5
+# values that fit the params taking text; the bounds task's p is a prime
+# and its q_K is p or p^2 (a p or q_K of 10^9 is bad input, and
+# `test_huge_sizes_answer_quickly` tries both); any other number is 10^9
+# about one time in four, else a size (a param whose default is (default,
+# least value)) draws from its least value up to its default, or on an odd
+# draw one or two past it (where a cap equals the default), and the other
+# numbers from 2 to 5
 _NAMES = st.sampled_from(["s", "t"])
 _PARAM_VALUES = {
     "s": _NAMES, "t": _NAMES, "element": _NAMES,
@@ -129,6 +132,10 @@ def scenarios(draw):
             params[key] = draw(_BAD_PARAMS)
         elif key in _PARAM_VALUES:
             params[key] = draw(_PARAM_VALUES[key])
+        elif key == "p":  # bounds: a characteristic, and q_K a power of it
+            params[key] = draw(st.sampled_from([2, 3, 5]))
+        elif key == "q_K" and params.get("p") in (2, 3, 5):
+            params[key] = params["p"] ** draw(st.integers(1, 2))
         elif huge():
             params[key] = 10 ** 9
         elif isinstance(default, tuple):

