@@ -694,11 +694,13 @@ def bound_calculator(
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     check_characteristic(p)
-    rest = q_K
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise ValueError(f"q_K must be a power of p = {p}, got {q_K}")
+    # q_L, the size of L's constant field, is q_K^j with j >= 1
+    for name, value, over, base in (("q_K", q_K, "p", p), ("q_L", q_L or q_K, "q_K", q_K)):
+        rest = value
+        while rest % base == 0:
+            rest //= base
+        if rest != 1 or value < base:
+            raise ValueError(f"{name} must be a power of {over} = {base}, got {value}")
     with localcontext() as ctx:
         ctx.prec = 60
         ln10 = Decimal(10).ln()

@@ -22,6 +22,12 @@ every discriminant as a Hankel determinant of power sums
 computed.  Each level keeps disc(f_i), which `extend` computes to check
 that f_i is separable.
 
+The Frobenius a -> a^p is additive in characteristic p: a = sum c_i B_i
+over the power basis has a^p = sum c_i^p B_i^p.  `_frobenius` reads the
+B_i^p, numerators over one denominator, from a table built on first use
+and dropped by `extend`, and normalizes each output coordinate once.  Every
+power goes through it: a^(p^e m) is a^m by square-and-multiply, then e maps.
+
 Irreducibility of a level-1 defining polynomial is certified by
 specialization: clear denominators to F_q[x][Y], then scan x -> c over
 small extensions of F_q looking for an irreducible specialization of full
@@ -128,6 +134,7 @@ class Tower:
         self.base = base
         self.levels: List[Level] = []
         self._zero = (RatFunc.of(0, base),)  # the zero of the top level
+        self._frob = None  # the B_i^p table of `_frobenius`, built on first use
 
     # ---- construction
 
@@ -151,6 +158,7 @@ class Tower:
             raise ValueError("defining polynomial is not separable")
         self.levels.append(Level(label, tuple(cs), d, status, disc))
         self._zero = self._zero * d
+        self._frob = None
         return self
 
     def _certify(self, lvl: int, cs, assume: bool) -> str:
@@ -259,7 +267,36 @@ class Tower:
         return tuple(RatFunc(p, den) for p in prod[:d])
 
     def _pow(self, a, n: int):
-        return power(a, n, partial(self._mul, self.top)) if n else self.from_base(1).val
+        """a^n for n >= 0: with n = p^e * m and p not dividing m, a^m by
+        square-and-multiply, then e Frobenius maps."""
+        if not n:
+            return self.from_base(1).val
+        e, p = 0, self.base.p
+        while n % p == 0:
+            n, e = n // p, e + 1
+        return self._frobenius(power(a, n, partial(self._mul, self.top)), e)
+
+    def _frobenius(self, a, e: int = 1):
+        """a^(p^e) of a top-level value by e maps a -> sum_i c_i^p B_i^p,
+        each on numerators over one denominator."""
+        p, zero = self.base.p, self._zero
+        if e and self._frob is None:
+            one, mul, n = RatFunc.of(1, self.base), partial(self._mul, self.top), len(zero)
+            rows = [power(zero[:i] + (one,) + zero[i + 1:], p, mul) for i in range(n)]
+            nums, delta = _common_denominator(sum(rows, ()))
+            self._frob = [nums[i:i + n] for i in range(0, n * n, n)], delta
+        for _ in range(e):
+            table, delta = self._frob
+            xs, den = _common_denominator(a)
+            out = [zero[0].num] * len(a)
+            for x, row in zip(xs, table):
+                if x:
+                    x = x ** p
+                    out = [o + x * t if t else o for o, t in zip(out, row)]
+            den = den ** p * delta
+            wrap = RatFunc._coprime if den.is_one() else RatFunc
+            a = tuple(wrap(c, den) for c in out)
+        return a
 
     def _inv(self, a):
         """Inverse of a top-level value, by solving a * b = 1 over K."""
@@ -463,7 +500,7 @@ def discriminant(t: AlgElem, minpoly: Optional[Tuple[List[RatFunc], int]] = None
 
 
 def frobenius_power(t: AlgElem, e: int) -> AlgElem:
-    """t -> t^{p^e}."""
+    """t -> t^{p^e}, by e Frobenius maps."""
     if e < 0:
         raise ValueError("Frobenius exponent must be non-negative")
-    return t ** (t.tower.base.p ** e)
+    return AlgElem(t.tower, t.tower._frobenius(t.val, e))

@@ -140,7 +140,7 @@ def verify_quartic_twist_family(m_max: int = 3, relation_box: int = 8) -> Verifi
         cur = family[j]
         for e in range(relation_box + 1):
             twists[(j, e)] = cur
-            cur = cur * cur
+            cur = frobenius_power(cur, 1)
     for i in range(m_max + 1):
         for j in range(m_max + 1):
             if i == j:

@@ -68,13 +68,14 @@ def _mp_ess(n, r):
 _DEGREES = (2, 3, 4, 7, 30, 3000, 300000)
 _FIELDS = ((2, 2), (2, 4), (2, 1024), (3, 3), (3, 27), (7, 7), (101, 101 ** 2))
 _S_SIZES = (0, 1, 2, 5)
-_REFINED = (None, (2, 0, 1), (2 ** 40, 3, 4), (10 ** 30, 17, 1000))
+# (j, r, lambda) with q_L = q_K^j: the min takes q_L while j < d^3
+_REFINED = (None, (1, 0, 1), (40, 3, 4), (100, 17, 1000))
 
 
 def test_bound_reports_match_mpmath():
     seen_scientific = False
     for d, (p, q_K), S, extra in itertools.product(_DEGREES, _FIELDS, _S_SIZES, _REFINED):
-        args = (d, p, q_K, S) + (extra or ())
+        args = (d, p, q_K, S) + ((q_K ** extra[0],) + extra[1:] if extra else ())
         got = bound_calculator(*args).to_dict()
         assert got == _mp_bound_dict(*args), args
         seen_scientific |= "e+" in got["log10_main"]

@@ -335,6 +335,8 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
     ({"task": "bounds", "params": dict(_BOUNDS, p=65537)}, "p must be a prime in [2, 2^16]"),
     ({"task": "bounds", "params": dict(_BOUNDS, p=3)}, "q_K must be a power of p = 3, got 4"),
     ({"task": "bounds", "params": dict(_BOUNDS, q_K=6)}, "q_K must be a power of p = 2, got 6"),
+    ({"task": "bounds", "params": dict(_BOUNDS, q_L=6)}, "q_L must be a power of q_K = 4, got 6"),
+    ({"task": "bounds", "params": dict(_BOUNDS, q_L=2)}, "q_L must be a power of q_K = 4, got 2"),
     ({"task": "order-eq", "tower": _QUARTIC, "elements": {"s": "s", "t": "s"},
       "params": {"s": ["s"]}}, "scenario does not define element ['s']"),
     ({"task": "verify-33", "params": {"m_max": 7}}, "keep m_max <= 6"),
@@ -364,6 +366,7 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
         "bounds-q_L", "bounds-lambda", "bounds-S_size", "bounds-r", "bounds-p-composite",
         "bounds-p-past-2^16", "bounds-q_K-other-prime", "bounds-q_K-not-a-power",
+        "bounds-q_L-not-a-power", "bounds-q_L-below-q_K",
         "list-element-name",
         "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
         "level-without-label",

@@ -68,13 +68,13 @@ _TOWERS = st.sampled_from([t for _, t in _FIELDS_AND_TOWERS] + [{"levels": []}])
 # values of the wrong kind or out of range, for any param
 _BAD_PARAMS = _JUNK | _TEXTS | st.sampled_from([0, -1, 10 ** 9])
 
-# values that fit the params taking text; the bounds task's p is a prime
-# and its q_K is p or p^2 (a p or q_K of 10^9 is bad input, and
-# `test_huge_sizes_answer_quickly` tries both); any other number is 10^9
-# about one time in four, else a size (a param whose default is (default,
-# least value)) draws from its least value up to its default, or on an odd
-# draw one or two past it (where a cap equals the default), and the other
-# numbers from 2 to 5
+# values that fit the params taking text; the bounds task's p is a prime,
+# its q_K is p or p^2 and its q_L is q_K or q_K^2 (a p or q_K of 10^9 is
+# bad input, and `test_huge_sizes_answer_quickly` tries both); any other
+# number is 10^9 about one time in four, else a size (a param whose default
+# is (default, least value)) draws from its least value up to its default,
+# or on an odd draw one or two past it (where a cap equals the default), and
+# the other numbers from 2 to 5
 _NAMES = st.sampled_from(["s", "t"])
 _PARAM_VALUES = {
     "s": _NAMES, "t": _NAMES, "element": _NAMES,
@@ -136,6 +136,8 @@ def scenarios(draw):
             params[key] = draw(st.sampled_from([2, 3, 5]))
         elif key == "q_K" and params.get("p") in (2, 3, 5):
             params[key] = params["p"] ** draw(st.integers(1, 2))
+        elif key == "q_L" and params.get("q_K") in (2, 3, 4, 5, 9, 25):
+            params[key] = params["q_K"] ** draw(st.integers(1, 2))
         elif huge():
             params[key] = 10 ** 9
         elif isinstance(default, tuple):

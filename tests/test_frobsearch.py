@@ -329,7 +329,7 @@ def test_bound_refined_uses_min():
     assert a.refined_terms[0] == b.refined_terms[0]
     assert a.log10_refined == b.log10_refined
     # below the threshold the q_L side drives the first addend
-    c = bound_calculator(2, 2, 4, 1, q_L=2, r=3, lam=4)
+    c = bound_calculator(2, 2, 4, 1, q_L=16, r=3, lam=4)
     assert c.refined_terms[0] < a.refined_terms[0]
 
 

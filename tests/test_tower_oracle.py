@@ -15,15 +15,24 @@ was); they are now a Hankel determinant of power sums read off the
 Bareiss elimination (`kp_discriminant`), which must agree with it on
 polynomials over F_2, F_3, F_4, F_5 and F_7 of degree 1 to 7, with
 polynomial, rational and tower-element coefficients.
+
+A p-th power was a schoolbook square-and-multiply; it is now the Frobenius
+map read off a per-tower table of the basis p-th powers (`_frobenius`),
+and a^n with n = p^e m is a^m followed by e such maps.  Both must agree
+with the schoolbook power, kept as the oracle, on one- and two-level
+towers over F_2, F_3, F_4 and F_5, and after a level is added to a tower
+whose table was already built.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogenic import FqCtx, Poly, RatFunc, Tower
+from monogenic.gf import power
 from monogenic.tower import kp_discriminant
 from test_linalg_oracle import gauss_jordan_solve
 from test_parse import (
@@ -320,3 +329,84 @@ def test_hankel_discriminant_over_a_tower_level(make, d, seed):
     zero, one = tw.from_base(0), tw.from_base(1)
     g = _monic([_random_elem(tw, rng) for _ in range(d)], one)
     assert kp_discriminant(g, zero, one) == resultant_discriminant(g, tw.base)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius route against the schoolbook power
+# ---------------------------------------------------------------------------
+
+def _f3_two_level():
+    """s^2 - x - 1/x, u^3 - u - s over F_3(x): a rational level-1 coefficient
+    under a second level."""
+    ctx = FqCtx(3)
+    x = RatFunc.gen(ctx)
+    tw = Tower(ctx).extend("s", [-x - 1 / x, 0, 1])
+    return tw.extend("u", [-tw.gen(0), -1, 0, 1])
+
+
+def _f5_quadratic():
+    ctx = FqCtx(5)
+    return Tower(ctx).extend("y", [-RatFunc.gen(ctx), 0, 1])  # y^2 - x
+
+
+def _f5_two_level():
+    tw = _f5_quadratic()
+    return tw.extend("w", [-tw.gen(0) - tw.x(), 0, 1])  # w^2 - y - x
+
+
+def _f4_cubic():
+    ctx = FqCtx(2, 2)
+    x = RatFunc.gen(ctx)
+    return Tower(ctx).extend("y", [x, ctx.gen, 0, 1])  # y^3 + z*y + x
+
+
+def _f4_two_level():
+    """y^2 + y + z/x, w^2 + w + x*y over F_4(x)."""
+    ctx = FqCtx(2, 2)
+    x = RatFunc.gen(ctx)
+    tw = Tower(ctx).extend("y", [ctx.gen / x, 1, 1])
+    return tw.extend("w", [tw.x() * tw.gen(0), 1, 1])
+
+
+FROBENIUS_TOWERS = [
+    _shifted_quartic, _two_level_degree_8, _f3_cubic, _f3_non_integral, _f3_two_level,
+    _f5_quadratic, _f5_two_level, _f4_cubic, _f4_two_level,
+]
+
+
+def _schoolbook_power(tw, a, n):
+    """a^n by square-and-multiply over the tower product (n < 0 inverts)."""
+    if n < 0:
+        a, n = tw._inv(a), -n
+    return power(a, n, partial(tw._mul, tw.top)) if n else tw.from_base(1).val
+
+
+@pytest.mark.parametrize("make", FROBENIUS_TOWERS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), e=st.integers(0, 2), m=st.integers(1, 3),
+       sign=st.sampled_from([1, -1]))
+def test_frobenius_matches_schoolbook_power(make, seed, e, m, sign):
+    tw = make()
+    p = tw.base.p
+    a = _random_elem(tw, random.Random(seed))
+    assert tw._frobenius(a.val) == _schoolbook_power(tw, a.val, p)
+    n = sign * p ** e * m
+    if a.is_zero() and n < 0:
+        return
+    assert (a ** n).val == _schoolbook_power(tw, a.val, n)
+
+
+@pytest.mark.parametrize("make", [_shifted_quartic, _f3_non_integral, _f5_quadratic, _f4_cubic])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_frobenius_table_is_rebuilt_after_extend(make, seed):
+    # the first level's table is built, then a level is added on top
+    tw = make()
+    p = tw.base.p
+    rng = random.Random(seed)
+    a = _random_elem(tw, rng)
+    assert (a ** p).val == _schoolbook_power(tw, a.val, p)
+    tw.extend("w", [tw.x() * tw.gen(0), 1] + [0] * (p - 2) + [1])  # w^p + w + x*g_1
+    b = _random_elem(tw, rng)
+    assert (b ** (p * 2)).val == _schoolbook_power(tw, b.val, p * 2)
+    assert len(tw._frob[0]) == tw.degree_total()
