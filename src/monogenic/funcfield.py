@@ -557,12 +557,6 @@ class Poly(RingElement):
             raw.append(ctx.rmul(self.code[i], ctx.rfrom_int(i)))
         return Poly._tuple(ctx, raw)
 
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return Poly._tuple(self.ctx, [self.ctx.rzero] * n + list(self.code))
-
     def evaluate(self, a: FqElem) -> FqElem:
         """The value at a point a of F_q or, over a prime field F_p, of an
         extension of F_p (Horner's rule)."""
@@ -811,10 +805,6 @@ class F2Poly(Poly):
         odd = bin(self.code)[:1:-1][1::2]  # coefficients of x, x^3, x^5, ...
         return _wrap(F2Poly, self.ctx, int(odd[::-1], 4) if odd else 0)
 
-    def shift(self, n: int) -> "F2Poly":
-        """Multiply by x^n."""
-        return _wrap(F2Poly, self.ctx, self.code << n)
-
     def _split_x(self) -> Tuple[int, "F2Poly"]:
         k = (self.code & -self.code).bit_length() - 1
         return k, _wrap(F2Poly, self.ctx, self.code >> k)
@@ -891,10 +881,6 @@ class _BytePoly(Poly):
         for i in range(1, p):  # x^j with j = i mod p gets the factor i
             out[i - 1::p] = code[i::p].translate(mul[i])
         return self._new(bytes(out.rstrip(b"\0")))
-
-    def shift(self, n: int) -> "_BytePoly":
-        """Multiply by x^n."""
-        return self._new(bytes(n) + self.code) if self.code else self
 
     def _split_x(self) -> Tuple[int, "_BytePoly"]:
         rest = self.code.lstrip(b"\0")

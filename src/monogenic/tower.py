@@ -28,12 +28,14 @@ B_i^p, numerators over one denominator, from a table built on first use
 and dropped by `extend`, and normalizes each output coordinate once.  Every
 power goes through it: a^(p^e m) is a^m by square-and-multiply, then e maps.
 
-Irreducibility of a level-1 defining polynomial is certified by
-specialization: clear denominators to F_q[x][Y], then scan x -> c over
-small extensions of F_q looking for an irreducible specialization of full
-degree.  Success is sound (a factorization over F_q[x] would specialize);
-failure after the scan, bounded at CERTIFY_POINTS points in all, records
-the level as "assumed".
+`extend` alone decides that a level is a field: it certifies the level or
+records the caller's `assume_irreducible` as the status "assumed", and
+otherwise refuses the level.  A level-1 defining polynomial is certified
+by specialization: clear denominators to F_q[x][Y], then scan x -> c over
+F_q (and, over a prime field, over F_{q^2}, F_{q^3}, F_{q^4}) for an
+irreducible specialization of full degree, CERTIFY_POINTS points in all.
+Success is sound over any F_q (a factorization over F_q[x] would
+specialize).  Levels above the first are not certified yet.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .funcfield import Poly, RatFunc
 from .gf import FqCtx, FqElem, RingElement, format_terms, power
 from .linalg import SpanTracker, solve_in_span
 
-# specialization points x -> c tried before a level-1 polynomial is assumed
+# specialization points x -> c tried before a level-1 polynomial is refused
 CERTIFY_POINTS = 256
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def _common_denominator(v: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
 class Level:
     __slots__ = ("label", "coeffs", "degree", "status", "disc", "cleared")
 
-    def __init__(self, label: str, coeffs, degree: int, status: str, disc):
+    def __init__(self, label: str, coeffs, degree: int, status: str, disc, cleared):
         self.label = label
         # lower-level values, length degree+1, monic: elements of K for the
         # first level, coordinate tuples above
@@ -123,8 +125,8 @@ class Level:
         # for the first level; above it, an AlgElem made before this level
         # was added, so its `val` is a value of the level below
         self.disc = disc
-        # the first level's coefficients over their common denominator delta
-        self.cleared = _common_denominator(coeffs) if isinstance(coeffs[0], RatFunc) else None
+        # the first level's coefficients over their common denominator delta, None above
+        self.cleared = cleared
 
 
 class Tower:
@@ -140,53 +142,59 @@ class Tower:
 
     def extend(self, label: str, coeffs: Sequence, assume_irreducible: bool = False) -> "Tower":
         """Append a level with monic defining polynomial given by `coeffs`
-        (little-endian values of the current top level)."""
+        (little-endian values of the current top level).  The polynomial
+        must be separable and, unless `assume_irreducible` is set,
+        certified irreducible; otherwise a ValueError names the level."""
         lvl = len(self.levels)
         if any(existing.label == label for existing in self.levels) or label == "x":
-            raise ValueError(f"generator label {label!r} is already taken")
+            raise ValueError(f"level {label!r}: generator label is already taken")
         cs = [self._coerce_val(lvl, c) for c in coeffs]
         d = len(cs) - 1
         if d < 2:
-            raise ValueError("defining polynomial must have degree >= 2")
+            raise ValueError(f"level {label!r}: defining polynomial must have degree >= 2")
         if cs[-1] != self._coerce_val(lvl, 1):
-            raise ValueError("defining polynomial must be monic")
-        status = self._certify(lvl, cs, assume_irreducible)
+            raise ValueError(f"level {label!r}: defining polynomial must be monic")
         # disc(f) over the current top level vanishes iff gcd(f, f') != 1
         f = cs if lvl == 0 else [AlgElem(self, c) for c in cs]
         disc = kp_discriminant(f, f[-1] - f[-1], f[-1])  # f is monic
         if not disc:
-            raise ValueError("defining polynomial is not separable")
-        self.levels.append(Level(label, tuple(cs), d, status, disc))
+            raise ValueError(f"level {label!r}: defining polynomial is not separable")
+        cleared = _common_denominator(cs) if lvl == 0 else None
+        status = "assumed" if assume_irreducible else self._certify(cleared)
+        if status is None:
+            raise ValueError(
+                f"irreducibility of level {label!r} did not certify, and assume_irreducible is not set"
+            )
+        self.levels.append(Level(label, tuple(cs), d, status, disc, cleared))
         self._zero = self._zero * d
         self._frob = None
         return self
 
-    def _certify(self, lvl: int, cs, assume: bool) -> str:
-        if assume:
-            return "assumed"
-        if lvl > 0:
-            # no specialization route above level 1 without subfield maps
-            return "assumed"
-        if self.base.k != 1:
-            return "assumed"
-        d = len(cs) - 1
-        cleared = _common_denominator(cs)[0]
-        # scan c over F_q, F_{q^2}, ... using the built-in modulus table,
+    def _certify(self, cleared) -> Optional[str]:
+        """The certificate that a first-level polynomial, given by its
+        coefficients `cleared` over their common denominator, is irreducible
+        over K; None when the scan finds none, or above the first level
+        (`cleared` None), which has no specialization route without
+        subfield maps."""
+        if cleared is None:
+            return None
+        nums = cleared[0]
+        # scan c over F_q, then over F_{q^2}, F_{q^3}, F_{q^4} when q is
+        # prime (the modulus table embeds only the prime field),
         # CERTIFY_POINTS points in all
         left = CERTIFY_POINTS
-        for j in (1, 2, 3, 4):
+        for j in (1, 2, 3, 4) if self.base.k == 1 else (1,):
             try:
-                ext = FqCtx(self.base.p, j * self.base.k)
+                ext = FqCtx(self.base.p, j) if j > 1 else self.base
             except ValueError:
                 break
             for c in islice(ext.elements(), left):
                 left -= 1
-                if cleared[-1].evaluate(c).is_zero():
-                    continue  # degree would drop
-                img = Poly(ext, [cf.evaluate(c) for cf in cleared])
-                if img.degree() == d and img.is_irreducible():
+                if nums[-1].evaluate(c).is_zero():
+                    continue  # the degree would drop
+                if Poly(ext, [cf.evaluate(c) for cf in nums]).is_irreducible():
                     return f"certified(x={c!r} in F_{ext.q})"
-        return "assumed"
+        return None
 
     def _coerce_val(self, lvl: int, v):
         """Coerce v (int, FqElem, Poly, RatFunc or an element of the top

@@ -208,10 +208,7 @@ def _seed_tower(eta: Poly) -> Tower:
         raise ValueError("seed must be non-constant")
     if eta.coeff(0).is_zero():
         raise ValueError("x divides the seed")
-    tw = shifted_tower(eta)
-    if tw.levels[0].status == "assumed":
-        raise ValueError("irreducibility certification failed within the scan")
-    return tw
+    return shifted_tower(eta)
 
 
 def shifted_tower(eta: Poly) -> Tower:

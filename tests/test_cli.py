@@ -361,6 +361,9 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
      "division by the formal symbol is not allowed"),
     ({"task": "search", "backend": "symmetric", "base": {"p": 2, "k": 2},
       "elements": {"s": "z/x", "t": "x+y"}}, "inexact bivariate division"),
+    # no specialization certifies s^4+x either; the separability check speaks first
+    ({"task": "disc", "base": {"p": 2}, "tower": {"levels": [{"label": "s", "poly": "s^4+x"}]},
+      "elements": {"s": "s"}}, "not separable"),
 ], ids=["disc-no-tower", "order-eq-no-tower", "search-no-tower", "ef-no-tower",
         "disc-symmetric", "ef-symmetric", "element-div-0", "tower-div-0", "generator-div-0",
         "place-quotient", "eta-quotient", "degree-1-level", "bounds-p", "bounds-q_K",
@@ -371,7 +374,7 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
         "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
         "level-without-label",
         "list-label", "symbol-divisor", "symbol-divisor-level-2", "symbol-divisor-F4",
-        "symmetric-inexact-z"])
+        "symmetric-inexact-z", "inseparable-uncertified"])
 def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
     # each of these ended in a traceback (exit 1) or in a silent answer
     assert main([_write(tmp_path, scenario)]) == 2

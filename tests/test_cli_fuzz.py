@@ -164,6 +164,16 @@ def scenarios(draw):
     return draw(_JUNK) if odd() else scenario
 
 
+@pytest.mark.parametrize("base, tower", _FIELDS_AND_TOWERS, ids=[
+    f"F{b['p']}^{b.get('k', 1)}-{t['levels'][0]['poly']}" for b, t in _FIELDS_AND_TOWERS])
+def test_grammar_towers_build(base, tower):
+    # the scenarios draw on these pairs as the ones that build
+    label = tower["levels"][0]["label"]
+    scenario = {"task": "disc", "base": base, "tower": tower, "elements": {label: label},
+                "params": {"element": label}}
+    assert run_scenario(scenario)[1] == 0
+
+
 @given(scenarios())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_random_scenarios_keep_the_exit_contract(scenario):

@@ -68,12 +68,11 @@ def test_ring_ops_match_tuple_path(ra, rb):
         same(r, tr)
 
 
-@given(bits(75), st.integers(0, 8), st.integers(0, 60))
+@given(bits(75), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
-def test_pow_and_shift_match_tuple_path(ra, n, k):
+def test_pow_matches_tuple_path(ra, n):
     a, ta = pair(ra)
     same(a ** n, ta ** n)
-    same(a.shift(k), ta.shift(k))
 
 
 @given(bits(150), bits(300))

@@ -118,7 +118,6 @@ def test_long_division_matches_tuple_path(case, db, k):
     tq, tr = divmod(ta, tb)
     same(q, tq)
     same(r, tr)
-    same(a.shift(k), ta.shift(k))
 
 
 @pytest.mark.parametrize("name, db", [("F3", 140), ("F7", 45), ("F5", 70)])

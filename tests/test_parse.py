@@ -79,7 +79,7 @@ def _shifted_quartic():
 def _two_level_degree_8():
     tw = _shifted_quartic()
     s = tw.gen(0)
-    return tw.extend("u", [s, 1, 1])  # u^2 + u + s over K(s)
+    return tw.extend("u", [s, 1, 1], assume_irreducible=True)  # u^2 + u + s over K(s)
 
 
 def _f3_cubic():

@@ -302,6 +302,27 @@ def test_certification_statuses():
     assert tw3.levels[0].status == "assumed"
 
 
+def _reducible_f3(assume):
+    # s^2 = x, then u^2 = x: u = +-s
+    x = RatFunc.gen(F3)
+    return Tower(F3).extend("s", [-x, 0, 1]).extend("u", [-x, 0, 1], assume_irreducible=assume)
+
+
+def _split_f65521(assume):
+    # s^2 - x^2 = (s - x)(s + x)
+    ctx = FqCtx(65521)
+    x = RatFunc.gen(ctx)
+    return Tower(ctx).extend("s", [-x * x, 0, 1], assume_irreducible=assume)
+
+
+@pytest.mark.parametrize("build, label", [(_reducible_f3, "u"), (_split_f65521, "s")],
+                         ids=["F3-two-levels", "F65521-split"])
+def test_extend_refuses_uncertified_level(build, label):
+    with pytest.raises(ValueError, match=f"level '{label}'.*assume_irreducible"):
+        build(False)
+    assert build(True).levels[-1].status == "assumed"
+
+
 def test_inseparable_defining_poly_rejected():
     x = RatFunc.gen(F2)
     with pytest.raises(ValueError):
@@ -316,7 +337,7 @@ def test_second_level_separability():
     with pytest.raises(ValueError, match="not separable"):
         tw.extend("w", [s, 0, 1])
     assert tw.top == 1
-    tw.extend("w", [s, 1, 1])
+    tw.extend("w", [s, 1, 1], assume_irreducible=True)
     assert tw.top == 2 and tw.degree_total() == 8
     w = tw.gen(1)
     assert (w * w + w + tw.gen(0)).is_zero()
@@ -325,7 +346,7 @@ def test_second_level_separability():
 def test_galois_map_on_two_levels():
     tw = shifted_tower(Poly(F2, [1, 1]))
     s = tw.gen(0)
-    tw.extend("w", [s, 1, 1])
+    tw.extend("w", [s, 1, 1], assume_irreducible=True)
     s, w = tw.gen(0), tw.gen(1)
     sigma = GaloisMap(tw, {"s": s, "w": w + 1})
     t = w * s + tw.x() * w + s * s

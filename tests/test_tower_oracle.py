@@ -341,7 +341,7 @@ def _f3_two_level():
     ctx = FqCtx(3)
     x = RatFunc.gen(ctx)
     tw = Tower(ctx).extend("s", [-x - 1 / x, 0, 1])
-    return tw.extend("u", [-tw.gen(0), -1, 0, 1])
+    return tw.extend("u", [-tw.gen(0), -1, 0, 1], assume_irreducible=True)
 
 
 def _f5_quadratic():
@@ -351,7 +351,7 @@ def _f5_quadratic():
 
 def _f5_two_level():
     tw = _f5_quadratic()
-    return tw.extend("w", [-tw.gen(0) - tw.x(), 0, 1])  # w^2 - y - x
+    return tw.extend("w", [-tw.gen(0) - tw.x(), 0, 1], assume_irreducible=True)  # w^2 - y - x
 
 
 def _f4_cubic():
@@ -365,7 +365,7 @@ def _f4_two_level():
     ctx = FqCtx(2, 2)
     x = RatFunc.gen(ctx)
     tw = Tower(ctx).extend("y", [ctx.gen / x, 1, 1])
-    return tw.extend("w", [tw.x() * tw.gen(0), 1, 1])
+    return tw.extend("w", [tw.x() * tw.gen(0), 1, 1], assume_irreducible=True)
 
 
 FROBENIUS_TOWERS = [
@@ -406,7 +406,7 @@ def test_frobenius_table_is_rebuilt_after_extend(make, seed):
     rng = random.Random(seed)
     a = _random_elem(tw, rng)
     assert (a ** p).val == _schoolbook_power(tw, a.val, p)
-    tw.extend("w", [tw.x() * tw.gen(0), 1] + [0] * (p - 2) + [1])  # w^p + w + x*g_1
+    tw.extend("w", [tw.x() * tw.gen(0), 1] + [0] * (p - 2) + [1], assume_irreducible=True)  # w^p + w + x*g_1
     b = _random_elem(tw, rng)
     assert (b ** (p * 2)).val == _schoolbook_power(tw, b.val, p * 2)
     assert len(tw._frob[0]) == tw.degree_total()
