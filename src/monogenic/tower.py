@@ -23,26 +23,28 @@ computed.  Each level keeps disc(f_i), which `extend` computes to check
 that f_i is separable.
 
 The Frobenius a -> a^p is additive in characteristic p: a = sum c_i B_i
-over the power basis has a^p = sum c_i^p B_i^p.  `_frobenius` reads the
-B_i^p, numerators over one denominator, from a table built on first use
-and dropped by `extend`, and normalizes each output coordinate once.  Every
-power goes through it: a^(p^e m) is a^m by square-and-multiply, then e maps.
+over the power basis has a^p = sum c_i^p B_i^p.  `_frobenius` reads each
+B_i^p, numerators over its own denominator, from a row of a table that is
+built when a value with c_i != 0 first needs it and dropped by `extend`,
+and normalizes each output coordinate once.  Every power goes through it:
+a^(p^e m) is a^m by square-and-multiply, then e maps.
 
 `extend` alone decides that a level is a field: it certifies the level or
 records the caller's `assume_irreducible` as the status "assumed", and
 otherwise refuses the level.  A level-1 defining polynomial is certified
 by specialization: clear denominators to F_q[x][Y], then scan x -> c over
 F_q (and, over a prime field, over F_{q^2}, F_{q^3}, F_{q^4}) for an
-irreducible specialization of full degree, CERTIFY_POINTS points in all.
-Success is sound over any F_q (a factorization over F_q[x] would
-specialize).  Levels above the first are not certified yet.
+irreducible specialization of full degree (Ben-Or's test), CERTIFY_POINTS
+points in all.  Past F_q it tests one point per Frobenius orbit and finds
+the first point a scan of every point would.  Success is sound over any
+F_q (a factorization over F_q[x] would specialize).  Levels above the
+first are not certified yet.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import islice
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
@@ -51,6 +53,21 @@ from .linalg import SpanTracker, solve_in_span
 
 # specialization points x -> c tried before a level-1 polynomial is refused
 CERTIFY_POINTS = 256
+
+
+@lru_cache(maxsize=None)
+def _orbit_leaders(p: int, j: int) -> Tuple[FqCtx, tuple]:
+    """F_{p^j}, j > 1, and its (index, point) pairs, in the order of
+    `elements()`, whose point c comes before each conjugate c^(p^i), 0 < i < j.
+    A conjugate specializes a polynomial over F_p to its Frobenius image,
+    which factors alike; a point of a proper subfield is its own conjugate,
+    and the scan tested it there."""
+    ctx = FqCtx(p, j)
+    return ctx, tuple(
+        (i, c) for i, c in enumerate(ctx.elements())
+        if all(c.raw < ctx.rfrob(c.raw, e) for e in range(1, j))
+    )
+
 
 # ---------------------------------------------------------------------------
 # polynomials over K (coefficient lists of RatFunc, or of tower elements
@@ -136,7 +153,7 @@ class Tower:
         self.base = base
         self.levels: List[Level] = []
         self._zero = (RatFunc.of(0, base),)  # the zero of the top level
-        self._frob = None  # the B_i^p table of `_frobenius`, built on first use
+        self._frob = None  # the B_i^p rows of `_frobenius`, each built on first use
 
     # ---- construction
 
@@ -180,20 +197,24 @@ class Tower:
             return None
         nums = cleared[0]
         # scan c over F_q, then over F_{q^2}, F_{q^3}, F_{q^4} when q is
-        # prime (the modulus table embeds only the prime field),
-        # CERTIFY_POINTS points in all
+        # prime (the modulus table embeds only the prime field), the first
+        # CERTIFY_POINTS points in the order of `elements()`; past F_q only
+        # the orbit leaders, as every smaller field was scanned in full
         left = CERTIFY_POINTS
         for j in (1, 2, 3, 4) if self.base.k == 1 else (1,):
             try:
-                ext = FqCtx(self.base.p, j) if j > 1 else self.base
+                ext, points = _orbit_leaders(self.base.p, j) if j > 1 else (
+                    self.base, enumerate(self.base.elements()))
             except ValueError:
                 break
-            for c in islice(ext.elements(), left):
-                left -= 1
+            for i, c in points:
+                if i >= left:
+                    break
                 if nums[-1].evaluate(c).is_zero():
                     continue  # the degree would drop
                 if Poly(ext, [cf.evaluate(c) for cf in nums]).is_irreducible():
                     return f"certified(x={c!r} in F_{ext.q})"
+            left -= ext.q
         return None
 
     def _coerce_val(self, lvl: int, v):
@@ -286,21 +307,30 @@ class Tower:
 
     def _frobenius(self, a, e: int = 1):
         """a^(p^e) of a top-level value by e maps a -> sum_i c_i^p B_i^p,
-        each on numerators over one denominator."""
+        each on numerators over one denominator; row i of the table, B_i^p
+        over its own denominator, is built when a c_i != 0 first needs it."""
         p, zero = self.base.p, self._zero
         if e and self._frob is None:
-            one, mul, n = RatFunc.of(1, self.base), partial(self._mul, self.top), len(zero)
-            rows = [power(zero[:i] + (one,) + zero[i + 1:], p, mul) for i in range(n)]
-            nums, delta = _common_denominator(sum(rows, ()))
-            self._frob = [nums[i:i + n] for i in range(0, n * n, n)], delta
+            self._frob = [None] * len(zero), [None] * len(zero)
         for _ in range(e):
-            table, delta = self._frob
+            rows, dens = self._frob
             xs, den = _common_denominator(a)
+            used = [i for i, x in enumerate(xs) if x]
+            delta = zero[0].den  # the lcm of the rows' denominators
+            for i in used:
+                if rows[i] is None:
+                    basis = zero[:i] + (RatFunc.of(1, self.base),) + zero[i + 1:]
+                    rows[i], dens[i] = _common_denominator(
+                        power(basis, p, partial(self._mul, self.top)))
+                if not dens[i].is_one():
+                    delta = delta * (dens[i] // delta.gcd(dens[i]))
+            scale = not delta.is_one()
             out = [zero[0].num] * len(a)
-            for x, row in zip(xs, table):
-                if x:
-                    x = x ** p
-                    out = [o + x * t if t else o for o, t in zip(out, row)]
+            for i in used:
+                x = xs[i] ** p
+                if scale:
+                    x = x * (delta // dens[i])
+                out = [o + x * t if t else o for o, t in zip(out, rows[i])]
             den = den ** p * delta
             wrap = RatFunc._coprime if den.is_one() else RatFunc
             a = tuple(wrap(c, den) for c in out)

@@ -18,10 +18,12 @@ polynomial, rational and tower-element coefficients.
 
 A p-th power was a schoolbook square-and-multiply; it is now the Frobenius
 map read off a per-tower table of the basis p-th powers (`_frobenius`),
-and a^n with n = p^e m is a^m followed by e such maps.  Both must agree
-with the schoolbook power, kept as the oracle, on one- and two-level
-towers over F_2, F_3, F_4 and F_5, and after a level is added to a tower
-whose table was already built.
+whose row i is built when a value with a nonzero coordinate i first needs
+it, and a^n with n = p^e m is a^m followed by e such maps.  Both must
+agree with the schoolbook power, kept as the oracle, on one- and two-level
+towers over F_2, F_3, F_4 and F_5, after a level is added to a tower
+whose table was already built, and on a full element after the power of
+one basis element built a single row.
 """
 
 import random
@@ -410,3 +412,17 @@ def test_frobenius_table_is_rebuilt_after_extend(make, seed):
     b = _random_elem(tw, rng)
     assert (b ** (p * 2)).val == _schoolbook_power(tw, b.val, p * 2)
     assert len(tw._frob[0]) == tw.degree_total()
+
+
+@pytest.mark.parametrize("make", FROBENIUS_TOWERS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_frobenius_rows_are_built_as_needed(make, seed):
+    # the power of one basis element builds its row alone; a full element
+    # then reads that row beside the ones it builds
+    tw = make()
+    p, g = tw.base.p, tw.gen()
+    assert (g ** p).val == _schoolbook_power(tw, g.val, p)
+    assert sum(row is not None for row in tw._frob[0]) == 1
+    a = _random_elem(tw, random.Random(seed))
+    assert tw._frobenius(a.val) == _schoolbook_power(tw, a.val, p)
