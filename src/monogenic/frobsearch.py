@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
 from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, support
-from .gf import check_characteristic
+from .gf import check_characteristic, split_power
 from .monorder import (
     MonOrder,
     POLY_RING,
@@ -382,15 +382,7 @@ def _f1_candidates(pairs: set, p: int, m_max: int, n_max: int):
 
 
 def _f2_candidates(pairs: set, p: int, m_max: int, n_max: int):
-    roots = set()
-    for (m, n) in pairs:
-        a = m
-        while a % p == 0:
-            a //= p
-        b = n
-        while b % p == 0:
-            b //= p
-        roots.add((a, b))
+    roots = {(split_power(m, p)[1], split_power(n, p)[1]) for (m, n) in pairs}
     for (a, b) in sorted(roots):
         pat = FrobPattern("F2", p, (a, b))
         gen = pat.generate(m_max, n_max)
@@ -696,10 +688,8 @@ def bound_calculator(
     check_characteristic(p)
     # q_L, the size of L's constant field, is q_K^j with j >= 1
     for name, value, over, base in (("q_K", q_K, "p", p), ("q_L", q_L or q_K, "q_K", q_K)):
-        rest = value
-        while rest % base == 0:
-            rest //= base
-        if rest != 1 or value < base:
+        e, rest = split_power(value, base)
+        if rest != 1 or not e:
             raise ValueError(f"{name} must be a power of {over} = {base}, got {value}")
     with localcontext() as ctx:
         ctx.prec = 60

@@ -23,7 +23,17 @@ coefficient before a monomial is left out, `*` joins a coefficient to its
 monomial and `+` joins terms; a sum coefficient is bracketed before a
 monomial or after another term, a quotient `(a)/(b)` before a monomial;
 no terms is `0`.  `power` is the one square-and-multiply of the package,
-for every type that raises to a power.
+for every type that raises to a power, and `split_power` the one p-adic
+split of an integer, n = b^e * m.
+
+A modulus of degree k > 1 is checked by `funcfield.Poly.is_irreducible`,
+Ben-Or's test, which every irreducibility question of the package goes
+through.  A linear modulus z - c gives F_p itself, and every context of
+F_p stores the modulus z, so they compare equal.  The check first refuses
+p^(k//2) > 10^6, the bound an earlier trial division imposed, so the set
+of accepted bases stays as it was.  The bound stays until a work budget
+(ROADMAP item 2) bounds the later work on a large base: the certification
+scan of `tower` over F_{2^30} already takes seconds.
 
 `RingElement` is the one operator protocol of the exact element types: a
 type writes `_coerce`, `+`, unary `-`, `*` and, where it divides, `/`, and
@@ -64,6 +74,15 @@ def check_characteristic(p: int) -> None:
     division of `_is_prime` short."""
     if not (2 <= p <= 2 ** 16) or not _is_prime(p):
         raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
+
+
+def split_power(n: int, b: int):
+    """(e, m) with n = b^e * m and b not dividing m, for n != 0 and b >= 2."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e, n
 
 
 def power(base, n: int, mul=operator.mul):
@@ -163,24 +182,6 @@ def _fp_poly_mod(a, m, p):
     return a
 
 
-def _fp_is_irreducible(m, p) -> bool:
-    """Trial factorization: a reducible monic polynomial of degree k has a
-    monic factor of degree between 1 and k//2."""
-    k = len(m) - 1
-    if k < 1 or m[-1] != 1:
-        return False
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        if p ** d > 10 ** 6:
-            raise ValueError("modulus too large for trial factorization")
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if not _fp_poly_mod(m, g, p):
-                return False
-    return True
-
-
 class FqCtx:
     """Context of a finite field F_{p^k}: prime, extension degree, modulus."""
 
@@ -199,17 +200,20 @@ class FqCtx:
             raise ValueError("field cardinality must fit in 64 bits")
         q = p ** k
         if modulus is None:
-            if k == 1:
-                modulus = (0, 1)
-            elif (p, k) in _DEFAULT_MODULI:
-                modulus = _DEFAULT_MODULI[(p, k)]
-            else:
+            if k > 1 and (p, k) not in _DEFAULT_MODULI:
                 raise ValueError(f"no default modulus for (p, k) = ({p}, {k})")
+            modulus = _DEFAULT_MODULI.get((p, k), (0, 1))
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _fp_is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible over F_p")
+        if k == 1:
+            modulus = (0, 1)
+        elif p ** (k // 2) > 10 ** 6:
+            raise ValueError(f"modulus too large: keep p^(k//2) <= 10^6, got {p}^{k // 2}")
+        else:
+            from .funcfield import Poly  # funcfield imports this module
+            if not Poly(FqCtx(p), modulus).is_irreducible():
+                raise ValueError("modulus is not irreducible over F_p")
         self.p = p
         self.k = k
         self.q = q

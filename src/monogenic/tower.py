@@ -48,7 +48,7 @@ from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc
-from .gf import FqCtx, FqElem, RingElement, format_terms, power
+from .gf import FqCtx, FqElem, RingElement, format_terms, power, split_power
 from .linalg import SpanTracker, solve_in_span
 
 # specialization points x -> c tried before a level-1 polynomial is refused
@@ -300,10 +300,8 @@ class Tower:
         square-and-multiply, then e Frobenius maps."""
         if not n:
             return self.from_base(1).val
-        e, p = 0, self.base.p
-        while n % p == 0:
-            n, e = n // p, e + 1
-        return self._frobenius(power(a, n, partial(self._mul, self.top)), e)
+        e, m = split_power(n, self.base.p)
+        return self._frobenius(power(a, m, partial(self._mul, self.top)), e)
 
     def _frobenius(self, a, e: int = 1):
         """a^(p^e) of a top-level value by e maps a -> sum_i c_i^p B_i^p,

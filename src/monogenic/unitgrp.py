@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .funcfield import Poly, RatFunc, split_over
-from .gf import FqCtx, FqElem
+from .gf import FqCtx, FqElem, split_power
 
 # the most torsion candidates (q - 2) or cosets of H/H^p (p^rank) that
 # solve_xy1 enumerates: 3^6, the cosets of the largest rank over F_3
@@ -339,10 +339,7 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     # such k is at most v_p([Sat:L]).  The two HNFs span the same Q-space,
     # so they share their pivot columns and the index is the pivot ratio.
     index = _pivot_product(gctx.lattice) // _pivot_product(sat)
-    descent = 0
-    while index % p == 0 and descent < height_bound:
-        index //= p
-        descent += 1
+    descent = min(split_power(index, p)[0], height_bound)
 
     # nontorsion families via H/H^p cosets, bucketed by the projective class
     # of the p-basis tail (d_1..d_{p-1}) of each coset's value
@@ -440,14 +437,6 @@ def brute_force_xy1(gctx: GroupCtx, exponent_box: int) -> List[Tuple[GroupElem, 
 # exponent bounds and the four-term difference set
 # ---------------------------------------------------------------------------
 
-def _ord_p(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def subsum_exponent_bound(e: Sequence[int], p: int) -> int:
     """A sound C1 such that every integer tuple (u_i) with
     sum e_i p^{u_i} in Z \\ {0} and no vanishing proper subsum satisfies
@@ -463,7 +452,7 @@ def subsum_exponent_bound(e: Sequence[int], p: int) -> int:
     if any(v == 0 for v in e):
         return 0
     if len(e) == 1:
-        return _ord_p(abs(e[0]), p)
+        return split_power(e[0], p)[0]
     # if all u_i <= -C2-1 then |sum| <= N max|e| p^{-C2-1} < 1
     c2 = 0
     n_max = len(e) * max(abs(v) for v in e)

@@ -303,6 +303,34 @@ def test_unbounded_enumeration_rejected(tmp_path, capsys, scenario, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("modulus, message", [
+    ("1000100000000000000000000000000000000001",
+     "549755813886 torsion candidates exceed the desk-scale cap of 729"),
+    ("11" + "0" * 61 + "1", "modulus too large: keep p^(k//2) <= 10^6, got 2^31"),
+], ids=["F_2^39", "F_2^63"])
+def test_large_base_modulus_checked_quickly(tmp_path, capsys, modulus, message):
+    # trial division of x^39+x^4+1 took 24 s before the torsion cap was
+    # reached, and that of x^63+x+1 took 46 s before it refused the size
+    scenario = {"task": "unit-solve", "base": {"p": 2, "k": len(modulus) - 1, "modulus": modulus},
+                "params": {"generators": ["x"]}}
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_linear_modulus_gives_the_default_base(tmp_path):
+    # z + 1 over F_2 once made a second context of F_2, which verify-33
+    # mixed with its own: "rational functions over different fields"
+    scenario = {"task": "verify-33", "params": {"eta": "x+1", "m_max": 1}}
+    own = run_scenario(scenario)
+    assert own == run_scenario(dict(scenario, base={"p": 2, "modulus": "11"}))
+    assert own[1] == 0
+
+
 _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4}
 
 
