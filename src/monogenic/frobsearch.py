@@ -38,7 +38,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .bivar import BivarPoly
-from .funcfield import PlaceSet, RatFunc, is_T_integer, is_T_unit, support
+from .funcfield import PlaceSet, RatFunc, coprime_basis, factor_over, is_T_unit, split_over
 from .gf import check_characteristic, split_power
 from .monorder import (
     MonOrder,
@@ -570,12 +570,16 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: PlaceSet = POLY_RING) -> Adden
     both inputs are already rational, so e = f = 1 and everything reduces
     to divisor proportionality at the places outside T."""
     e = f = 1
-    s_in = is_T_integer(s, ring)
-    t_in = is_T_integer(t, ring)
+    if s.is_zero() or t.is_zero():
+        raise ValueError(f"addendum element {'s' if s.is_zero() else 't'} must be nonzero")
+    # one split of T's places per side: no denominator left is a T-integer,
+    # a constant numerator besides a T-unit; the numerator is the part outside T
+    (_, num_s, den_s), (_, num_t, den_t) = (split_over(ring.finite_pis, a) for a in (s, t))
+    s_in, t_in = den_s.is_one(), den_t.is_one()
     if not (s_in or t_in):
         raise ValueError("hypothesis violated: route back to the grid search")
-    s_unit = s_in and not s.is_zero() and is_T_unit(s, ring)
-    t_unit = t_in and not t.is_zero() and is_T_unit(t, ring)
+    s_unit = s_in and num_s.is_constant()
+    t_unit = t_in and num_t.is_constant()
     if s_in and t_in:
         if s_unit and t_unit:
             return AddendumReport(e, f, True, True, True, True, None,
@@ -583,25 +587,23 @@ def addendum_report(s: RatFunc, t: RatFunc, ring: PlaceSet = POLY_RING) -> Adden
         if s_unit != t_unit:
             return AddendumReport(e, f, True, True, s_unit, t_unit, None,
                                   "empty: exactly one side is a unit")
-        # neither unit: minimal (M, N) with s^{eM}/t^{fN} a unit, by
-        # proportionality of the valuation vectors at the places outside T
-        sup_s = {v: m for v, m in support(s).items() if v not in ring}
-        sup_t = {v: m for v, m in support(t).items() if v not in ring}
-        if set(sup_s) != set(sup_t):
+        # neither unit: minimal (M, N) with s^{eM}/t^{fN} a unit.  Over the
+        # squarefree coprime basis of the two parts outside T, v_pi(s) is
+        # the exponent of the one b that pi divides, so the divisors are
+        # proportional exactly when the exponent vectors are
+        basis = coprime_basis([num_s, num_t])
+        fs, ft = (factor_over(basis, RatFunc(num)) for num in (num_s, num_t))
+        if fs is None or ft is None:
+            raise AssertionError("a side did not factor over its coprime basis")
+        es, et = fs[1], ft[1]
+        gs, gt = math.gcd(*es), math.gcd(*et)
+        if [v // gs for v in es] != [v // gt for v in et]:
             return AddendumReport(e, f, True, True, False, False, None,
                                   "empty: divisors are not proportional")
-        ratio = None
-        for v, m in sup_s.items():
-            r = Fraction(sup_t[v], m)
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return AddendumReport(e, f, True, True, False, False, None,
-                                      "empty: divisors are not proportional")
-        # both supports hold positive valuations (s, t are T-integers), so
-        # the ratio is positive and M, N >= 1
-        M, N = ratio.numerator, ratio.denominator
-        if not is_T_unit(s ** (e * M) / t ** (f * N), ring):
+        # both vectors are nonzero and nonnegative, so M, N >= 1
+        g = math.gcd(gs, gt)
+        M, N = gt // g, gs // g
+        if any(M * u != N * v for u, v in zip(es, et)):
             raise AssertionError("the minimal pair's ratio s^M/t^N is not a unit")
         return AddendumReport(e, f, True, True, False, False, (M, N),
                               "progression structure with the minimal unit-ratio pair")

@@ -47,11 +47,13 @@ it always contains infinity, and `PlaceSet()` = {inf} is F_q[x].  Every
 question about T's places is one `split_over` of the finite places of T,
 which divides them out of num and den without factoring anything: a is a
 T-integer when no denominator is left, a T-unit when a constant alone is
-left, and `unit_class` is what is left, up to a unit.
+left, and `unit_class` is what is left, up to a unit.  `factor_over` reads
+exponents over a `coprime_basis`, which refines polynomials by gcds.
 
 Factorization is squarefree decomposition (with p-th-power descent for the
 derivative-zero parts, which are common in characteristic p), followed by
-distinct-degree and Cantor-Zassenhaus splitting; `is_irreducible` factors nothing.
+distinct-degree and Cantor-Zassenhaus splitting; only `support` calls it,
+and `is_irreducible` factors nothing.
 """
 
 from __future__ import annotations
@@ -1279,6 +1281,38 @@ def split_over(basis: Sequence[Poly], a: RatFunc) -> Tuple[Tuple[int, ...], Poly
             e = -e
         vec.append(e)
     return tuple(vec), num, den
+
+
+def factor_over(basis: Sequence[Poly], a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
+    """(tau, e) with a = tau * prod basis_i^{e_i} (a != 0, a coprime monic
+    basis), or None: a factors when `split_over` leaves a constant."""
+    vec, num, den = split_over(basis, a)
+    return (num.coeff(0), vec) if num.is_constant() and den.is_one() else None
+
+
+def coprime_basis(polys: Iterable[Poly]) -> list:
+    """The monic, squarefree, pairwise coprime basis, sorted, over which
+    every nonzero input factors, by gcd refinement (Bach, Driscoll and
+    Shallit, J. Algorithms 15, 1993): a squarefree part f that meets a basis
+    element b in g = gcd(f, b) != 1 takes b out and inserts g, b/g and f/g
+    in turn, each scanning from the start.  A stack in place of recursion
+    runs the same gcds at any depth."""
+    stack = [sf for f in polys for sf, _ in f.monic().squarefree_decomposition()][::-1]
+    basis = []
+    while stack:
+        f = stack.pop()
+        if f.is_constant():
+            continue
+        for i, b in enumerate(basis):
+            g = f.gcd(b)
+            if not g.is_one():
+                del basis[i]
+                stack += [f // g, b // g, g]
+                break
+        else:
+            basis.append(f)
+    basis.sort(key=Poly.sort_key)
+    return basis
 
 
 def is_T_integer(a: RatFunc, T: PlaceSet) -> bool:

@@ -1,11 +1,11 @@
 """Finitely generated multiplicative subgroups of F_q(x)* and the
 constructive x + y = 1 machinery of characteristic p.
 
-A group context holds a coprime basis (gcd-refinement of the generators'
-numerators and denominators, each squarefree-decomposed first), the lattice
-spanned by the generators' exponent vectors, and the full constant subgroup
-F_q* as torsion.  The radical H is the saturation of that lattice together
-with F_q*; H/H^p is an F_p-vector space of dimension rank(H), which makes
+A group context holds a coprime basis (`funcfield.coprime_basis` of the
+generators' numerators and denominators), the lattice spanned by the
+generators' exponent vectors, and the full constant subgroup F_q* as
+torsion.  The radical H is the saturation of that lattice together with
+F_q*; H/H^p is an F_p-vector space of dimension rank(H), which makes
 the coset enumeration of the solver finite.
 
 The solver turns the constructive finiteness proof into an algorithm:
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .funcfield import Poly, RatFunc, split_over
+from .funcfield import Poly, RatFunc, coprime_basis, factor_over
 from .gf import FqCtx, FqElem, split_power
 
 # the most torsion candidates (q - 2) or cosets of H/H^p (p^rank) that
@@ -172,18 +172,11 @@ class GroupCtx:
     def factor_over_basis(self, a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
         """Write a = tau * prod basis_i^{e_i}; None when a does not factor
         over (torsion x basis)."""
-        return None if a.is_zero() else _factor_over(self.basis, a)
+        return None if a.is_zero() else factor_over(self.basis, a)
 
     def __repr__(self):
         bs = ", ".join(repr(b) for b in self.basis)
         return f"<group over F{self.ctx.q}(x): basis [{bs}], rank {self.rank}>"
-
-
-def _factor_over(basis: Sequence[Poly], a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
-    """(tau, e) with a = tau * prod basis_i^{e_i} (a != 0, a coprime monic
-    basis), or None: a factors when `split_over` leaves a constant."""
-    vec, num, den = split_over(basis, a)
-    return (num.coeff(0), vec) if num.is_constant() and den.is_one() else None
 
 
 @dataclass(frozen=True)
@@ -215,45 +208,12 @@ class GroupElem:
 
 def build_group(generators: Sequence, ctx: FqCtx) -> GroupCtx:
     """Coprime-basis context for the group generated by the given nonzero
-    elements of F_q(x)*, by iterated gcd-refinement."""
+    elements of F_q(x)*."""
     gens = [RatFunc.of(g, ctx) for g in generators]
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-
-    pool: List[Poly] = []
-    for g in gens:
-        for poly in (g.num, g.den):
-            for sf, _ in poly.monic().squarefree_decomposition():
-                if not sf.is_constant():
-                    pool.append(sf)
-
-    base: List[Poly] = []
-
-    def insert(f: Poly):
-        if f.is_constant():
-            return
-        i = 0
-        while i < len(base):
-            b = base[i]
-            g = f.gcd(b)
-            if g.is_one():
-                i += 1
-                continue
-            # split b (and f) along the common part and restart the scan
-            base.pop(i)
-            parts = [g, b // g]
-            rest = f // g
-            for part in parts:
-                insert(part)
-            insert(rest)
-            return
-        base.append(f)
-
-    for f in pool:
-        insert(f)
-    base.sort(key=Poly.sort_key)
-
-    factored = [_factor_over(base, g) for g in gens]
+    base = coprime_basis([part for g in gens for part in (g.num, g.den)])
+    factored = [factor_over(base, g) for g in gens]
     if None in factored:
         raise AssertionError("generator did not factor over the refined basis")
     return GroupCtx(ctx, base, [list(f[1]) for f in factored], [f[0] for f in factored])

@@ -389,6 +389,12 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
      "division by the formal symbol is not allowed"),
     ({"task": "search", "backend": "symmetric", "base": {"p": 2, "k": 2},
       "elements": {"s": "z/x", "t": "x+y"}}, "inexact bivariate division"),
+    ({"task": "addendum", "base": {"p": 3}, "elements": {"s": "0", "t": "1"}},
+     "addendum element s must be nonzero"),
+    ({"task": "addendum", "base": {"p": 3}, "elements": {"s": "0", "t": "x"}},
+     "addendum element s must be nonzero"),
+    ({"task": "addendum", "base": {"p": 3}, "elements": {"s": "x", "t": "0"}},
+     "addendum element t must be nonzero"),
     # no specialization certifies s^4+x either; the separability check speaks first
     ({"task": "disc", "base": {"p": 2}, "tower": {"levels": [{"label": "s", "poly": "s^4+x"}]},
       "elements": {"s": "s"}}, "not separable"),
@@ -402,7 +408,8 @@ _BOUNDS = {"d": 2, "p": 2, "q_K": 4, "S_size": 1, "q_L": 16, "r": 3, "lambda": 4
         "verify-33-m_max", "zero-element", "zero-s-symmetric", "zero-t-tower",
         "level-without-label",
         "list-label", "symbol-divisor", "symbol-divisor-level-2", "symbol-divisor-F4",
-        "symmetric-inexact-z", "inseparable-uncertified"])
+        "symmetric-inexact-z", "addendum-zero-s-unit-t", "addendum-zero-s",
+        "addendum-zero-t", "inseparable-uncertified"])
 def test_input_faults_exit_2(tmp_path, capsys, scenario, message):
     # each of these ended in a traceback (exit 1) or in a silent answer
     assert main([_write(tmp_path, scenario)]) == 2

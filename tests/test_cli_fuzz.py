@@ -87,7 +87,7 @@ _PARAM_VALUES = {
 _ELEMENT_TEXTS = {
     "symmetric": st.sampled_from(["x", "2*x+3*y", "x*y+x", "x+y", "x-y"]),
     "tower": st.sampled_from(["s", "s+x", "x*s", "s^2", "s+1", "u", "s^3"]),
-    "base": st.sampled_from(["x", "x^2", "x+1", "x^2+x", "x^3"]),
+    "base": st.sampled_from(["x", "x^2", "x+1", "x^2+x", "x^3", "0", "1/x"]),
 }
 
 
@@ -206,6 +206,17 @@ def _keeps_the_exit_contract(scenario):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - t0 < MAX_SECONDS, scenario
+
+
+@pytest.mark.parametrize("p, s, t", [
+    (65521, "(x+1)^97", "(x+1)^100"),
+    (65521, "x^240+x+3", "(x^240+x+3)^2"),
+    (2, "(x+1)^997", "(x+1)^1000"),
+], ids=["F65521-powers", "F65521-square", "F2-powers"])
+def test_addendum_probes_answer_quickly(p, s, t):
+    # the addendum factored both elements, and then checked its pair by the
+    # power s^M/t^N of degree 9,700 in the first probe: 10 s to minutes
+    _keeps_the_exit_contract({"task": "addendum", "base": {"p": p}, "elements": {"s": s, "t": t}})
 
 
 def _bundled_sizes():

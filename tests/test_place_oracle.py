@@ -7,14 +7,17 @@ whether every irreducible factor is a place of T, and `oracle_unit_class`
 (once `RingTag.unit_class`) split each place of T off num and den in
 turn.  The
 library now reads all three off one `split_over` of T's finite places,
-which factors nothing, and `unitgrp._factor_over` is a reader of the same
+which factors nothing, and `funcfield.factor_over` is a reader of the same
 split; `build_group` and `GroupCtx.factor_over_basis` must agree with the
-witness-factor oracle of `test_unit_oracle`.
+witness-factor oracle of `test_unit_oracle`.  No task reaches `Poly.factor`:
+every bundled scenario runs to its golden report without it.
 
 The fields are F_2, F_3, F_4 and F_7 (packed) and F_9 (the tuple path).
 """
 
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from monogenic import (
     Poly,
     RatFunc,
     TowerPowerPair,
+    addendum_report,
     build_group,
     disc_form_predicate,
     enumerate_M,
@@ -35,10 +39,12 @@ from monogenic import (
     split_over,
     unit_class,
 )
+from monogenic.cli import run_scenario
 from monogenic.verify import shifted_tower
 from test_unit_oracle import oracle_factor
 
 FIELDS = [FqCtx(2), FqCtx(3), FqCtx(2, 2), FqCtx(7), FqCtx(3, 2)]
+ROOT = Path(__file__).resolve().parent.parent
 MAX_DEGREE = 12
 
 
@@ -150,8 +156,9 @@ def test_group_factoring_matches_witness_oracle(ctx, count, seed):
 
 
 def test_place_questions_factor_nothing(monkeypatch):
-    # the records, the search's keys, membership and the group factoring
-    # over O_{K,T} read one split; none reaches Poly.factor
+    # the records, the search's keys, membership, the group factoring and
+    # the addendum over O_{K,T} read one split or one coprime basis; none
+    # reaches Poly.factor, and neither does any bundled scenario
     F2 = FqCtx(2)
     x = RatFunc.gen(F2)
     T = PlaceSet.of(Poly.x(F2), Poly(F2, [1, 1]))
@@ -170,3 +177,12 @@ def test_place_questions_factor_nothing(monkeypatch):
     a = x ** 3 * (x ** 2 + x + 1) / (x + 1)
     assert is_T_integer(a, T) and not is_T_unit(a, T)
     assert unit_class(a, T) == (Poly(F2, [1, 1, 1]), Poly.one(F2))
+    b = x ** 2 + x + 1
+    assert addendum_report(x * b ** 2, b ** 3 / (x + 1), T).minimal_MN == (3, 2)
+    paths = sorted((ROOT / "scenarios").glob("*.json"))
+    assert paths
+    for path in paths:
+        report, code = run_scenario(json.loads(path.read_text(encoding="utf-8")))
+        golden = ROOT / "tests" / "golden" / (path.stem + ".report.json")
+        assert code == 0, path.name
+        assert json.dumps(report, sort_keys=True, indent=2) == golden.read_text(encoding="utf-8")
