@@ -14,7 +14,8 @@
 #    compares their report digests with it and prints "correct": false on
 #    any difference or failed task.
 # It ends by printing the lines of src/ added and removed against HEAD (in a
-# git checkout) and the line total of src/, the size figures each change
+# git checkout), or by the last commit when the working tree leaves src/ as
+# HEAD has it, and the line total of src/, the size figures each change
 # reports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +42,12 @@ sys.exit(0 if result["correct"] and not result["failed"] else 1)
 done
 echo "== all gates passed"
 if git rev-parse --verify -q HEAD >/dev/null 2>&1; then
-    git diff --numstat HEAD -- src \
-        | awk '{a += $1; r += $2} END {printf "== src/ against HEAD: +%d -%d (net %+d)\n", a, r, a - r}'
+    range=HEAD what="against HEAD"
+    if git diff --quiet HEAD -- src && git rev-parse --verify -q HEAD~1 >/dev/null 2>&1; then
+        range=HEAD~1..HEAD what="in HEAD~1..HEAD"
+    fi
+    git diff --numstat "$range" -- src \
+        | awk -v what="$what" '{a += $1; r += $2}
+            END {printf "== src/ %s: +%d -%d (net %+d)\n", what, a, r, a - r}'
 fi
 echo "== src/ lines: $(find src -name "*.py" -exec cat {} + | wc -l)"

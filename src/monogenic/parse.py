@@ -14,10 +14,20 @@ degree bound from the text alone (an identifier 1, an integer 0, sums the
 larger bound, products and quotients the sum, `a^n` n times the bound of a);
 an exponent or a bound above `MAX_DEGREE` is a ParseError.  So a short
 string cannot ask for unbounded work, such as `x^99999999`.
+
+`parse_element` is one loop over two stacks, the operands read so far with
+their degree bounds and the pending operators, so nesting has no limit: a
+text of 10,000 parentheses or unary minuses reads like any other.  It runs
+each operation where a recursive-descent parser would, left to right: a
+power, a unary minus, a product or a quotient as soon as its right operand
+is read, and a sum or a difference once the token after that operand is
+not `*` or `/`.  At most one `^` follows an operand, so `x^2^3` is an
+error and `(x^2)^3` is not.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, List
 
@@ -44,82 +54,11 @@ def tokenize(text: str) -> List[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: List[str], env: Dict[str, object], one):
-        self.toks = tokens
-        self.i = 0
-        self.env = env
-        self.one = one
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.take()
-        if got != t:
-            raise ParseError(f"expected {t!r}, got {got!r}")
-
-    def parse_expr(self):
-        node, deg = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs, d = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-            deg = max(deg, d)
-        return node, deg
-
-    def parse_term(self):
-        node, deg = self.parse_unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs, d = self.parse_unary()
-            deg = _capped(deg + d)
-            node = node * rhs if op == "*" else node / rhs
-        return node, deg
-
-    def parse_unary(self):
-        if self.peek() == "-":
-            self.take()
-            node, deg = self.parse_unary()
-            return -node, deg
-        return self.parse_power()
-
-    def parse_power(self):
-        base, deg = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            exp = self.take()
-            if exp is None or not exp.isdigit():
-                raise ParseError("exponent must be an integer")
-            n = int(exp)
-            if n > MAX_DEGREE:
-                raise ParseError(f"exponent {n} is above the limit {MAX_DEGREE}")
-            deg = _capped(deg * n)
-            return (base ** (-n) if neg else base ** n), deg
-        return base, deg
-
-    def parse_atom(self):
-        t = self.take()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        if t == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if t.isdigit():
-            return self.one * int(t), 0
-        if t in self.env:
-            return self.env[t], 1
-        raise ParseError(f"unknown identifier {t!r}")
+# how tightly a pending operator binds; "(" ranks below every operator, so
+# nothing reduces it, and a token that is no binary operator reduces every
+# operator down to it
+_RANK = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _capped(deg: int) -> int:
@@ -131,11 +70,65 @@ def _capped(deg: int) -> int:
 def parse_element(text: str, env: Dict[str, object], one):
     """Parse `text` in the environment; `one` is the multiplicative unit of
     the target structure (used to coerce integer literals)."""
-    p = _Parser(tokenize(text), env, one)
-    node, _ = p.parse_expr()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at {p.toks[p.i:]!r}")
-    return node
+    toks = tokenize(text) + [None]  # None marks the end
+    values = []  # (value, degree bound) of each operand read
+    ops = []  # pending operators: "(", "neg" (unary minus) and the binary ones
+    depth = i = 0  # open parentheses; the next token
+    while True:
+        t = toks[i]
+        i += 1
+        if t == "-":
+            ops.append("neg")
+            continue
+        if t == "(":
+            ops.append(t)
+            depth += 1
+            continue
+        if t is None:
+            raise ParseError("unexpected end of input")
+        if t.isdigit():
+            values.append((one * int(t), 0))
+        elif t in env:
+            values.append((env[t], 1))
+        else:
+            raise ParseError(f"unknown identifier {t!r}")
+        while True:  # values[-1] is an atom: an operand, or a group just closed
+            if toks[i] == "^":
+                neg = toks[i + 1] == "-"
+                i += 2 + neg
+                exp = toks[i - 1]
+                if exp is None or not exp.isdigit():
+                    raise ParseError("exponent must be an integer")
+                n = int(exp)
+                if n > MAX_DEGREE:
+                    raise ParseError(f"exponent {n} is above the limit {MAX_DEGREE}")
+                base, deg = values[-1]
+                deg = _capped(deg * n)
+                values[-1] = (base ** (-n) if neg else base ** n), deg
+            t = toks[i]
+            rank = _RANK[t] if t in _BINARY else 1
+            while ops and _RANK[ops[-1]] >= rank:
+                op = ops.pop()
+                if op == "neg":
+                    values[-1] = -values[-1][0], values[-1][1]
+                    continue
+                rhs, d = values.pop()
+                node, deg = values[-1]
+                deg = _capped(deg + d) if op in "*/" else max(deg, d)
+                values[-1] = _BINARY[op](node, rhs), deg
+            i += 1
+            if t in _BINARY:
+                ops.append(t)
+                break
+            if t == ")" and depth:
+                ops.pop()
+                depth -= 1
+            elif depth:
+                raise ParseError(f"expected ')', got {t!r}")
+            elif t is None:
+                return values[0][0]
+            else:
+                raise ParseError(f"trailing input at {toks[i - 1:-1]!r}")
 
 
 class SymbolPoly(RingElement):

@@ -6,13 +6,14 @@ the tuple of its deg f_1 * ... * deg f_i coordinates over K in the product
 power basis g_i^{a_i} ... g_1^{a_1}, with g_1 varying fastest.  The basis of
 L_{i-1} is the start of the basis of L_i (the monomials with a_i = 0), so a
 lower level's value is the start of its value at a higher level and
-embedding pads with zeros.  Read as a polynomial in g_i, a level-i value
-has deg f_i consecutive blocks of coordinates as its coefficients, which
-is how multiplication reduces by f_i.  Every product bottoms out in the
-level-1 product, which runs on numerators in F_q[x] over one common
-denominator per operand (1 for polynomial coordinates, as on every power
-of a generator of a tower with polynomial coefficients) and normalizes
-each output coordinate once.
+embedding pads with zeros.  An element made before a later `extend` keeps
+its shorter value, and `AlgElem.coords` reads it so.  Read as a polynomial
+in g_i, a level-i value has deg f_i consecutive blocks of coordinates as
+its coefficients, which is how multiplication reduces by f_i.  Every
+product bottoms out in the level-1 product, which runs on numerators in
+F_q[x] over one common denominator per operand (1 for polynomial
+coordinates, as on every power of a generator of a tower with polynomial
+coefficients) and normalizes each output coordinate once.
 
 There is one exact elimination over K, the Bareiss `SpanTracker`.  It
 finds minimal polynomials (`power_span` feeds it the powers of an element,
@@ -20,7 +21,8 @@ which a caller may take from a cache it shares, `power_of`) and gives
 every discriminant as a Hankel determinant of power sums
 (`kp_discriminant`); no resultant or remainder sequence over K is
 computed.  Each level keeps disc(f_i), which `extend` computes to check
-that f_i is separable.
+that f_i is separable, after it refuses a tower of degree above
+MAX_TOWER_DEGREE.
 
 The Frobenius a -> a^p is additive in characteristic p: a = sum c_i B_i
 over the power basis has a^p = sum c_i^p B_i^p.  `_frobenius` reads each
@@ -53,6 +55,9 @@ from .linalg import SpanTracker, solve_in_span
 
 # specialization points x -> c tried before a level-1 polynomial is refused
 CERTIFY_POINTS = 256
+
+# the largest [L:K] that `extend` builds
+MAX_TOWER_DEGREE = 64
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +143,8 @@ class Level:
         self.coeffs = coeffs
         self.degree = degree
         self.status = status  # "certified(...)" or "assumed"
-        # disc(f), nonzero, as `kp_discriminant` returned it: an element of K
-        # for the first level; above it, an AlgElem made before this level
-        # was added, so its `val` is a value of the level below
+        # disc(f), nonzero: an element of K for the first level, a value of
+        # the level below above it
         self.disc = disc
         # the first level's coefficients over their common denominator delta, None above
         self.cleared = cleared
@@ -171,11 +175,16 @@ class Tower:
             raise ValueError(f"level {label!r}: defining polynomial must have degree >= 2")
         if cs[-1] != self._coerce_val(lvl, 1):
             raise ValueError(f"level {label!r}: defining polynomial must be monic")
+        if self.degree_total() * d > MAX_TOWER_DEGREE:
+            raise ValueError(f"level {label!r}: tower degree {self.degree_total() * d} exceeds "
+                             f"the supported desk scale of {MAX_TOWER_DEGREE}")
         # disc(f) over the current top level vanishes iff gcd(f, f') != 1
         f = cs if lvl == 0 else [AlgElem(self, c) for c in cs]
         disc = kp_discriminant(f, f[-1] - f[-1], f[-1])  # f is monic
         if not disc:
             raise ValueError(f"level {label!r}: defining polynomial is not separable")
+        if lvl:
+            disc = disc.val
         cleared = _common_denominator(cs) if lvl == 0 else None
         status = "assumed" if assume_irreducible else self._certify(cleared)
         if status is None:
@@ -223,21 +232,14 @@ class Tower:
         if isinstance(v, AlgElem):
             if v.tower is not self:
                 raise ValueError("element from another tower")
-            return v.val
+            return v.coords()
         r = RatFunc.of(v, self.base)
-        return r if lvl == 0 else self._embed(r).val
+        return r if lvl == 0 else self.from_base(r).val
 
     # ---- structural helpers on values
 
     def degree_total(self) -> int:
         return len(self._zero)
-
-    def _embed(self, v) -> "AlgElem":
-        """The lower-level value v (an element of K or a coordinate tuple)
-        as a top-level element: its coordinates padded with zeros."""
-        if isinstance(v, RatFunc):
-            v = (v,)
-        return AlgElem(self, v + self._zero[len(v):])
 
     def _blocks(self, lvl: int, v):
         """The level-`lvl` value v as a polynomial in g_lvl: its
@@ -354,7 +356,7 @@ class Tower:
         return len(self.levels)
 
     def from_base(self, r) -> "AlgElem":
-        return self._embed(RatFunc.of(r, self.base))
+        return AlgElem(self, (RatFunc.of(r, self.base),) + self._zero[1:])
 
     def gen(self, i: int = -1) -> "AlgElem":
         """The i-th tower generator as a top-level element."""
@@ -363,7 +365,7 @@ class Tower:
         if not (0 <= i < len(self.levels)):
             raise IndexError("no such tower level")
         m = math.prod(lv.degree for lv in self.levels[:i])
-        return self._embed(self._zero[:m] + (RatFunc.of(1, self.base),))
+        return AlgElem(self, self._zero[:m] + (RatFunc.of(1, self.base),) + self._zero[m + 1:])
 
     def x(self) -> "AlgElem":
         return self.from_base(RatFunc.gen(self.base))
@@ -376,7 +378,8 @@ class Tower:
 
 
 class AlgElem(RingElement):
-    """Element of the top level of a tower; `val` is its coordinate tuple."""
+    """Element of a tower; `val` is its coordinate tuple at the level that
+    was the top when it was made, and `coords` its value at the top now."""
 
     __slots__ = ("tower", "val")
 
@@ -397,13 +400,13 @@ class AlgElem(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.tower, _add(self.val, o.val))
+        return AlgElem(self.tower, _add(self.coords(), o.coords()))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.tower, _sub(self.val, o.val))
+        return AlgElem(self.tower, _sub(self.coords(), o.coords()))
 
     def __neg__(self):
         return AlgElem(self.tower, tuple(-c for c in self.val))
@@ -412,7 +415,7 @@ class AlgElem(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.tower, self.tower._mul(self.tower.top, self.val, o.val))
+        return AlgElem(self.tower, self.tower._mul(self.tower.top, self.coords(), o.coords()))
 
     def __truediv__(self, other):
         if isinstance(other, (int, FqElem, Poly, RatFunc)):
@@ -422,22 +425,22 @@ class AlgElem(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        inv = self.tower._inv(o.val)
-        return AlgElem(self.tower, self.tower._mul(self.tower.top, self.val, inv))
+        inv = self.tower._inv(o.coords())
+        return AlgElem(self.tower, self.tower._mul(self.tower.top, self.coords(), inv))
 
     def __pow__(self, n: int):
         if n < 0:
-            return AlgElem(self.tower, self.tower._pow(self.tower._inv(self.val), -n))
-        return AlgElem(self.tower, self.tower._pow(self.val, n))
+            return AlgElem(self.tower, self.tower._pow(self.tower._inv(self.coords()), -n))
+        return AlgElem(self.tower, self.tower._pow(self.coords(), n))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.val == o.val
+        return self.coords() == o.coords()
 
     def __hash__(self):
-        return hash((id(self.tower), self.val))
+        return hash((id(self.tower), self.coords()))
 
     def is_zero(self) -> bool:
         return not any(self.val)
@@ -446,8 +449,11 @@ class AlgElem(RingElement):
         return not self.is_zero()
 
     def coords(self) -> Tuple[RatFunc, ...]:
-        """Coordinates over K in the product power basis."""
-        return self.val
+        """Coordinates over K in the product power basis of the top level:
+        `val` padded with zeros, as the basis of a lower level is the start
+        of the basis above it."""
+        val, zero = self.val, self.tower._zero
+        return val if len(val) == len(zero) else val + zero[len(val):]
 
     def in_base(self) -> Optional[RatFunc]:
         """The value as an element of K, or None if it is not in K."""
@@ -472,7 +478,7 @@ class AlgElem(RingElement):
                                   f"{label}^{i}" if i > 1 else label if i else ""))
             return format_terms(terms)
 
-        return render(tower.top, self.val)
+        return render(tower.top, self.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +506,6 @@ def power_span(t: AlgElem, power: Optional[Callable[[int], AlgElem]] = None) -> 
     power is t times the one before."""
     power = power or partial(power_of, {1: t}, 1)
     tower = t.tower
-    if tower.degree_total() > 64:
-        raise ValueError("tower degree exceeds the supported desk scale")
     ctx = tower.base
     one = RatFunc.of(1, ctx)
     span = SpanTracker(RatFunc.of(0, ctx), one)
@@ -539,4 +543,4 @@ def frobenius_power(t: AlgElem, e: int) -> AlgElem:
     """t -> t^{p^e}, by e Frobenius maps."""
     if e < 0:
         raise ValueError("Frobenius exponent must be non-negative")
-    return AlgElem(t.tower, t.tower._frobenius(t.val, e))
+    return AlgElem(t.tower, t.tower._frobenius(t.coords(), e))

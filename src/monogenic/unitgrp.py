@@ -107,13 +107,7 @@ def _saturate(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[
     row span.  The saturation is the double integer kernel, since the
     Q-row-space is the orthogonal complement of the right kernel; so v lies
     in the Q-span exactly when k.v = 0 for every kernel vector k."""
-    identity = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return identity, []
     ker = _int_kernel(rows, ncols)
-    if not ker:
-        return [], identity
     return ker, _hnf_rows(_int_kernel(ker, ncols))
 
 
@@ -278,21 +272,17 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
 
     families: List[SolutionFamily] = []
 
-    # torsion families: solutions inside F_q* x F_q*, one per Frobenius orbit
-    # (Frobenius has order k on F_q, q = p^k)
-    seen = set()
+    # torsion families: solutions inside F_q* x F_q*, one per Frobenius
+    # orbit, each led by its x of least raw value (Frobenius has order k on
+    # F_q, q = p^k, and y = 1 - x follows x)
     zvec = (0,) * gctx.rank
     for xe in ctx.elements():
         ye = ctx.one - xe
-        if xe.is_zero() or ye.is_zero() or (xe.raw, ye.raw) in seen:
+        if xe.is_zero() or ye.is_zero() or any(
+                ctx.rfrob(xe.raw, e) < xe.raw for e in range(1, ctx.k)):
             continue
-        orbit = [(xe, ye)]
-        for _ in range(1, ctx.k):
-            orbit.append((orbit[-1][0].frobenius(), orbit[-1][1].frobenius()))
-        seen.update((a.raw, b.raw) for a, b in orbit)
-        rep = min(orbit, key=lambda t: (t[0].raw, t[1].raw))
         families.append(SolutionFamily(
-            GroupElem(gctx, rep[0], zvec), GroupElem(gctx, rep[1], zvec), True))
+            GroupElem(gctx, xe, zvec), GroupElem(gctx, ye, zvec), True))
 
     # the descent: p^k v lies in L for some k only when the order of v + L
     # in Sat/L is a power of p; it divides the index [Sat:L], so the least

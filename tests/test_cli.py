@@ -500,3 +500,48 @@ def test_own_base_accepted(tmp_path):
     assert main([_write(tmp_path, scenario)]) == 0
     scenario = {"task": "verify-b", "base": {"p": 7}, "params": {"i_max": 1, "j_max": 1}}
     assert main([_write(tmp_path, scenario)]) == 0
+
+
+@pytest.mark.parametrize("args, check", [
+    (["verify_a1.json", "--mmax", "1"],
+     lambda r: r["verification"]["params"]["m_max"] == "1" and r["verification"]["passed"]),
+    (["disc_shifted.json", "--places", "inf"],
+     lambda r: r["places"] == ["inf"] and r["disc_form_predicate"] is False),
+    (["verify_33.json", "--seed-eta", "x^3+x+1"],
+     lambda r: r["verification"]["params"]["eta"] == "x^3+x+1" and r["verification"]["passed"]),
+], ids=["mmax", "places", "seed-eta"])
+def test_command_line_overrides(capsys, args, check):
+    assert main([str(SCENARIOS / args[0]), "--json", *args[1:]]) == 0
+    assert check(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("element", ["(" * 10000 + "s" + ")" * 10000, "-" * 10000 + "s"],
+                         ids=["parentheses", "minuses"])
+def test_deep_nesting_answers(tmp_path, capsys, element):
+    # the recursive-descent parser ended such an element in a RecursionError
+    # traceback with exit 1, from 300 parentheses or 2,000 minuses on
+    scenario = {"task": "disc", "tower": _QUARTIC, "elements": {"s": element}}
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path, "--json"]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert json.loads(capsys.readouterr().out)["discriminant"] == "x^12"
+
+
+def test_tower_past_degree_64_refused_while_built(tmp_path, capsys):
+    # 20 quadratic levels a^2+a+x, b^2+b+a, ... over F_2: the order of the
+    # element refused degree 128 and more only once the tower was built, and
+    # each level built doubled the time (2.9 s at 14 levels)
+    labels = "abcdefghijklmnopqrst"
+    levels = [{"label": label, "poly": f"{label}^2+{label}+{below}"}
+              for label, below in zip(labels, "x" + labels)]
+    scenario = {"task": "disc", "tower": {"levels": levels, "assume_irreducible": True},
+                "elements": {"s": "a"}}
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: level 'g': tower degree 128 exceeds "
+                          "the supported desk scale of 64")
+    assert len(err.strip().splitlines()) == 1

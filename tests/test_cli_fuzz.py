@@ -6,7 +6,8 @@ a fault.  The task table `cli._TASKS` says which top-level keys and params
 each task reads.  Scenarios mix well-formed parts (fields, towers, element
 texts, sizes from their least value up to their default) with values of
 the wrong JSON type, unknown keys, keys the task does not read, malformed
-text, sizes just past their default and sizes of 10^9, and each one must
+text, texts nested in up to 2,000 parentheses or unary minuses, sizes just
+past their default and sizes of 10^9, and each one must
 finish in about a second: a size or field degree that reaches a loop
 without a cap runs far longer.  Every size of every bundled scenario is
 also set to 10^9 once.
@@ -38,11 +39,20 @@ _JUNK = st.recursive(
     max_leaves=6,
 )
 
-_TEXTS = st.sampled_from([
+def _nested(texts):
+    """texts, now and then inside up to 2,000 pairs of parentheses or after
+    a run of up to 2,000 unary minuses, which the parser reads without
+    recursion"""
+    depth = st.integers(1, 2000)
+    return (texts | st.builds(lambda n, t: "(" * n + t + ")" * n, depth, texts)
+            | st.builds(lambda n, t: "-" * n + t, depth, texts))
+
+
+_TEXTS = _nested(st.sampled_from([
     "x", "s", "t", "y", "z", "u", "1", "0", "x+1", "x^2+x", "s^2+x", "s+1", "x*s",
     "2*x+3*y", "x*y+x", "x+y", "1/x", "s/0", "(x", "", "x^-1", "s^4+x^4*s^2+x^3*s+x+1",
     "s^2-x", "s^2+s+x", "z*x+1", "x^3+x+1", "s^2+1/s", "z/x",
-]) | st.text(alphabet="xyzs0123+-*/^() ", max_size=10)
+]) | st.text(alphabet="xyzs0123+-*/^() ", max_size=10))
 
 # (base, tower) pairs that build: levels of degree 2 to 4 over F_2, F_3, F_4 and F_7
 _FIELDS_AND_TOWERS = [
@@ -85,9 +95,9 @@ _PARAM_VALUES = {
 }
 
 _ELEMENT_TEXTS = {
-    "symmetric": st.sampled_from(["x", "2*x+3*y", "x*y+x", "x+y", "x-y"]),
-    "tower": st.sampled_from(["s", "s+x", "x*s", "s^2", "s+1", "u", "s^3"]),
-    "base": st.sampled_from(["x", "x^2", "x+1", "x^2+x", "x^3", "0", "1/x"]),
+    "symmetric": _nested(st.sampled_from(["x", "2*x+3*y", "x*y+x", "x+y", "x-y"])),
+    "tower": _nested(st.sampled_from(["s", "s+x", "x*s", "s^2", "s+1", "u", "s^3"])),
+    "base": _nested(st.sampled_from(["x", "x^2", "x+1", "x^2+x", "x^3", "0", "1/x"])),
 }
 
 

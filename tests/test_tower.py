@@ -55,7 +55,8 @@ class GaloisMap:
             self.images[lv.label] = img
         # each image must be a root of the sigma-mapped defining polynomial
         for lv in tower.levels:
-            coeffs = [self.apply(tower._embed(c)) for c in lv.coeffs]
+            coeffs = [self.apply(tower.from_base(c) if isinstance(c, RatFunc) else AlgElem(tower, c))
+                      for c in lv.coeffs]
             if not kp_eval(coeffs, self.images[lv.label]).is_zero():
                 raise ValueError(
                     f"image of {lv.label!r} is not a root of its defining polynomial"
@@ -72,7 +73,7 @@ class GaloisMap:
             img = self.images[tower.levels[lvl - 1].label]
             return kp_eval([walk(lvl - 1, c) for c in tower._blocks(lvl, v)], img)
 
-        return walk(tower.top, t.val)
+        return walk(tower.top, t.coords())
 
 
 class ConjugateSet:
@@ -378,3 +379,33 @@ def test_element_text():
     s = tw.gen(0)
     x = tw.x()
     assert repr(x * s * s + s) == "x*s^2+s"
+
+
+def _made_before_extend():
+    # s is made while K(s) is the top; u^2 = s is added over it afterwards,
+    # so the value of s is shorter than those of the tower it now lives in
+    x = RatFunc.gen(F3)
+    tw = Tower(F3).extend("s", [-x, 0, 1])
+    s = tw.gen(0)
+    tw.extend("u", [-s, 0, 1], assume_irreducible=True)
+    return tw, s, tw.gen(1)
+
+
+@pytest.mark.parametrize("check", [
+    lambda tw, s, u: repr(s) == "s",
+    lambda tw, s, u: s * u == tw.gen(0) * u and repr(s * u) == "s*u",
+    lambda tw, s, u: s + u == tw.gen(0) + u and repr(s + u) == "u+s",
+    lambda tw, s, u: s == tw.gen(0) and hash(s) == hash(tw.gen(0)),
+], ids=["repr", "product", "sum", "equality"])
+def test_element_made_before_extend_reads_as_its_embedding(check):
+    # s was read as the start of a top-level value: it rendered as u, and
+    # s*u was 0, s+u was u and s != tw.gen(0)
+    assert check(*_made_before_extend())
+
+
+def test_level_disc_is_a_value_of_the_level_below():
+    tw, s, u = _made_before_extend()
+    tw.extend("w", [-u, 0, 1], assume_irreducible=True)
+    # disc(Y^2 - u) = 4u = u, a value of K(s, u) read in K(s, u, w)
+    assert AlgElem(tw, tw.levels[2].disc) == u == tw.gen(1)
+    assert AlgElem(tw, tw.levels[1].disc) == s

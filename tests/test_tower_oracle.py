@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from monogenic import FqCtx, Poly, RatFunc, Tower
 from monogenic.gf import power
-from monogenic.tower import kp_discriminant
+from monogenic.tower import AlgElem, kp_discriminant
 from test_linalg_oracle import gauss_jordan_solve
 from test_parse import (
     _f3_cubic, _random_elem, _random_ratfunc, _shifted_quartic, _two_level_degree_8,
@@ -272,7 +272,7 @@ def test_embedding_pads_a_lower_level_value():
     for _ in range(5):
         v = tuple(_random_ratfunc(tw.base, rng) for _ in range(nested._dim(1)))
         embedded = nested._embed_to(1, 2, nested._unflatten(1, v))
-        assert tuple(nested._flatten(2, embedded)) == tw._embed(v).coords()
+        assert tuple(nested._flatten(2, embedded)) == AlgElem(tw, v).coords()
 
 
 # ---------------------------------------------------------------------------
