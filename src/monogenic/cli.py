@@ -251,7 +251,7 @@ def _unit_solve(inp: _Input) -> dict:
             for text in _list(inp.params["generators"], "generators")]
     if not gens:
         raise ConfigError("unit-solve needs at least one generator")
-    gctx = build_group(gens, ctx)
+    gctx = build_group(gens, ctx, for_solver=True)
     fams = solve_xy1(gctx, inp.params["height_bound"])
     return {"group": {"basis": [repr(b) for b in gctx.basis], "rank": gctx.rank},
             "families": [f.describe() for f in fams], "family_count": len(fams)}

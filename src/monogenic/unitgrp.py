@@ -9,19 +9,27 @@ F_q*; H/H^p is an F_p-vector space of dimension rank(H), which makes
 the coset enumeration of the solver finite.
 
 The solver turns the constructive finiteness proof into an algorithm:
-enumerate coset representatives eps of H/H^p; for each ordered pair
-(eps_i, eps_j) with both nontrivial and eps_j in L^p + L^p eps_i, the
-directness of that sum pins the unique candidate solution, which is kept
-when it lands in H and descends into G after at most v_p([H:G]) Frobenius
-twists.  Write eps = sum d_m^p x^m over the p-basis.  Then eps_j = a + b
-eps_i with a, b in L^p exactly when the tails (d_1..d_{p-1}) of the two
-cosets are proportional, and the factor b is never 0 because a nontrivial
-coset is not a p-th power.  So the cosets are bucketed by the projective
-class of their tail, (m0, d_m/d_m0) at the first nonzero d_m0, and only
-pairs within a bucket are solved.  Values are built in exponent space (the
-basis is coprime and monic), and only x1, y1 with x = x1^p eps_i are
-factored.  Torsion solutions (inside F_q*) are enumerated directly and
-grouped into Frobenius orbits.
+enumerate coset representatives eps of H/H^p; for each pair (eps_i, eps_j)
+with both nontrivial and eps_j in L^p + L^p eps_i, the directness of that
+sum pins the unique candidate solution x = x1^p eps_i, y = y1^p eps_j with
+x1 = -b/a, y1 = 1/a, which is kept when it lands in H and descends into G
+after at most v_p([H:G]) Frobenius twists.  Write eps = sum d_m^p x^m over
+the p-basis.  Then eps_j = a + b eps_i with a, b in L^p exactly when the
+tails (d_1..d_{p-1}) of the two cosets are proportional, and the factor b is
+never 0 because a nontrivial coset is not a p-th power.  So the cosets are
+bucketed by the projective class of their tail, (m0, d_m/d_m0) at the first
+nonzero d_m0, and only pairs within a bucket are solved.
+
+Each unordered pair is solved once.  The pair (j, i) has b' = 1/b and
+a' = -a/b, so x1' = 1/a = y1 and y1' = -b/a = x1: its candidate is the swap
+(y, x), and it has none exactly when a = 0.  Every later test (factoring
+over the basis, the saturation, the descent) treats x and y alike, so both
+families of the pair are emitted together; the pair (i, i) has b = 1 and
+a = 0.  The check x + y = 1 runs on unreduced fractions, xn yd + yn xd =
+xd yd, and only the x and y of kept families are normalized.  Values are
+built in exponent space (the basis is coprime and monic), and only x1 and
+y1 are factored.  Torsion solutions (inside F_q*) are enumerated directly
+and grouped into Frobenius orbits.
 
 The four-term p-power identity A p^{X1} - A p^{X2} + B p^{X3} - B p^{X4} = 0
 is explored by bounded enumeration only; the full difference set is not
@@ -38,9 +46,11 @@ from typing import List, Optional, Sequence, Tuple
 from .funcfield import Poly, RatFunc, coprime_basis, factor_over
 from .gf import FqCtx, FqElem, split_power
 
-# the most torsion candidates (q - 2) or cosets of H/H^p (p^rank) that
-# solve_xy1 enumerates: 3^6, the cosets of the largest rank over F_3
-ENUMERATION_CAP = 3 ** 6
+# the largest basis that solve_xy1 takes, and the most torsion candidates
+# (q - 2) or cosets of H/H^p (p^rank) that it enumerates: 3^6, the cosets
+# of the largest rank over F_3
+MAX_RANK = 6
+ENUMERATION_CAP = 3 ** MAX_RANK
 
 # ---------------------------------------------------------------------------
 # small exact integer lattice helpers
@@ -200,13 +210,34 @@ class GroupElem:
         return repr(self.value())
 
 
-def build_group(generators: Sequence, ctx: FqCtx) -> GroupCtx:
+def _check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise ValueError("rank too large for the desk-scale coset enumeration")
+
+
+def build_group(generators: Sequence, ctx: FqCtx, for_solver: bool = False) -> GroupCtx:
     """Coprime-basis context for the group generated by the given nonzero
-    elements of F_q(x)*."""
+    elements of F_q(x)*.
+
+    With `for_solver`, a basis past solve_xy1's MAX_RANK is refused as soon
+    as the numerators and denominators read so far refine to one.  They are
+    read least degree first, MAX_RANK + 1 at a time, each batch refined
+    together with the basis of those before it.  Every element of that basis
+    is a product of elements of the whole basis (a basis is the coarsest
+    over which its inputs factor), and these are pairwise coprime, so the
+    whole basis is no smaller."""
     gens = [RatFunc.of(g, ctx) for g in generators]
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-    base = coprime_basis([part for g in gens for part in (g.num, g.den)])
+    parts = [part for g in gens for part in (g.num, g.den)]
+    if for_solver:
+        parts = sorted((f for f in parts if not f.is_constant()), key=lambda f: f.degree())
+        base = []
+        for i in range(0, len(parts), MAX_RANK + 1):
+            base = coprime_basis(base + parts[i:i + MAX_RANK + 1])
+            _check_rank(len(base))
+    else:
+        base = coprime_basis(parts)
     factored = [factor_over(base, g) for g in gens]
     if None in factored:
         raise AssertionError("generator did not factor over the refined basis")
@@ -260,8 +291,7 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     families, by coset enumeration over H/H^p and p-th power descent."""
     ctx = gctx.ctx
     p = ctx.p
-    if gctx.rank > 6:
-        raise ValueError("rank too large for the desk-scale coset enumeration")
+    _check_rank(gctx.rank)
     sat = gctx.sat_basis
     if ctx.q - 2 > ENUMERATION_CAP:
         raise ValueError(f"{ctx.q - 2} torsion candidates exceed the desk-scale "
@@ -311,8 +341,9 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
 
     one_rf = RatFunc.of(1, ctx)
     for (m0, _), members in buckets.items():
-        for vi, val_i, d in members:
-            for vj, val_j, c in members:
+        for i, (vi, val_i, d) in enumerate(members):
+            # (j, i) gives the swap of (i, j)'s solution, and (i, i) none
+            for vj, val_j, c in members[i + 1:]:
                 # c = a + b d over L^p with b = c_m0 / d_m0 != 0
                 b_val = c[m0] / d[m0]
                 a_val = c[0] - b_val * d[0]
@@ -320,14 +351,17 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
                     continue
                 y1 = one_rf / a_val
                 x1 = -b_val / a_val
-                x = x1 ** p * val_i
-                y = y1 ** p * val_j
-                if x + y != one_rf:
+                # x = xn/xd and y = yn/yd, checked unreduced
+                xn, xd = x1.num ** p * val_i.num, x1.den ** p * val_i.den
+                yn, yd = y1.num ** p * val_j.num, y1.den ** p * val_j.den
+                if xn * yd + yn * xd != xd * yd:
                     raise AssertionError("coset solution does not satisfy x + y = 1")
                 # x = x1^p * prod basis^{v_i}: factor x1 only
                 f1x = gctx.factor_over_basis(x1)
+                if f1x is None:
+                    continue
                 f1y = gctx.factor_over_basis(y1)
-                if f1x is None or f1y is None:
+                if f1y is None:
                     continue
                 ex = tuple(p * e + v for e, v in zip(f1x[1], vi))
                 ey = tuple(p * e + v for e, v in zip(f1y[1], vj))
@@ -340,10 +374,11 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
                 if n is None:
                     continue
                 q = p ** n
-                families.append(SolutionFamily(
-                    GroupElem(gctx, f1x[0].frobenius(n + 1), tuple(e * q for e in ex), x ** q),
-                    GroupElem(gctx, f1y[0].frobenius(n + 1), tuple(e * q for e in ey), y ** q),
-                    False))
+                x0 = GroupElem(gctx, f1x[0].frobenius(n + 1), tuple(e * q for e in ex),
+                               RatFunc(xn, xd) ** q)
+                y0 = GroupElem(gctx, f1y[0].frobenius(n + 1), tuple(e * q for e in ey),
+                               RatFunc(yn, yd) ** q)
+                families += [SolutionFamily(x0, y0, False), SolutionFamily(y0, x0, False)]
 
     families.sort(key=lambda f: (not f.torsion, f.x0.key(), f.y0.key()))
     return families

@@ -40,6 +40,7 @@ from monogenic import (
 )
 from monogenic.funcfield import coprime_basis, factor_over
 from monogenic.monorder import POLY_RING
+from monogenic.unitgrp import MAX_RANK
 from test_place_oracle import random_places
 
 FIELDS = [FqCtx(2), FqCtx(3), FqCtx(7)]
@@ -194,6 +195,26 @@ def test_refinement_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert list(gctx.basis) == linear
     assert gctx.gen_vectors[-1] == (1,) * n
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 2 ** 32))
+def test_solver_refinement_refuses_exactly_past_the_rank_cap(ctx, seed):
+    # refining the parts in batches, least degree first, gives the whole
+    # refinement's group, or refuses a basis that the whole refinement
+    # takes past MAX_RANK
+    rng = random.Random(seed)
+    polys = [f for _ in range(4) for f in _random_polys(ctx, rng)]
+    gens = [RatFunc(f) / RatFunc(g) for f, g in zip(polys[::2], polys[1::2])] or [RatFunc(polys[0])]
+    whole = build_group(gens, ctx)
+    if whole.rank > MAX_RANK:
+        with pytest.raises(ValueError, match="rank too large"):
+            build_group(gens, ctx, for_solver=True)
+    else:
+        batched = build_group(gens, ctx, for_solver=True)
+        assert batched.basis == whole.basis
+        assert batched.gen_vectors == whole.gen_vectors
+        assert batched.gen_torsion == whole.gen_torsion
 
 
 def _random_pair(ctx, T, rng):

@@ -322,6 +322,23 @@ def test_large_base_modulus_checked_quickly(tmp_path, capsys, modulus, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("product_first", [False, True], ids=["product-last", "product-first"])
+def test_over_rank_group_refused_while_refined(tmp_path, capsys, product_first):
+    # x+1, ..., x+990 and their product over F_65521, a 16.7 KB scenario:
+    # the whole refinement and the factoring of every generator took 28.5 s
+    # before solve_xy1 refused the rank
+    linear = [f"x+{i}" for i in range(1, 991)]
+    product = "*".join(f"({u})" for u in linear)
+    gens = [product] + linear if product_first else linear + [product]
+    scenario = {"task": "unit-solve", "base": {"p": 65521}, "params": {"generators": gens}}
+    path = _write(tmp_path, scenario)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: rank too large for the desk-scale coset enumeration\n"
+
+
 def test_linear_modulus_gives_the_default_base(tmp_path):
     # z + 1 over F_2 once made a second context of F_2, which verify-33
     # mixed with its own: "rational functions over different fields"

@@ -9,7 +9,9 @@ element (now through `Poly.split_off`, which took over from
 tested every ordered pair of nontrivial cosets of H/H^p for
 eps_j in L^p + L^p eps_i and factored x and y themselves.  The solver must
 return the same family list, with the same printed families, and agree with
-`brute_force_xy1` on exponent box 1.
+`brute_force_xy1` on exponent box 1.  It solves each unordered pair once,
+so its nontorsion families come in swapped pairs (x0, y0), (y0, x0), and it
+factors at most two values per unordered pair that the oracle reached.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenic import FqCtx, Poly, RatFunc, brute_force_xy1, build_group, solve_xy1
+from monogenic import FqCtx, Poly, RatFunc, brute_force_xy1, build_group, solve_xy1, unitgrp
 from monogenic.unitgrp import GroupCtx, GroupElem, SolutionFamily, pth_power_decompose
 
 FIELDS = [FqCtx(2), FqCtx(3), FqCtx(5), FqCtx(7), FqCtx(2, 2)]
@@ -259,17 +261,88 @@ def _solve_counting_lattice_calls(gctx, monkeypatch):
     return fams, len(calls)
 
 
+def _index_two_group():
+    """<x, 2x + 1, x^2 + x + 2, (x + 1)^2> over F_3: 109 families, 111
+    unordered coset pairs with a != 0, and [Sat:L] = 2."""
+    F3 = FqCtx(3)
+    x = Poly.x(F3)
+    return build_group([x, 2 * x + 1, x ** 2 + x + 2, x ** 2 + 2 * x + 1], F3)
+
+
 def test_descent_stops_at_the_index_valuation(monkeypatch):
     # x^2+2x+1 = (x+1)^2, so [Sat:L] = 2 and v_3([Sat:L]) = 0: a candidate
     # lands in G untwisted or never, and one or two lattice tests decide it.
     # The scan of every k up to the height bound made 10,096 of them.
-    F3 = FqCtx(3)
-    x = Poly.x(F3)
-    gctx = build_group([x, 2 * x + 1, x ** 2 + x + 2, x ** 2 + 2 * x + 1], F3)
+    gctx = _index_two_group()
     fams, calls = _solve_counting_lattice_calls(gctx, monkeypatch)
-    assert calls <= 444
+    assert calls <= 191
     assert fams == oracle_solve(gctx)
     assert len(fams) == 109
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_nontorsion_families_are_closed_under_the_swap(ctx, rank, seed):
+    # the solver solves each unordered coset pair once and emits (x0, y0)
+    # with (y0, x0); the ordered pairs of the oracle must give both too
+    gctx = random_group(ctx, rank, random.Random(seed))
+    if ctx.p ** len(gctx.sat_basis) > MAX_COSETS:
+        return
+    pairs = {(f.x0.key(), f.y0.key()) for f in solve_xy1(gctx) if not f.torsion}
+    assert pairs == {(y, x) for x, y in pairs}
+    assert pairs == {(f.x0.key(), f.y0.key()) for f in oracle_solve(gctx) if not f.torsion}
+
+
+def _solvable_ordered_pairs(gctx):
+    """The ordered pairs (eps_i, eps_j) of distinct nontrivial cosets with
+    eps_j = a + b eps_i, a != 0, b in L^p: the pairs that reach the
+    factoring step of the all-pairs oracle."""
+    ctx = gctx.ctx
+    p = ctx.p
+    sat = gctx.sat_basis
+    decomps = []
+    for tup in itertools.product(range(p), repeat=len(sat)):
+        if any(tup):
+            vec = [sum(t * row[c] for t, row in zip(tup, sat)) for c in range(gctx.rank)]
+            decomps.append(pth_power_decompose(oracle_value(gctx, ctx.one, vec)))
+    count = 0
+    for d, c in itertools.permutations(decomps, 2):
+        m0 = next(m for m in range(1, p) if not d[m].is_zero())
+        b_val = c[m0] / d[m0]
+        if all(c[m] == b_val * d[m] for m in range(1, p)) and c[0] != b_val * d[0]:
+            count += 1
+    return count
+
+
+def test_each_unordered_pair_is_factored_once(monkeypatch):
+    # the all-pairs solver factored x1 and y1 for each ordered pair, 444
+    # calls here; now each unordered pair factors x1, and y1 when x1 factors
+    gctx = _index_two_group()
+    ordered = _solvable_ordered_pairs(gctx)
+    assert ordered == 222
+    calls = []
+    real = GroupCtx.factor_over_basis
+    monkeypatch.setattr(GroupCtx, "factor_over_basis",
+                        lambda self, a: calls.append(a) or real(self, a))
+    fams = solve_xy1(gctx)
+    monkeypatch.undo()
+    assert len(calls) <= ordered  # two per unordered pair
+    assert fams == oracle_solve(gctx)
+
+
+def test_self_check_catches_a_wrong_decomposition(monkeypatch):
+    # a constant part d_0 off by one moves a but not the bucket, and then
+    # x + y = (a_true / a)^p != 1 for some pair
+    gctx = _index_two_group()
+    real = unitgrp.pth_power_decompose
+
+    def perturbed(a):
+        d = real(a)
+        return [d[0] + 1] + d[1:]
+
+    monkeypatch.setattr(unitgrp, "pth_power_decompose", perturbed)
+    with pytest.raises(AssertionError, match=r"^coset solution does not satisfy x \+ y = 1$"):
+        solve_xy1(gctx)
 
 
 @pytest.mark.parametrize("power", [3, 9])
