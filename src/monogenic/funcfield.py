@@ -1290,13 +1290,18 @@ def factor_over(basis: Sequence[Poly], a: RatFunc) -> Optional[Tuple[FqElem, Tup
     return (num.coeff(0), vec) if num.is_constant() and den.is_one() else None
 
 
-def coprime_basis(polys: Iterable[Poly]) -> list:
+def coprime_basis(polys: Iterable[Poly], limit: Optional[int] = None) -> list:
     """The monic, squarefree, pairwise coprime basis, sorted, over which
     every nonzero input factors, by gcd refinement (Bach, Driscoll and
     Shallit, J. Algorithms 15, 1993): a squarefree part f that meets a basis
     element b in g = gcd(f, b) != 1 takes b out and inserts g, b/g and f/g
     in turn, each scanning from the start.  A stack in place of recursion
-    runs the same gcds at any depth."""
+    runs the same gcds at any depth.
+
+    With `limit`, the refinement stops once the working basis holds more
+    than `limit` elements and returns it unfinished.  The whole basis is no
+    smaller: every working element is a product of its elements, and the
+    working elements are pairwise coprime."""
     stack = [sf for f in polys for sf, _ in f.monic().squarefree_decomposition()][::-1]
     basis = []
     while stack:
@@ -1311,6 +1316,8 @@ def coprime_basis(polys: Iterable[Poly]) -> list:
                 break
         else:
             basis.append(f)
+            if limit is not None and len(basis) > limit:
+                break
     basis.sort(key=Poly.sort_key)
     return basis
 

@@ -220,24 +220,14 @@ def build_group(generators: Sequence, ctx: FqCtx, for_solver: bool = False) -> G
     elements of F_q(x)*.
 
     With `for_solver`, a basis past solve_xy1's MAX_RANK is refused as soon
-    as the numerators and denominators read so far refine to one.  They are
-    read least degree first, MAX_RANK + 1 at a time, each batch refined
-    together with the basis of those before it.  Every element of that basis
-    is a product of elements of the whole basis (a basis is the coarsest
-    over which its inputs factor), and these are pairwise coprime, so the
-    whole basis is no smaller."""
+    as the refinement's working basis passes it (see `coprime_basis`)."""
     gens = [RatFunc.of(g, ctx) for g in generators]
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
-    parts = [part for g in gens for part in (g.num, g.den)]
+    base = coprime_basis([part for g in gens for part in (g.num, g.den)],
+                         MAX_RANK if for_solver else None)
     if for_solver:
-        parts = sorted((f for f in parts if not f.is_constant()), key=lambda f: f.degree())
-        base = []
-        for i in range(0, len(parts), MAX_RANK + 1):
-            base = coprime_basis(base + parts[i:i + MAX_RANK + 1])
-            _check_rank(len(base))
-    else:
-        base = coprime_basis(parts)
+        _check_rank(len(base))
     factored = [factor_over(base, g) for g in gens]
     if None in factored:
         raise AssertionError("generator did not factor over the refined basis")

@@ -200,21 +200,23 @@ def test_refinement_needs_no_recursion():
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(0, 2 ** 32))
 def test_solver_refinement_refuses_exactly_past_the_rank_cap(ctx, seed):
-    # refining the parts in batches, least degree first, gives the whole
-    # refinement's group, or refuses a basis that the whole refinement
-    # takes past MAX_RANK
+    # the working basis never outgrows the whole one and grows one element
+    # at a time: refinement stopped past any limit returns the whole basis
+    # or exactly limit + 1 elements, and unit-solve's build_group refuses
+    # exactly the groups of rank past MAX_RANK
     rng = random.Random(seed)
     polys = [f for _ in range(4) for f in _random_polys(ctx, rng)]
+    whole = coprime_basis(polys)
+    for limit in range(len(whole) + 1):
+        stopped = coprime_basis(polys, limit)
+        assert stopped == whole if len(whole) <= limit else len(stopped) == limit + 1
     gens = [RatFunc(f) / RatFunc(g) for f, g in zip(polys[::2], polys[1::2])] or [RatFunc(polys[0])]
-    whole = build_group(gens, ctx)
-    if whole.rank > MAX_RANK:
+    group = build_group(gens, ctx)
+    if group.rank > MAX_RANK:
         with pytest.raises(ValueError, match="rank too large"):
             build_group(gens, ctx, for_solver=True)
     else:
-        batched = build_group(gens, ctx, for_solver=True)
-        assert batched.basis == whole.basis
-        assert batched.gen_vectors == whole.gen_vectors
-        assert batched.gen_torsion == whole.gen_torsion
+        assert build_group(gens, ctx, for_solver=True).basis == group.basis
 
 
 def _random_pair(ctx, T, rng):
