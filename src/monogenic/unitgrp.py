@@ -13,23 +13,28 @@ enumerate coset representatives eps of H/H^p; for each pair (eps_i, eps_j)
 with both nontrivial and eps_j in L^p + L^p eps_i, the directness of that
 sum pins the unique candidate solution x = x1^p eps_i, y = y1^p eps_j with
 x1 = -b/a, y1 = 1/a, which is kept when it lands in H and descends into G
-after at most v_p([H:G]) Frobenius twists.  Write eps = sum d_m^p x^m over
-the p-basis.  Then eps_j = a + b eps_i with a, b in L^p exactly when the
-tails (d_1..d_{p-1}) of the two cosets are proportional, and the factor b is
-never 0 because a nontrivial coset is not a p-th power.  So the cosets are
-bucketed by the projective class of their tail, (m0, d_m/d_m0) at the first
-nonzero d_m0, and only pairs within a bucket are solved.
+after at most v_p([H:G]) Frobenius twists.  Write eps = N/D and
+W = N D^{p-1} = sum g_m^p x^m over the p-basis, so eps = sum (g_m/D)^p x^m.
+Then eps_j = a + b eps_i with a, b in L^p exactly when the tails
+(g_1..g_{p-1}) of the two cosets are proportional, and b is never 0
+because a nontrivial coset is not a p-th power.  So the cosets are bucketed
+by the projective class of their tail, and only pairs within a bucket are
+solved.
 
-Each unordered pair is solved once.  The pair (j, i) has b' = 1/b and
-a' = -a/b, so x1' = 1/a = y1 and y1' = -b/a = x1: its candidate is the swap
-(y, x), and it has none exactly when a = 0.  Every later test (factoring
-over the basis, the saturation, the descent) treats x and y alike, so both
-families of the pair are emitted together; the pair (i, i) has b = 1 and
-a = 0.  The check x + y = 1 runs on unreduced fractions, xn yd + yn xd =
-xd yd, and only the x and y of kept families are normalized.  Values are
-built in exponent space (the basis is coprime and monic), and only x1 and
-y1 are factored.  Torsion solutions (inside F_q*) are enumerated directly
-and grouped into Frobenius orbits.
+A pair is solved on numerators, with no gcd.  With g the parts of eps_i, h
+those of eps_j and g_m0 the first nonzero tail part, Delta = h_0 g_m0 -
+h_m0 g_0 is a g_m0 D_j: a = 0 exactly when Delta = 0, and otherwise
+x1 = -h_m0 D_i / Delta, y1 = g_m0 D_j / Delta, and x + y = 1 reads
+-h_m0^p W_i + g_m0^p W_j = Delta^p.  Each g_m0 is split over the basis
+once (`funcfield.split_over`), and Delta once per pair: x1 factors exactly
+when h_m0 and Delta leave the same monic part, y1 when g_m0 and Delta do.
+A kept value is built from its exponents and tied to the checked fraction.
+
+Each unordered pair is solved once: the pair (j, i) has b' = 1/b and
+a' = -a/b, so its candidate is the swap (y, x), and none exactly when
+a = 0.  The later tests treat x and y alike, so both families of a pair
+are emitted together.  Torsion solutions (inside F_q*) are enumerated
+directly and grouped into Frobenius orbits.
 
 The four-term p-power identity A p^{X1} - A p^{X2} + B p^{X3} - B p^{X4} = 0
 is explored by bounded enumeration only; the full difference set is not
@@ -43,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .funcfield import Poly, RatFunc, coprime_basis, factor_over
+from .funcfield import Poly, RatFunc, coprime_basis, factor_over, split_over
 from .gf import FqCtx, FqElem, split_power
 
 # the largest basis that solve_xy1 takes, and the most torsion candidates
@@ -155,6 +160,7 @@ class GroupCtx:
         self.gen_torsion = tuple(gen_torsion)
         self.lattice = _hnf_rows([list(v) for v in gen_vectors])
         self._kernel, self.sat_basis = _saturate([list(v) for v in gen_vectors], self.rank)
+        self._powers = {}  # (i, e) -> basis_i^e, for `value`
 
     def in_lattice(self, v: Sequence[int]) -> bool:
         return _in_lattice(self.lattice, v)
@@ -166,11 +172,15 @@ class GroupCtx:
         """tau * prod basis_i^{e_i}, already in lowest terms: the basis is
         monic and coprime, so num and den are the positive and negative powers."""
         num, den = Poly.constant(torsion), Poly.one(self.ctx)
-        for b, e in zip(self.basis, exponents):
-            if e > 0:
-                num = num * b ** e
-            elif e < 0:
-                den = den * b ** -e
+        for i, e in enumerate(exponents):
+            if e:
+                power = self._powers.get((i, abs(e)))
+                if power is None:
+                    power = self._powers[i, abs(e)] = self.basis[i] ** abs(e)
+                if e > 0:
+                    num = num * power
+                else:
+                    den = den * power
         return RatFunc._coprime(num, den) if num else RatFunc(num)
 
     def factor_over_basis(self, a: RatFunc) -> Optional[Tuple[FqElem, Tuple[int, ...]]]:
@@ -210,7 +220,11 @@ class GroupElem:
         return repr(self.value())
 
 
-def _check_rank(rank: int) -> None:
+def _check_size(ctx: FqCtx, rank: int = 0) -> None:
+    """Refuse too many torsion candidates for solve_xy1, then a large rank."""
+    if ctx.q - 2 > ENUMERATION_CAP:
+        raise ValueError(f"{ctx.q - 2} torsion candidates exceed the desk-scale "
+                         f"cap of {ENUMERATION_CAP}")
     if rank > MAX_RANK:
         raise ValueError("rank too large for the desk-scale coset enumeration")
 
@@ -219,15 +233,18 @@ def build_group(generators: Sequence, ctx: FqCtx, for_solver: bool = False) -> G
     """Coprime-basis context for the group generated by the given nonzero
     elements of F_q(x)*.
 
-    With `for_solver`, a basis past solve_xy1's MAX_RANK is refused as soon
-    as the refinement's working basis passes it (see `coprime_basis`)."""
+    With `for_solver`, a field that solve_xy1 refuses is refused before
+    any refinement, and a basis past its MAX_RANK as soon as the
+    refinement's working basis passes it (see `coprime_basis`)."""
+    if for_solver:
+        _check_size(ctx)
     gens = [RatFunc.of(g, ctx) for g in generators]
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
     base = coprime_basis([part for g in gens for part in (g.num, g.den)],
                          MAX_RANK if for_solver else None)
     if for_solver:
-        _check_rank(len(base))
+        _check_size(ctx, len(base))
     factored = [factor_over(base, g) for g in gens]
     if None in factored:
         raise AssertionError("generator did not factor over the refined basis")
@@ -238,11 +255,11 @@ def build_group(generators: Sequence, ctx: FqCtx, for_solver: bool = False) -> G
 # p-th power decomposition over the p-basis of F_q(x)
 # ---------------------------------------------------------------------------
 
-def pth_power_decompose(a: RatFunc) -> List[RatFunc]:
-    """Unique c_0..c_{p-1} in K with a = sum c_m^p x^m over the p-basis
-    {1, x, ..., x^{p-1}} of K over K^p."""
-    w = a.num * a.den ** (a.ctx.p - 1)
-    return [RatFunc(g, a.den) for g in w.pth_parts()]
+def pth_power_decompose(a: RatFunc) -> List[Poly]:
+    """The numerators g_0..g_{p-1} over a.den of the unique c_0..c_{p-1} in
+    K with a = sum c_m^p x^m over the p-basis {1, x, ..., x^{p-1}} of K
+    over K^p: a.num a.den^{p-1} = sum g_m^p x^m."""
+    return (a.num * a.den ** (a.ctx.p - 1)).pth_parts()
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +298,8 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     families, by coset enumeration over H/H^p and p-th power descent."""
     ctx = gctx.ctx
     p = ctx.p
-    _check_rank(gctx.rank)
+    _check_size(ctx, gctx.rank)
     sat = gctx.sat_basis
-    if ctx.q - 2 > ENUMERATION_CAP:
-        raise ValueError(f"{ctx.q - 2} torsion candidates exceed the desk-scale "
-                         f"cap of {ENUMERATION_CAP}")
     if p ** len(sat) > ENUMERATION_CAP:
         raise ValueError(f"{p ** len(sat)} cosets of H/H^p exceed the desk-scale "
                          f"cap of {ENUMERATION_CAP}")
@@ -311,8 +325,19 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     index = _pivot_product(gctx.lattice) // _pivot_product(sat)
     descent = min(split_power(index, p)[0], height_bound)
 
+    def split(g: Poly):  # (e, lc, r) with g = lc * r * prod basis_i^{e_i}, r monic
+        vec, rest, _ = split_over(gctx.basis, RatFunc(g))
+        return vec, rest.lc(), rest.monic()
+
+    def tied(torsion, exponents, num, den) -> RatFunc:  # the value, equal to num/den
+        val = gctx.value(torsion, exponents)
+        if val.num * den != num * val.den:
+            raise AssertionError("family value does not match its checked fraction")
+        return val
+
     # nontorsion families via H/H^p cosets, bucketed by the projective class
-    # of the p-basis tail (d_1..d_{p-1}) of each coset's value
+    # of the p-basis tail of each coset's value; a coset keeps its vector v,
+    # W = N D^{p-1}, the parts g, g_m0^p, D's exponents and the split of g_m0
     rho = len(sat)
     buckets = {}
     for tup in itertools.product(range(p), repeat=rho):
@@ -322,52 +347,46 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
             sum(tup[i] * sat[i][c] for i in range(rho)) for c in range(gctx.rank)
         )
         val = gctx.value(ctx.one, vec)
-        d = pth_power_decompose(val)
-        m0 = next((m for m in range(1, p) if not d[m].is_zero()), None)
+        g = pth_power_decompose(val)
+        m0 = next((m for m in range(1, p) if g[m]), None)
         if m0 is None:
             raise AssertionError("nontrivial coset representative is a p-th power")
-        key = (m0, tuple(d[m] / d[m0] for m in range(1, p)))
-        buckets.setdefault(key, []).append((vec, val, d))
+        key = (m0, tuple(RatFunc(g[m], g[m0]) for m in range(m0 + 1, p)))
+        buckets.setdefault(key, []).append((vec, val.num * val.den ** (p - 1), g, g[m0] ** p,
+                                            [max(-v, 0) for v in vec], split(g[m0])))
 
-    one_rf = RatFunc.of(1, ctx)
     for (m0, _), members in buckets.items():
-        for i, (vi, val_i, d) in enumerate(members):
+        for i, (vi, wi, g, gp, di, (eg, cg, rg)) in enumerate(members):
             # (j, i) gives the swap of (i, j)'s solution, and (i, i) none
-            for vj, val_j, c in members[i + 1:]:
-                # c = a + b d over L^p with b = c_m0 / d_m0 != 0
-                b_val = c[m0] / d[m0]
-                a_val = c[0] - b_val * d[0]
-                if a_val.is_zero():
+            for vj, wj, h, hp, dj, (eh, ch, rh) in members[i + 1:]:
+                delta = h[0] * g[m0] - h[m0] * g[0]
+                if not delta:
                     continue
-                y1 = one_rf / a_val
-                x1 = -b_val / a_val
-                # x = xn/xd and y = yn/yd, checked unreduced
-                xn, xd = x1.num ** p * val_i.num, x1.den ** p * val_i.den
-                yn, yd = y1.num ** p * val_j.num, y1.den ** p * val_j.den
-                if xn * yd + yn * xd != xd * yd:
+                # x = -h_m0^p W_i / delta^p and y = g_m0^p W_j / delta^p
+                xn, yn, dp = -hp * wi, gp * wj, delta ** p
+                if xn + yn != dp:
                     raise AssertionError("coset solution does not satisfy x + y = 1")
-                # x = x1^p * prod basis^{v_i}: factor x1 only
-                f1x = gctx.factor_over_basis(x1)
-                if f1x is None:
+                # x1 = -h_m0 D_i / delta and y1 = g_m0 D_j / delta
+                ed, cd, rd = split(delta)
+                if rh != rd or rg != rd:
                     continue
-                f1y = gctx.factor_over_basis(y1)
-                if f1y is None:
-                    continue
-                ex = tuple(p * e + v for e, v in zip(f1x[1], vi))
-                ey = tuple(p * e + v for e, v in zip(f1y[1], vj))
+                ex = tuple(p * (a - b + c) + v for a, b, c, v in zip(eh, ed, di, vi))
+                ey = tuple(p * (a - b + c) + v for a, b, c, v in zip(eg, ed, dj, vj))
                 if not (gctx.in_saturation(ex) and gctx.in_saturation(ey)):
                     continue
-                # descend: least p-power twist landing inside G
-                n = next((k for k in range(descent + 1)
-                          if gctx.in_lattice([e * p ** k for e in ex])
-                          and gctx.in_lattice([e * p ** k for e in ey])), None)
+                # descend: least p-power twist landing inside G (none when Sat = L)
+                n = 0 if index == 1 else next(
+                    (k for k in range(descent + 1)
+                     if gctx.in_lattice([e * p ** k for e in ex])
+                     and gctx.in_lattice([e * p ** k for e in ey])), None)
                 if n is None:
                     continue
                 q = p ** n
-                x0 = GroupElem(gctx, f1x[0].frobenius(n + 1), tuple(e * q for e in ex),
-                               RatFunc(xn, xd) ** q)
-                y0 = GroupElem(gctx, f1y[0].frobenius(n + 1), tuple(e * q for e in ey),
-                               RatFunc(yn, yd) ** q)
+                tx, ty = (-ch / cd).frobenius(), (cg / cd).frobenius()
+                x0 = GroupElem(gctx, tx.frobenius(n), tuple(e * q for e in ex),
+                               tied(tx, ex, xn, dp) ** q)
+                y0 = GroupElem(gctx, ty.frobenius(n), tuple(e * q for e in ey),
+                               tied(ty, ey, yn, dp) ** q)
                 families += [SolutionFamily(x0, y0, False), SolutionFamily(y0, x0, False)]
 
     families.sort(key=lambda f: (not f.torsion, f.x0.key(), f.y0.key()))

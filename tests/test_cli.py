@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from monogenic import cli
+from monogenic import FqCtx, Poly, cli
 from monogenic.cli import ConfigError, main, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -322,20 +323,40 @@ def test_large_base_modulus_checked_quickly(tmp_path, capsys, modulus, message):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("product_first", [False, True], ids=["product-last", "product-first"])
-def test_over_rank_group_refused_while_refined(tmp_path, capsys, product_first):
-    # x+1, ..., x+990 and their product over F_65521, a 16.7 KB scenario:
-    # the whole refinement and the factoring of every generator took 28.5 s
-    # before solve_xy1 refused the rank
-    linear = [f"x+{i}" for i in range(1, 991)]
-    product = "*".join(f"({u})" for u in linear)
-    gens = [product] + linear if product_first else linear + [product]
-    scenario = {"task": "unit-solve", "base": {"p": 65521}, "params": {"generators": gens}}
+def _refused_while_refined(tmp_path, capsys, p, factors, product_first):
+    """The exit-2 message of `unit-solve` on the factors and their product."""
+    product = "*".join(f"({u})" for u in factors)
+    gens = [product] + factors if product_first else factors + [product]
+    scenario = {"task": "unit-solve", "base": {"p": p}, "params": {"generators": gens}}
     path = _write(tmp_path, scenario)
     t0 = time.perf_counter()
     assert main([path]) == 2
     assert time.perf_counter() - t0 < 3
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("product_first", [False, True], ids=["product-last", "product-first"])
+def test_over_rank_group_refused_while_refined(tmp_path, capsys, product_first):
+    # x+1, ..., x+990 and their product over F_65521, a 16.7 KB scenario:
+    # the whole refinement and the factoring of every generator took 28.5 s
+    # before solve_xy1 refused the rank; now the field's 65519 torsion
+    # candidates are refused before any refinement
+    linear = [f"x+{i}" for i in range(1, 991)]
+    err = _refused_while_refined(tmp_path, capsys, 65521, linear, product_first)
+    assert err == ("configuration error: 65519 torsion candidates exceed the "
+                   "desk-scale cap of 729\n")
+
+
+@pytest.mark.parametrize("product_first", [False, True], ids=["product-last", "product-first"])
+def test_over_rank_group_refused_below_the_torsion_cap(tmp_path, capsys, product_first):
+    # the 140 monic irreducibles of degree <= 3 over F_7 and their product:
+    # refused as soon as the refinement's working basis passes rank 6 (the
+    # whole refinement alone takes 0.2-0.9 s)
+    F7 = FqCtx(7)
+    factors = [repr(f) for d in (1, 2, 3) for c in itertools.product(range(7), repeat=d)
+               if (f := Poly(F7, list(c) + [1])).is_irreducible()]
+    assert len(factors) == 140
+    err = _refused_while_refined(tmp_path, capsys, 7, factors, product_first)
     assert err == "configuration error: rank too large for the desk-scale coset enumeration\n"
 
 

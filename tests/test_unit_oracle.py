@@ -11,7 +11,16 @@ eps_j in L^p + L^p eps_i and factored x and y themselves.  The solver must
 return the same family list, with the same printed families, and agree with
 `brute_force_xy1` on exponent box 1.  It solves each unordered pair once,
 so its nontorsion families come in swapped pairs (x0, y0), (y0, x0), and it
-factors at most two values per unordered pair that the oracle reached.
+splits one polynomial per coset and one per unordered pair that the oracle
+reached.
+
+`pair_loop_solve` is the pair loop that came between the two, kept as it
+was but for reading `pth_power_decompose`'s numerators over a.den: it
+solved each unordered pair once on normalized rational functions,
+b = c_m0/d_m0, a = c_0 - b d_0, y1 = 1/a and x1 = -b/a, and factored x1
+and y1 with `GroupCtx.factor_over_basis`.  The solver now solves a pair
+from one determinant of polynomial numerators and builds each value from
+its exponents; it must return the same families with the same values.
 """
 
 import itertools
@@ -23,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogenic import FqCtx, Poly, RatFunc, brute_force_xy1, build_group, solve_xy1, unitgrp
+from monogenic.gf import split_power
 from monogenic.unitgrp import GroupCtx, GroupElem, SolutionFamily, pth_power_decompose
 
 FIELDS = [FqCtx(2), FqCtx(3), FqCtx(5), FqCtx(7), FqCtx(2, 2)]
@@ -53,6 +63,11 @@ def oracle_factor(gctx, a):
     if not rest.is_constant():
         return None
     return rest.constant_value(), tuple(vec)
+
+
+def decompose(a):
+    """c_0..c_{p-1} with a = sum c_m^p x^m, as rational functions."""
+    return [RatFunc(g, a.den) for g in pth_power_decompose(a)]
 
 
 def oracle_solve(gctx, height_bound=64):
@@ -98,7 +113,7 @@ def oracle_solve(gctx, height_bound=64):
 
     def decomp(vec):
         if vec not in decomp_cache:
-            decomp_cache[vec] = pth_power_decompose(oracle_value(gctx, ctx.one, vec))
+            decomp_cache[vec] = decompose(oracle_value(gctx, ctx.one, vec))
         return decomp_cache[vec]
 
     one_rf = RatFunc.of(1, ctx)
@@ -143,6 +158,80 @@ def oracle_solve(gctx, height_bound=64):
             ex = GroupElem(gctx, fx[0], fx[1]).pth_power(n) if n else GroupElem(gctx, fx[0], fx[1])
             ey = GroupElem(gctx, fy[0], fy[1]).pth_power(n) if n else GroupElem(gctx, fy[0], fy[1])
             families.append(SolutionFamily(ex, ey, False))
+
+    families.sort(key=lambda f: (not f.torsion, f.x0.key(), f.y0.key()))
+    return families
+
+
+def pair_loop_solve(gctx, height_bound=64):
+    ctx = gctx.ctx
+    p = ctx.p
+    sat = gctx.sat_basis
+    families = []
+
+    zvec = (0,) * gctx.rank
+    for xe in ctx.elements():
+        ye = ctx.one - xe
+        if xe.is_zero() or ye.is_zero() or any(
+                ctx.rfrob(xe.raw, e) < xe.raw for e in range(1, ctx.k)):
+            continue
+        families.append(SolutionFamily(
+            GroupElem(gctx, xe, zvec), GroupElem(gctx, ye, zvec), True))
+
+    index = unitgrp._pivot_product(gctx.lattice) // unitgrp._pivot_product(sat)
+    descent = min(split_power(index, p)[0], height_bound)
+
+    rho = len(sat)
+    buckets = {}
+    for tup in itertools.product(range(p), repeat=rho):
+        if not any(tup):
+            continue
+        vec = tuple(
+            sum(tup[i] * sat[i][c] for i in range(rho)) for c in range(gctx.rank)
+        )
+        val = gctx.value(ctx.one, vec)
+        d = decompose(val)
+        m0 = next((m for m in range(1, p) if not d[m].is_zero()), None)
+        if m0 is None:
+            raise AssertionError("nontrivial coset representative is a p-th power")
+        key = (m0, tuple(d[m] / d[m0] for m in range(1, p)))
+        buckets.setdefault(key, []).append((vec, val, d))
+
+    one_rf = RatFunc.of(1, ctx)
+    for (m0, _), members in buckets.items():
+        for i, (vi, val_i, d) in enumerate(members):
+            for vj, val_j, c in members[i + 1:]:
+                b_val = c[m0] / d[m0]
+                a_val = c[0] - b_val * d[0]
+                if a_val.is_zero():
+                    continue
+                y1 = one_rf / a_val
+                x1 = -b_val / a_val
+                xn, xd = x1.num ** p * val_i.num, x1.den ** p * val_i.den
+                yn, yd = y1.num ** p * val_j.num, y1.den ** p * val_j.den
+                if xn * yd + yn * xd != xd * yd:
+                    raise AssertionError("coset solution does not satisfy x + y = 1")
+                f1x = gctx.factor_over_basis(x1)
+                if f1x is None:
+                    continue
+                f1y = gctx.factor_over_basis(y1)
+                if f1y is None:
+                    continue
+                ex = tuple(p * e + v for e, v in zip(f1x[1], vi))
+                ey = tuple(p * e + v for e, v in zip(f1y[1], vj))
+                if not (gctx.in_saturation(ex) and gctx.in_saturation(ey)):
+                    continue
+                n = next((k for k in range(descent + 1)
+                          if gctx.in_lattice([e * p ** k for e in ex])
+                          and gctx.in_lattice([e * p ** k for e in ey])), None)
+                if n is None:
+                    continue
+                q = p ** n
+                x0 = GroupElem(gctx, f1x[0].frobenius(n + 1), tuple(e * q for e in ex),
+                               RatFunc(xn, xd) ** q)
+                y0 = GroupElem(gctx, f1y[0].frobenius(n + 1), tuple(e * q for e in ey),
+                               RatFunc(yn, yd) ** q)
+                families += [SolutionFamily(x0, y0, False), SolutionFamily(y0, x0, False)]
 
     families.sort(key=lambda f: (not f.torsion, f.x0.key(), f.y0.key()))
     return families
@@ -204,6 +293,21 @@ def test_solver_matches_all_pairs_oracle(ctx, rank, seed):
         assert f.x0.value() == oracle_value(gctx, f.x0.torsion, f.x0.exponents)
         assert f.x0.value() + f.y0.value() == RatFunc.of(1, ctx)
     brute_agrees(gctx, fams)
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_solver_matches_pair_loop(ctx, rank, seed):
+    # the families are equal as keys, and `known_value` is compare=False,
+    # so the values are compared one by one
+    gctx = random_group(ctx, rank, random.Random(seed))
+    if ctx.p ** len(gctx.sat_basis) > unitgrp.ENUMERATION_CAP:
+        return
+    fams = solve_xy1(gctx)
+    want = pair_loop_solve(gctx)
+    assert fams == want
+    for f, w in zip(fams, want):
+        assert (f.x0.value(), f.y0.value()) == (w.x0.value(), w.y0.value())
 
 
 def test_solver_matches_oracle_on_workload_groups():
@@ -304,7 +408,7 @@ def _solvable_ordered_pairs(gctx):
     for tup in itertools.product(range(p), repeat=len(sat)):
         if any(tup):
             vec = [sum(t * row[c] for t, row in zip(tup, sat)) for c in range(gctx.rank)]
-            decomps.append(pth_power_decompose(oracle_value(gctx, ctx.one, vec)))
+            decomps.append(decompose(oracle_value(gctx, ctx.one, vec)))
     count = 0
     for d, c in itertools.permutations(decomps, 2):
         m0 = next(m for m in range(1, p) if not d[m].is_zero())
@@ -314,25 +418,60 @@ def _solvable_ordered_pairs(gctx):
     return count
 
 
+def _solve_counting_splits(gctx, monkeypatch, perturb=lambda n, out: out):
+    """solve_xy1 with `unitgrp.split_over` counted; `perturb(n, out)` may
+    change the result of the n-th call."""
+    calls = []
+    real = unitgrp.split_over
+
+    def counted(basis, a):
+        calls.append(a)
+        return perturb(len(calls) - 1, real(basis, a))
+
+    monkeypatch.setattr(unitgrp, "split_over", counted)
+    try:
+        return solve_xy1(gctx), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
 def test_each_unordered_pair_is_factored_once(monkeypatch):
     # the all-pairs solver factored x1 and y1 for each ordered pair, 444
-    # calls here; now each unordered pair factors x1, and y1 when x1 factors
+    # calls here; now each coset splits its g_m0 once, and each unordered
+    # pair with a != 0 splits its determinant once
     gctx = _index_two_group()
     ordered = _solvable_ordered_pairs(gctx)
     assert ordered == 222
-    calls = []
-    real = GroupCtx.factor_over_basis
-    monkeypatch.setattr(GroupCtx, "factor_over_basis",
-                        lambda self, a: calls.append(a) or real(self, a))
-    fams = solve_xy1(gctx)
-    monkeypatch.undo()
-    assert len(calls) <= ordered  # two per unordered pair
+    cosets = gctx.ctx.p ** len(gctx.sat_basis) - 1
+    fams, calls = _solve_counting_splits(gctx, monkeypatch)
+    assert 0 < calls <= cosets + ordered // 2
     assert fams == oracle_solve(gctx)
 
 
+def test_value_tie_catches_a_wrong_split_exponent(monkeypatch):
+    # the cosets' splits come first; adding a lattice vector to each of
+    # them moves the exponents of every x and y by p times that vector,
+    # which keeps the saturation and descent tests as they were, so only
+    # the tie of each value to its checked fraction can see it
+    gctx = _index_two_group()
+    cosets = gctx.ctx.p ** len(gctx.sat_basis) - 1
+    shift = gctx.lattice[0]
+
+    def wrong(n, out):
+        if n >= cosets:
+            return out
+        vec, num, den = out
+        return tuple(e + s for e, s in zip(vec, shift)), num, den
+
+    with pytest.raises(AssertionError,
+                       match=r"^family value does not match its checked fraction$"):
+        _solve_counting_splits(gctx, monkeypatch, wrong)
+
+
 def test_self_check_catches_a_wrong_decomposition(monkeypatch):
-    # a constant part d_0 off by one moves a but not the bucket, and then
-    # x + y = (a_true / a)^p != 1 for some pair
+    # the numerator g_0 of the constant part off by one moves the
+    # determinant but not the bucket, and W, read off the coset value, does
+    # not move: -h_m0^p W_i + g_m0^p W_j != delta^p for some pair
     gctx = _index_two_group()
     real = unitgrp.pth_power_decompose
 
