@@ -6,6 +6,11 @@ the two variables.  Only what that example needs is here: arithmetic, the
 swap, exact division, scaling to monic, and rewriting a symmetric
 polynomial in the elementary symmetric generators e1 = x+y, e2 = xy
 (Gauss's algorithm by lexicographic leading-term elimination).
+
+Over a prime field (raw coefficients are ints) a product adds the
+unreduced int products of each exponent and reduces every output
+coefficient mod p once, dropping zeros in that pass; over F_{p^k}, k > 1,
+each term product goes through `FqCtx.radd`/`rmul`.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class BivarPoly(RingElement):
         )
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
+        return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other) -> Optional["BivarPoly"]:
         if isinstance(other, BivarPoly):
@@ -89,11 +94,7 @@ class BivarPoly(RingElement):
         ctx = self.ctx
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = ctx.radd(out.get(e, ctx.rzero), c)
-            if ctx.ris_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _accumulate(ctx, out, e, c)
         return _wrap(ctx, out, self.names)
 
     def __neg__(self):
@@ -106,14 +107,17 @@ class BivarPoly(RingElement):
             return NotImplemented
         ctx = self.ctx
         out = {}
+        if ctx.k == 1:
+            # prime field: unreduced int sums, one reduction per coefficient
+            get, p, other_terms = out.get, ctx.p, o.terms.items()
+            for (i1, j1), c1 in self.terms.items():
+                for (i2, j2), c2 in other_terms:
+                    e = (i1 + i2, j1 + j2)
+                    out[e] = get(e, 0) + c1 * c2
+            return _wrap(ctx, {e: r for e, c in out.items() if (r := c % p)}, self.names)
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in o.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = ctx.radd(out.get(e, ctx.rzero), ctx.rmul(c1, c2))
-                if ctx.ris_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                _accumulate(ctx, out, (i1 + i2, j1 + j2), ctx.rmul(c1, c2))
         return _wrap(ctx, out, self.names)
 
     def __pow__(self, n: int):
@@ -137,6 +141,21 @@ class BivarPoly(RingElement):
         """The automorphism x <-> y."""
         return _wrap(self.ctx, {(j, i): c for (i, j), c in self.terms.items()}, self.names)
 
+    def antisym(self) -> "BivarPoly":
+        """u - sigma(u) in one pass: 0 on the diagonal, and at (j, i) the
+        negative of the coefficient at (i, j), a term of u or not."""
+        ctx, terms = self.ctx, self.terms
+        prime, p, zero = ctx.k == 1, ctx.p, ctx.rzero
+        out = {}
+        for (i, j), c in terms.items():
+            # each pair once, from its i > j side when both are terms
+            if i > j or i < j and (j, i) not in terms:
+                m = terms.get((j, i), zero)
+                d = (c - m) % p if prime else ctx.rsub(c, m)
+                if d != zero:
+                    out[(i, j)], out[(j, i)] = d, p - d if prime else ctx.rneg(d)
+        return _wrap(ctx, out, self.names)
+
     def is_symmetric(self) -> bool:
         for (i, j), c in self.terms.items():
             if self.terms.get((j, i)) != c:
@@ -150,25 +169,31 @@ class BivarPoly(RingElement):
         """self scaled to lex-leading coefficient 1; 0 stays 0."""
         if not self.terms:
             return self
-        return self * FqElem(self.ctx, self.ctx.rinv(self.terms[self._leading()]))
+        ctx = self.ctx
+        inv = ctx.rinv(self.terms[self._leading()])
+        if ctx.k == 1:
+            p = ctx.p
+            return _wrap(ctx, {e: c * inv % p for e, c in self.terms.items()}, self.names)
+        return _wrap(ctx, {e: ctx.rmul(c, inv) for e, c in self.terms.items()}, self.names)
 
     def divide_exact(self, d: "BivarPoly") -> Optional["BivarPoly"]:
         """Exact division in F_q[x, y]; None when d does not divide self."""
         if d.is_zero():
             raise ZeroDivisionError("bivariate division by zero")
         ctx = self.ctx
-        r = self
+        r = dict(self.terms)  # the remainder, reduced in place
         out = {}
         ld = d._leading()
         cd_inv = ctx.rinv(d.terms[ld])
-        while not r.is_zero():
-            lr = r._leading()
+        while r:
+            lr = max(r)
             e = (lr[0] - ld[0], lr[1] - ld[1])
             if e[0] < 0 or e[1] < 0:
                 return None
-            c = ctx.rmul(r.terms[lr], cd_inv)
-            out[e] = c
-            r = r - _wrap(ctx, {e: c}, self.names) * d
+            c = out[e] = ctx.rmul(r[lr], cd_inv)
+            minus_c = ctx.rneg(c)
+            for (i, j), cd in d.terms.items():
+                _accumulate(ctx, r, (i + e[0], j + e[1]), ctx.rmul(minus_c, cd))
         return _wrap(ctx, out, self.names)
 
     def sym_decompose(self) -> Optional["BivarPoly"]:
@@ -210,6 +235,15 @@ class BivarPoly(RingElement):
             mono = f"{xs}*{ys}" if xs and ys else xs or ys
             parts.append((None if c == ctx.rone and mono else ctx._raw_str(c), mono))
         return format_terms(parts)
+
+
+def _accumulate(ctx: FqCtx, out: dict, e: Tuple[int, int], c) -> None:
+    """Add the raw c to the term of out at e in place; a sum of 0 drops it."""
+    s = ctx.radd(out.get(e, ctx.rzero), c)
+    if ctx.ris_zero(s):
+        out.pop(e, None)
+    else:
+        out[e] = s
 
 
 def _wrap(ctx: FqCtx, terms: dict, names: Tuple[str, str]) -> BivarPoly:

@@ -50,7 +50,7 @@ from .gf import FqCtx
 from .monorder import MonOrder, POLY_RING, disc_form_predicate, orders_equal, sym_orders_equal
 from .parse import ParseError, SymbolPoly, parse_element
 from .tower import Tower
-from .unitgrp import build_group, solve_xy1
+from .unitgrp import build_group, check_size, solve_xy1
 from .verify import (
     verify_quartic_twist_family,
     verify_shifted_generator_family,
@@ -246,6 +246,7 @@ def _search(inp: _Input) -> dict:
 
 def _unit_solve(inp: _Input) -> dict:
     ctx = inp.ctx
+    check_size(ctx)  # a field solve_xy1 refuses is refused before any parsing
     env = _base_env(ctx, RatFunc.gen(ctx))
     gens = [_parse(text, env, RatFunc.of(1, ctx), f"generator {text!r}")
             for text in _list(inp.params["generators"], "generators")]

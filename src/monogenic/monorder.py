@@ -237,14 +237,13 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymInOrder:
     sigma(B) = (-(u - sigma u))/(-(w - sigma w)) = B, and A - sigma(A) = 0.
     So the decision needs B alone, and A is never formed.
     """
-    sw = w.swap()
-    dw = w - sw
+    dw = w.antisym()
     if dw.is_zero():
         # w is in K: O[w] = O (w integral means w in O); u must be symmetric
         if not u.is_symmetric():
             return SymInOrder(False, "w generates O but u is not symmetric")
         return SymInOrder(True, "both inside the base ring")
-    du = u - u.swap()
+    du = u.antisym()
     if du.is_zero():
         return SymInOrder(True, "u symmetric", BivarPoly(u.ctx, {}))
     if du.total_degree() < dw.total_degree():
@@ -258,7 +257,7 @@ def sym_in_order(u: BivarPoly, w: BivarPoly) -> SymInOrder:
 def sym_index_key(u: BivarPoly) -> BivarPoly:
     """The index key of O[u] in the symmetric backend: u - sigma(u) made
     monic, 0 when u is symmetric (then O[u] = O)."""
-    return (u - u.swap()).monic()
+    return u.antisym().monic()
 
 
 def sym_orders_equal(u: BivarPoly, w: BivarPoly) -> OrdersEqual:

@@ -220,7 +220,7 @@ class GroupElem:
         return repr(self.value())
 
 
-def _check_size(ctx: FqCtx, rank: int = 0) -> None:
+def check_size(ctx: FqCtx, rank: int = 0) -> None:
     """Refuse too many torsion candidates for solve_xy1, then a large rank."""
     if ctx.q - 2 > ENUMERATION_CAP:
         raise ValueError(f"{ctx.q - 2} torsion candidates exceed the desk-scale "
@@ -237,14 +237,14 @@ def build_group(generators: Sequence, ctx: FqCtx, for_solver: bool = False) -> G
     any refinement, and a basis past its MAX_RANK as soon as the
     refinement's working basis passes it (see `coprime_basis`)."""
     if for_solver:
-        _check_size(ctx)
+        check_size(ctx)
     gens = [RatFunc.of(g, ctx) for g in generators]
     if any(g.is_zero() for g in gens):
         raise ValueError("zero generator")
     base = coprime_basis([part for g in gens for part in (g.num, g.den)],
                          MAX_RANK if for_solver else None)
     if for_solver:
-        _check_size(ctx, len(base))
+        check_size(ctx, len(base))
     factored = [factor_over(base, g) for g in gens]
     if None in factored:
         raise AssertionError("generator did not factor over the refined basis")
@@ -298,7 +298,7 @@ def solve_xy1(gctx: GroupCtx, height_bound: int = 64) -> List[SolutionFamily]:
     families, by coset enumeration over H/H^p and p-th power descent."""
     ctx = gctx.ctx
     p = ctx.p
-    _check_size(ctx, gctx.rank)
+    check_size(ctx, gctx.rank)
     sat = gctx.sat_basis
     if p ** len(sat) > ENUMERATION_CAP:
         raise ValueError(f"{p ** len(sat)} cosets of H/H^p exceed the desk-scale "

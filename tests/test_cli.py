@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -345,6 +346,22 @@ def test_over_rank_group_refused_while_refined(tmp_path, capsys, product_first):
     err = _refused_while_refined(tmp_path, capsys, 65521, linear, product_first)
     assert err == ("configuration error: 65519 torsion candidates exceed the "
                    "desk-scale cap of 729\n")
+
+
+def test_large_unit_solve_field_refused_before_parsing(tmp_path, capsys):
+    # six random dense monic degree-500 generators over F_65521 (5.8 KB of
+    # text each): parsing them took 0.44 s before the field, a fact of the
+    # base alone, was refused
+    rng = random.Random(5)
+    gens = ["+".join(f"{rng.randrange(1, 65521)}*x^{i}" for i in range(500)) + "+x^500"
+            for _ in range(6)]
+    path = _write(tmp_path, {"task": "unit-solve", "base": {"p": 65521},
+                             "params": {"generators": gens}})
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert capsys.readouterr().err == ("configuration error: 65519 torsion candidates exceed "
+                                       "the desk-scale cap of 729\n")
 
 
 @pytest.mark.parametrize("product_first", [False, True], ids=["product-last", "product-first"])
